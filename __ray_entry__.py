@@ -418,8 +418,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "events_user_window_rollup_10x": q.q_events_user_window_rollup_10x,
         "events_user_window_acf1": q.q_events_user_window_acf1,
         "events_gapfill_rollup": q.q_events_gapfill_rollup,
-        "events_sessionize": q.q_events_sessionize,
-        "events_asof_purchase": q.q_events_asof_purchase,
+        # events_sessionize_carry / events_asof_carry again, under their
+        # SQL twins' own names (one implementation each)
+        "events_sessionize": q.q_events_sessionize_carry,
+        "events_asof_purchase": q.q_events_asof_purchase_carry,
         "events_props_extract": q.q_events_props_extract,
         "text_quality_full": t.q_text_quality_full,
         "seq_tier_rollup": _q_seq_tier_rollup,
@@ -1747,8 +1749,6 @@ def oracle_sql() -> dict[str, str]:
             ORDER BY source
         """,
     }
-    # boundary-carry operator variants produce bit-identical output to
-    # their whole-key twins — same oracle
     from ts_pymfe_ray.pipelines.textops import BPE_SPLIT_PATTERN
 
     d["bpe_token_count"] = f"""
@@ -2343,6 +2343,7 @@ def oracle_sql() -> dict[str, str]:
             ORDER BY query_id, cosine DESC, vec_id
         """
     d["embeddings_ann_ivf_full"] = d["embeddings_knn"]
+    # both registry names of each boundary-carry operator share one twin
     d["events_sessionize_carry"] = d["events_sessionize"]
     d["events_asof_carry"] = d["events_asof_purchase"]
     # connected components over the (oracled) MinHash pair graph via a

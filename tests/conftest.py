@@ -30,3 +30,16 @@ def seq_dir_small(tmp_path_factory):
 
     root = str(tmp_path_factory.mktemp("seqdata"))
     return ensure_sequences(0.0005, cache_root=root, use_ray=False)
+
+
+@pytest.fixture(scope="session")
+def check_oracle():
+    """This checkout's tools/check_oracle.py, loaded as a module."""
+    import importlib.util
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "check_oracle", os.path.join(root, "tools", "check_oracle.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod

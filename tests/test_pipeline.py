@@ -410,25 +410,72 @@ def test_comp_engine_csv_ingest_end_to_end(ray_session, tmp_path):
     assert np.isfinite(df["mean"]).all()
 
 
+def _events_by_user(sf_dir):
+    """Each user's events in (ts, event_id) order, ts as epoch us."""
+    import pandas as pd
+
+    df = pd.read_parquet(os.path.join(sf_dir, "events.parquet"))
+    df["ts_us"] = df["ts"].to_numpy().astype("datetime64[us]").astype("int64")
+    return df.sort_values(["ts_us", "event_id"]).groupby("user_id")
+
+
 def test_sessionize_carry_matches_per_user(ray_session):
     """The boundary-carry sessionize (time-range partitions, carry-row
-    merge) must reproduce whole-user-per-task output exactly — including
-    with a 1-hour span that forces many cross-boundary session stitches."""
+    merge) must reproduce a whole-history per-user pandas computation
+    exactly — including with a 1-hour span that forces many
+    cross-boundary session stitches."""
+    import pandas as pd
+    from ts_pymfe_ray.functions.rounding import round_ha
     from ts_pymfe_ray.pipelines import queries as q
 
     sf = "/root/testdata/sf0.01"
-    base = q.q_events_sessionize(sf)
-    assert base.equals(q.q_events_sessionize_carry(sf))
-    assert base.equals(q.q_events_sessionize_carry(sf, span_hours=1))
+    gap_us = 30 * 60 * 1_000_000
+    rows = []
+    for uid, g in _events_by_user(sf):
+        ts = g["ts_us"].to_numpy()
+        brk = np.concatenate([[True], np.diff(ts) > gap_us])
+        n_sessions = int(brk.sum())
+        bounds = np.concatenate([np.flatnonzero(brk), [ts.size]])
+        spans = ts[bounds[1:] - 1] - ts[bounds[:-1]]
+        rows.append({
+            "user_id": np.int64(uid),
+            "n_events": np.int64(ts.size),
+            "n_sessions": np.int64(n_sessions),
+            "max_session_events": np.int64(np.diff(bounds).max()),
+            "avg_events_per_session": round_ha(ts.size / n_sessions),
+            "avg_session_sec": round_ha(int(spans.sum()) / n_sessions / 1_000_000.0),
+        })
+    base = pd.DataFrame(rows)
+    pd.testing.assert_frame_equal(q.q_events_sessionize_carry(sf), base, check_exact=True)
+    pd.testing.assert_frame_equal(q.q_events_sessionize_carry(sf, span_hours=1), base,
+                                  check_exact=True)
 
 
 def test_asof_carry_matches_per_user(ray_session):
+    """The boundary-carry as-of join must equal a whole-history per-user
+    pandas pass (each click -> the latest strictly earlier purchase), at
+    the default span and at a 1-hour span."""
+    import pandas as pd
     from ts_pymfe_ray.pipelines import queries as q
 
     sf = "/root/testdata/sf0.01"
-    base = q.q_events_asof_purchase(sf)
-    assert base.equals(q.q_events_asof_purchase_carry(sf))
-    assert base.equals(q.q_events_asof_purchase_carry(sf, span_hours=1))
+    parts = []
+    for _, g in _events_by_user(sf):
+        ts, ids = g["ts_us"].to_numpy(), g["event_id"].to_numpy()
+        et = g["event_type"].to_numpy()
+        click = et == "click"
+        last_p = np.maximum.accumulate(np.where(et == "purchase", np.arange(ts.size), -1))
+        m = np.concatenate([[-1], last_p[:-1]])[click]  # strictly earlier rows
+        has = m >= 0
+        parts.append(pd.DataFrame({
+            "event_id": ids[click].astype(np.int64),
+            "purchase_event_id": np.where(has, ids[np.maximum(m, 0)], -1).astype(np.int64),
+            "lag_us": np.where(has, ts[click] - ts[np.maximum(m, 0)], -1).astype(np.int64),
+        }))
+    base = pd.concat(parts).sort_values("event_id").reset_index(drop=True)
+    pd.testing.assert_frame_equal(q.q_events_asof_purchase_carry(sf), base, check_exact=True)
+    pd.testing.assert_frame_equal(q.q_events_asof_purchase_carry(sf, span_hours=1), base,
+                                  check_exact=True)
 
 
 def test_disc_quantiles_match_duckdb_semantics():
@@ -879,3 +926,92 @@ def test_funnel_span_partials_match_bruteforce(ray_session, tmp_path_factory):
     exp["n_converted"] = exp["n_converted"].astype("int64")
     exp = exp.sort_values("cohort_day").reset_index(drop=True)
     pd.testing.assert_frame_equal(got, exp)
+
+
+def _degenerate_events(path):
+    """A hand-built events table of edge cases for the span-partial
+    operators (see test_span_partials_degenerate_inputs_match_twins)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    h = 3600 * 1_000_000
+    d, m = 24 * h, 60 * 1_000_000
+    u3_vals = [12.5, 13.75, 11.0, 15.25, 9.5, 14.0, 10.25, 16.5, 12.0, 13.0,
+               11.5, 17.25, 8.75, 12.25, 14.5, 10.0, 15.75, 9.25, 13.5, 11.75]
+    u3_types = ["click", "view", "purchase", "view"] * 5
+    u3_types[4] = "error"  # the only error event of the table
+    rows = [
+        # user 1: a single event
+        (1, 1, 5 * h, "click", 10.5),
+        # user 2: every event inside one 1-hour span
+        (2, 2, d + 2 * h, "click", 3.25), (3, 2, d + 2 * h + m, "view", 4.0),
+        (4, 2, d + 2 * h + 2 * m, "purchase", 7.5),
+        (5, 2, d + 2 * h + 3 * m, "click", 1.0),
+        (6, 2, d + 2 * h + 4 * m, "signup", 2.5),
+        (7, 2, d + 2 * h + 5 * m, "purchase", 9.99),
+        # user 3: ten events on day 0 and ten on day 3 (non-adjacent
+        # spans); a 16-event window straddles them, and the missing
+        # values (ids 20, 30) end each span
+        *[(11 + i, 3, (i // 10) * 3 * d + 10 * h + (i % 10) * 5 * m,
+           u3_types[i], u3_vals[i]) for i in range(20)],
+        # user 4: every purchase before the first click; a gap of
+        # exactly 30 minutes (no session break)
+        (31, 4, 2 * d + h, "purchase", 5.0),
+        (32, 4, 2 * d + h + 30 * m, "purchase", 6.0),
+        (33, 4, 2 * d + 3 * h, "click", 1.5), (34, 4, 2 * d + 4 * h, "view", 2.0),
+        # user 5: clicks and no purchase; a 30-minute gap across an hour
+        # boundary and two events at the same ts
+        (35, 5, 4 * d + 45 * m, "click", 2.0), (36, 5, 4 * d + 75 * m, "click", 3.0),
+        (37, 5, 4 * d + 75 * m, "view", 4.0), (38, 5, 4 * d + 5 * h, "signup", 1.0),
+        # user 6: every value missing under gap-fill's event_id % 10 rule
+        (40, 6, 5 * d + h, "click", 1.0), (50, 6, 5 * d + 2 * h, "purchase", 2.0),
+        (60, 6, 5 * d + 3 * h, "view", 3.0),
+    ]
+    eid, uid, off, et, val = zip(*rows)
+    t0 = np.datetime64("2024-01-01T00:00:00", "us").astype("int64")
+    pq.write_table(pa.table({
+        "event_id": pa.array(eid, pa.int64()),
+        "ts": pa.array((t0 + np.array(off, dtype=np.int64)).view("datetime64[us]")),
+        "user_id": pa.array(uid, pa.int64()),
+        "event_type": pa.array(et, pa.string()),
+        "value": pa.array(val, pa.float64()),
+    }), os.path.join(path, "events.parquet"))
+
+
+@pytest.fixture(scope="module")
+def degenerate_dir(tmp_path_factory):
+    d = str(tmp_path_factory.mktemp("degenerate"))
+    _degenerate_events(d)
+    return d
+
+
+_SPAN_ENTRIES = {
+    "events_acf1": True, "events_interarrival": True, "events_funnel": True,
+    "events_sessionize_carry": True, "events_asof_carry": True,
+    "events_gapfill_rollup": True, "events_user_window_rollup": False,
+    "events_user_window_moments": False,
+}
+
+
+@pytest.mark.parametrize("name,span_hours", [
+    *[(n, None) for n in _SPAN_ENTRIES],
+    *[(n, 1) for n, has_span in _SPAN_ENTRIES.items() if has_span],
+])
+def test_span_partials_degenerate_inputs_match_twins(
+        ray_session, degenerate_dir, check_oracle, name, span_hours):
+    """Every span-partial entry equals its DuckDB twin on degenerate
+    inputs: single-event users and types, a two-event type, a user inside
+    one span, a user in two non-adjacent spans, purchases only before the
+    first click, clicks without a purchase, an all-missing gap-fill user."""
+    import duckdb
+
+    import __ray_entry__ as e
+
+    d = degenerate_dir
+    fn = e.queries()[name]
+    got = fn(d) if span_hours is None else fn(d, span_hours=span_hours)
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{d}/events.parquet')")
+    exp = con.execute(e.oracle_sql()[name]).fetchdf()
+    assert len(exp) > 0
+    assert check_oracle.compare(name, got, exp) == "OK"

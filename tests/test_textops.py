@@ -379,6 +379,30 @@ def test_multimodal_frame_and_resize_stages(ray_session):
     assert ((f["mean_f0"] >= 0) & (f["mean_f0"] <= 1)).all()
 
 
+def test_byte_entropy_skips_empty_payloads(ray_session, tmp_path, check_oracle):
+    """A zero-length document has no bytes: the engine drops it before the
+    entropy stage, as the DuckDB twin's per-character unnest does."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as e
+    from ts_pymfe_ray.stages.multimodal import q_multimodal_byte_entropy
+
+    pq.write_table(pa.table({
+        "doc_id": pa.array([1, 2, 3], pa.int64()),
+        "text": pa.array(["abracadabra", "", "aaaa bbbb"], pa.string()),
+        "source": pa.array(["web", "web", "code"], pa.string()),
+    }), tmp_path / "documents.parquet")
+    got = q_multimodal_byte_entropy(str(tmp_path))
+    assert got["n_media"].tolist() == [1, 1]  # blob/code, blob/web
+    con = duckdb.connect()
+    con.execute("CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{tmp_path}/documents.parquet')")
+    exp = con.execute(e.oracle_sql()["multimodal_byte_entropy"]).fetchdf()
+    assert check_oracle.compare("multimodal_byte_entropy", got, exp) == "OK"
+
+
 def _write_cluster_docs(tmp_path, n_dup: int, n_distinct: int = 10):
     """Docs table with doc_ids [0, n_dup) sharing ONE identical text (a
     degenerate boilerplate cluster) plus n_distinct unique docs."""

@@ -33,9 +33,11 @@ Exits 0 with a SKIP message when tspymfe is unimportable (unless
 
 from __future__ import annotations
 
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+# this checkout first, so the script grades the code next to it
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 sys.path.insert(0, "/root/reference")
 
 import numpy as np

@@ -7,7 +7,8 @@ import json
 import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+# this checkout first, so the script grades the code next to it
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import numpy as np
 import pyarrow.dataset as pads

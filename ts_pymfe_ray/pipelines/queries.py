@@ -82,6 +82,83 @@ def grouped_stats(
     return out.sort_values(keys).reset_index(drop=True)
 
 
+_HOUR_US = 3600 * 1_000_000
+_DAY_US = 24 * _HOUR_US
+
+
+def _ts_us(ts: pa.ChunkedArray) -> pa.ChunkedArray:
+    """Timestamp column -> int64 epoch microseconds (DuckDB's epoch_us)."""
+    import pyarrow.compute as pc
+
+    return pc.cast(pc.cast(ts, pa.timestamp("us")), pa.int64())
+
+
+def _user_days(batch: pa.Table) -> np.ndarray:
+    """The batch's distinct (user_id, epoch day) pairs, shape (n, 2)."""
+    days = _ts_us(batch.column("ts")).to_numpy() // _DAY_US
+    users = batch.column("user_id").to_numpy()
+    return np.unique(np.stack([users, days], axis=1), axis=0)
+
+
+# ------------------------------------------------------ span-partial engine
+#
+# Every keyed event operator that needs each key's events in time order
+# (acf1, inter-arrival, funnel, sessionize, as-of, the positional-window
+# family) runs on the same three steps instead of co-locating a key's
+# whole history: tag each event with span_id = ts_us // span width, reduce
+# each (key, span) slice to a few partial rows, then merge the partials
+# per key (rows bounded by active spans, never by event count).
+
+# span width of every span-partial operator: bounds any single task's
+# group by TIME RANGE — the production knob against hot keys (a bot
+# user's events split across spans instead of landing in one task)
+_SPAN_HOURS = 24
+
+
+def _span_tagged(sf_dir: str, columns: list[str], span_hours: int):
+    """events[columns] plus ``ts_us`` and ``span_id = ts_us // span``."""
+    import pyarrow.compute as pc
+
+    span_us = span_hours * _HOUR_US
+
+    def tag(batch: pa.Table) -> pa.Table:
+        ts_us = _ts_us(batch.column("ts"))
+        return pa.table({**{c: batch.column(c) for c in columns},
+                         "ts_us": ts_us, "span_id": pc.divide(ts_us, span_us)})
+
+    return _read(sf_dir, "events", [*columns, "ts"]).map_batches(
+        tag, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _span_partials(tagged, key: str, per_span):
+    """``per_span`` over every (key, span_id) slice of ``tagged``, handed
+    over sorted by (ts_us, event_id)."""
+    def sorted_span(df: pd.DataFrame) -> pd.DataFrame:
+        return per_span(df.sort_values(["ts_us", "event_id"]))
+
+    return tagged.groupby([key, "span_id"]).map_groups(
+        sorted_span, batch_format="pandas")
+
+
+def _split_kinds(parts, resolved_cols: list[str],
+                 rest_cols: list[str] | None = None):
+    """Materialize span partials once and split them by ``kind``: kind 0
+    rows (resolved in-span) projected to ``resolved_cols``, kind > 0 rows
+    (left for a second pass) to ``rest_cols`` (all columns when None)."""
+    import pyarrow.compute as pc
+
+    parts = parts.materialize()
+
+    def take(keep, cols):
+        def f(batch: pa.Table) -> pa.Table:
+            rows = batch.filter(keep(batch.column("kind"), 0))
+            return rows if cols is None else rows.select(cols)
+
+        return parts.map_batches(f, batch_format="pyarrow")
+
+    return take(pc.equal, resolved_cols), take(pc.greater, rest_cols)
+
+
 # ---------------------------------------------------------------- queries
 
 
@@ -91,8 +168,7 @@ def q_events_window_rollup(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts").cast(pa.int64()).to_numpy()  # microseconds
-        bucket = ts // (3600 * 1_000_000)
+        bucket = _ts_us(batch.column("ts")).to_numpy() // _HOUR_US
         return batch.append_column("hour_bucket", pa.array(bucket, pa.int64()))
 
     ds = ds.map_batches(add_bucket, batch_format="pyarrow")
@@ -135,7 +211,7 @@ def q_events_user_topk(sf_dir: str, k: int = 10) -> pd.DataFrame:
     return g.reset_index(drop=True)
 
 
-def q_events_acf1(sf_dir: str, span_hours: int | None = None) -> pd.DataFrame:
+def q_events_acf1(sf_dir: str, span_hours: int = _SPAN_HOURS) -> pd.DataFrame:
     """Lag-1 autocorrelation (Pearson r of value vs previous value in time
     order) per event_type — the ACF operator in SQL-checkable form.
 
@@ -147,23 +223,7 @@ def q_events_acf1(sf_dir: str, span_hours: int | None = None) -> pd.DataFrame:
     cross-span boundary pairs, and assembles Pearson r from the merged
     sums.  A hot event_type with 10^9 events never materializes in one
     task."""
-    import pyarrow.compute as pc
-
-    span_us = (span_hours or _SPAN_HOURS) * 3600 * 1_000_000
-    ds = _read(sf_dir, "events", ["event_type", "ts", "event_id", "value"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        ts_us = pc.cast(pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64())
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "span_id": pc.divide(ts_us, span_us),
-            "ts_us": ts_us,
-            "event_id": batch.column("event_id"),
-            "value": batch.column("value"),
-        })
-
     def per_span(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["ts_us", "event_id"])
         v = df["value"].to_numpy(dtype=np.float64)
         x, y = v[:-1], v[1:]
         return pd.DataFrame({
@@ -198,13 +258,13 @@ def q_events_acf1(sf_dir: str, span_hours: int | None = None) -> pd.DataFrame:
              "n": [np.int64(n_events)]}
         )
 
-    spans = (
-        ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "span_id"])
-        .map_groups(per_span, batch_format="pandas")
+    tagged = _span_tagged(sf_dir, ["event_type", "event_id", "value"], span_hours)
+    out = (
+        _span_partials(tagged, "event_type", per_span)
+        .groupby("event_type")
+        .map_groups(merge_type, batch_format="pandas")
+        .to_pandas()
     )
-    out = spans.groupby("event_type").map_groups(
-        merge_type, batch_format="pandas").to_pandas()
     return out.sort_values("event_type").reset_index(drop=True)
 
 
@@ -492,7 +552,7 @@ def q_events_hopping_window(sf_dir: str, width_hours: int = 2,
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
 
     def explode(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts").cast(pa.timestamp("us")).cast(pa.int64()).to_numpy()
+        ts = _ts_us(batch.column("ts")).to_numpy()
         et = batch.column("event_type").to_pylist()
         val = batch.column("value").to_numpy()
         base = ts // hop_us  # last window whose span contains the event
@@ -519,8 +579,7 @@ def q_events_daily_extremes(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts").cast(pa.int64()).to_numpy()
-        bucket = ts // (86400 * 1_000_000)
+        bucket = _ts_us(batch.column("ts")).to_numpy() // _DAY_US
         return batch.append_column("day_bucket", pa.array(bucket, pa.int64()))
 
     ds = ds.map_batches(add_bucket, batch_format="pyarrow")
@@ -678,16 +737,10 @@ def q_events_retention_cohorts(sf_dir: str) -> pd.DataFrame:
     10^9-event bot still contributes <= #days rows) emits (cohort,
     offset) pairs -> a bounded-domain (cohort x offset) count groupby.
     All integers, hash-exact at every scale."""
-    import pyarrow.compute as pc
-
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    day_us = 86400 * 1_000_000
 
     def user_days(batch: pa.Table) -> pa.Table:
-        ts_us = pc.cast(pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64())
-        u = batch.column("user_id").to_numpy()
-        d = (ts_us.to_numpy() // day_us)
-        pairs = np.unique(np.stack([u, d], axis=1), axis=0)
+        pairs = _user_days(batch)
         return pa.table({"user_id": pa.array(pairs[:, 0], pa.int64()),
                          "day": pa.array(pairs[:, 1], pa.int64())})
 
@@ -719,7 +772,7 @@ def q_events_retention_cohorts(sf_dir: str) -> pd.DataFrame:
     return g.sort_values(["cohort", "offset"]).reset_index(drop=True)
 
 
-def q_events_interarrival(sf_dir: str, span_hours: int | None = None) -> pd.DataFrame:
+def q_events_interarrival(sf_dir: str, span_hours: int = _SPAN_HOURS) -> pd.DataFrame:
     """Per-type inter-arrival gap statistics (count / mean / min / max of
     adjacent event gaps in global chronological order) — the traffic-
     cadence rollup, distributed with the same span-pair shape as the
@@ -728,24 +781,9 @@ def q_events_interarrival(sf_dir: str, span_hours: int | None = None) -> pd.Data
     merge over span rows adds the cross-span boundary gaps.  Gap sums are
     exact int64 (total <= the time range in us), so mean is one shared
     IEEE division and min/max are exact."""
-    import pyarrow.compute as pc
-
-    span_us = (span_hours or _SPAN_HOURS) * 3600 * 1_000_000
-    ds = _read(sf_dir, "events", ["event_type", "ts", "event_id"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        ts_us = pc.cast(pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64())
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "span_id": pc.divide(ts_us, span_us),
-            "ts_us": ts_us,
-            "event_id": batch.column("event_id"),
-        })
-
     _BIG = np.int64(2**62)
 
     def per_span(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["ts_us", "event_id"])
         t = df["ts_us"].to_numpy()
         gaps = np.diff(t)
         return pd.DataFrame({
@@ -763,29 +801,28 @@ def q_events_interarrival(sf_dir: str, span_hours: int | None = None) -> pd.Data
         df = df.sort_values("span_id")
         bg = df["first_ts"].to_numpy()[1:] - df["last_ts"].to_numpy()[:-1]
         n = int(df["n"].sum()) + bg.size
-        if n == 0:
-            return pd.DataFrame({"event_type": [], "n_gaps": [],
-                                 "mean_gap_us": [], "min_gap_us": [],
-                                 "max_gap_us": []})
         s1 = int(df["s1"].sum()) + int(bg.sum())
-        gmin = min(int(df["gmin"].min()), int(bg.min()) if bg.size else int(_BIG))
-        gmax = max(int(df["gmax"].max()), int(bg.max()) if bg.size else -1)
         return pd.DataFrame({
             "event_type": [df["event_type"].iloc[0]],
             "n_gaps": [np.int64(n)],
-            "mean_gap_us": [round_ha(float(s1) / n)],
-            "min_gap_us": [np.int64(gmin)],
-            "max_gap_us": [np.int64(gmax)],
+            "mean_gap_us": [round_ha(float(s1) / n) if n else np.nan],
+            "min_gap_us": [np.concatenate([df["gmin"].to_numpy(), bg]).min()],
+            "max_gap_us": [np.concatenate([df["gmax"].to_numpy(), bg]).max()],
         })
 
+    tagged = _span_tagged(sf_dir, ["event_type", "event_id"], span_hours)
     out = (
-        ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "span_id"])
-        .map_groups(per_span, batch_format="pandas")
+        _span_partials(tagged, "event_type", per_span)
         .groupby("event_type")
         .map_groups(merge_type, batch_format="pandas")
         .to_pandas()
     )
+    # a single-event type has no gap: the twin's MIN/MAX are NULL, which
+    # DuckDB hands over as NaN in a float64 column
+    no_gap = out["n_gaps"].to_numpy() == 0
+    if no_gap.any():
+        for c in ("min_gap_us", "max_gap_us"):
+            out[c] = np.where(no_gap, np.nan, out[c].to_numpy())
     return out.sort_values("event_type").reset_index(drop=True)
 
 
@@ -798,18 +835,12 @@ def q_events_wau(sf_dir: str, window_days: int = 7) -> pd.DataFrame:
     hopping-window trick applied to a DISTINCT count), then one
     (window, user) distinct pass collapsed per window.  Shuffle volume =
     window_days x active user-days — never events."""
-    import pyarrow.compute as pc
-
     from ray.data.aggregate import Count
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    day_us = 86400 * 1_000_000
 
     def user_day_windows(batch: pa.Table) -> pa.Table:
-        ts_us = pc.cast(pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64())
-        u = batch.column("user_id").to_numpy()
-        d = ts_us.to_numpy() // day_us
-        pairs = np.unique(np.stack([u, d], axis=1), axis=0)
+        pairs = _user_days(batch)
         k = np.arange(window_days, dtype=np.int64)
         wins = (pairs[:, 1][:, None] + k[None, :]).ravel()
         users = np.repeat(pairs[:, 0], window_days)
@@ -830,7 +861,7 @@ def q_events_wau(sf_dir: str, window_days: int = 7) -> pd.DataFrame:
 
 
 def q_events_funnel(sf_dir: str, window_hours: int = 72,
-                    span_hours: int | None = None) -> pd.DataFrame:
+                    span_hours: int = _SPAN_HOURS) -> pd.DataFrame:
     """Forward conversion funnel: of the users whose FIRST click happened
     on day D, how many purchased within ``window_hours`` after it — the
     cohort conversion report every product-analytics stack ships.
@@ -842,27 +873,10 @@ def q_events_funnel(sf_dir: str, window_hours: int = 72,
     span that has one, so the earliest qualifying purchase is either that
     span's own after-click purchase or the first purchase of any later
     span.  A 10^9-event user contributes <= one row per active span."""
-    import pyarrow.compute as pc
-
-    span_us = (span_hours or _SPAN_HOURS) * 3600 * 1_000_000
-    win_us = window_hours * 3600 * 1_000_000
-    day_us = 86400 * 1_000_000
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        ts_us = pc.cast(pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64())
-        return pa.table({
-            "user_id": batch.column("user_id"),
-            "span_id": pc.divide(ts_us, span_us),
-            "ts_us": ts_us,
-            "event_id": batch.column("event_id"),
-            "event_type": batch.column("event_type"),
-        })
-
+    win_us = window_hours * _HOUR_US
     _NONE = np.int64(2**62)  # sentinel: no such event in the span
 
     def per_span(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["ts_us", "event_id"])
         et = df["event_type"].to_numpy()
         ts = df["ts_us"].to_numpy()
         clicks = ts[et == "click"]
@@ -894,13 +908,12 @@ def q_events_funnel(sf_dir: str, window_hours: int = 72,
             candidates.append(later.min())
         fp = int(min(candidates))
         conv = int(fp < _NONE and fp - fc <= win_us)
-        return pd.DataFrame({"cohort_day": [np.int64(fc // day_us)],
+        return pd.DataFrame({"cohort_day": [np.int64(fc // _DAY_US)],
                              "conv": [np.int64(conv)]})
 
+    tagged = _span_tagged(sf_dir, ["user_id", "event_id", "event_type"], span_hours)
     rows = (
-        ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["user_id", "span_id"])
-        .map_groups(per_span, batch_format="pandas")
+        _span_partials(tagged, "user_id", per_span)
         .groupby("user_id")
         .map_groups(per_user, batch_format="pandas")
     )
@@ -943,56 +956,109 @@ def q_events_value_var(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("event_type").reset_index(drop=True)
 
 
-# span width of every time-partitioned carry operator (sessionize/as-of/
-# positional windows): bounds any single task's group by TIME RANGE —
-# the production knob against hot keys (a bot user's events split across
-# spans instead of landing in one task)
-_SPAN_HOURS = 24
-
 # ------------------------------------------------- positional-window engine
 #
 # The user-window family (rollup / 10x merge / acf1 / gap-fill / moments)
 # aggregates non-overlapping positional windows of each user's
-# chronologically sorted events with the tier ladder's sketch kernels.
-# Round 4 co-located every user's FULL history in one map_groups task — a
-# single hot key (bot user with 10^9 events) OOMs that task.  This engine
-# bounds every group instead:
+# chronologically sorted events with the tier ladder's sketch kernels, on
+# the span-partial engine above — no task co-locates a user's history:
 #
-#   1. count partials: groupby (user, span=ts//span_us) + Count() — the
-#      shuffle carries combiner-collapsed count rows only, never events;
+#   1. count partials: groupby (user, span) + Count() — the shuffle
+#      carries combiner-collapsed count rows only, never events;
 #   2. per-user prefix sum over those counts (ONE tiny row per active
 #      (user, span)) yields each span's starting chronological rank;
 #   3. events co-partitioned with their span's offset row assign global
 #      ranks locally; windows FULLY inside the span are sketched
-#      vectorized right there (compute_window_sketches_at — the bulk of
-#      the data at production event rates);
+#      vectorized right there (compute_window_sketches — the bulk of the
+#      data at production event rates);
 #   4. only the <= bucket-1 head/tail boundary events per span ship to a
 #      (user_id, window_id) groupby whose groups are <= bucket rows BY
 #      CONSTRUCTION.
 #
 # No task ever holds more than max(span event count, bucket) rows of one
-# user; span width is the production knob that bounds task size by TIME,
-# not by key frequency.  Per-window sketches computed in isolation are
-# bitwise-identical to the whole-series path for every field except the
-# comoment c1 (a (sum+cross)-cross vs sum+0 ulp-class association
-# difference that only feeds acf1, an off-grid ratio the 6dp rounding
-# absorbs — same tolerance class as engine-vs-DuckDB association drift).
-# Equality with the per-user reference form is pinned by
+# user.  Per-window sketches computed in isolation are bitwise-identical
+# to the whole-series path for every field except the comoment c1 (a
+# (sum+cross)-cross vs sum+0 ulp-class association difference that only
+# feeds acf1, an off-grid ratio the 6dp rounding absorbs — same tolerance
+# class as engine-vs-DuckDB association drift).  Equality with a per-user
+# pandas reference is pinned by
 # tests/test_pipeline.py::test_window_family_hot_user_distributed.
 
 _SKETCH_COLS = ("n", "s1", "s2", "s3", "s4", "c1", "vmin", "vmax",
                 "first", "last", "s1_seq")
 
 
-def _empty_span_parts() -> pd.DataFrame:
-    cols: dict[str, np.ndarray] = {
-        "user_id": np.empty(0, np.int64), "window_id": np.empty(0, np.int64),
-        "kind": np.empty(0, np.int64), "rank": np.empty(0, np.int64),
-        "value": np.empty(0, np.float64),
+def _join_span_offsets(tagged):
+    """Span-tagged (user_id, event_id, value) events as kind=0 rows, unioned
+    with one kind=1 offset row per (user, span): offset = number of the
+    user's events in EARLIER spans, i.e. the span's starting chronological
+    rank.  The count shuffle moves combiner partials only; the prefix sum
+    runs per user over one tiny row per active span (a 10^9-event bot
+    spanning a month is ~720 rows)."""
+    from ray.data.aggregate import Count
+
+    counts = tagged.groupby(["user_id", "span_id"]).aggregate(Count())
+
+    def prefix(df: pd.DataFrame) -> pa.Table:
+        df = df.sort_values("span_id")
+        c = df["count()"].to_numpy(dtype=np.int64)
+        off = np.concatenate([[0], np.cumsum(c)[:-1]]).astype(np.int64)
+        nz = len(df)
+        # arrow block with the events' column order: Ray's shuffle sort
+        # rejects mixed pandas/arrow block unions
+        return pa.table({
+            "user_id": pa.array(df["user_id"].to_numpy(dtype=np.int64), pa.int64()),
+            "event_id": pa.array(np.full(nz, -1, dtype=np.int64), pa.int64()),
+            "value": pa.array(np.zeros(nz, dtype=np.float64), pa.float64()),
+            "ts_us": pa.array(np.zeros(nz, dtype=np.int64), pa.int64()),
+            "span_id": pa.array(df["span_id"].to_numpy(dtype=np.int64), pa.int64()),
+            "kind": pa.array(np.ones(nz, dtype=np.int64), pa.int64()),
+            "off": pa.array(off, pa.int64()),
+        })
+
+    def mark(batch: pa.Table) -> pa.Table:
+        zeros = pa.array(np.zeros(len(batch), dtype=np.int64), pa.int64())
+        return batch.append_column("kind", zeros).append_column("off", zeros)
+
+    offsets = counts.groupby("user_id").map_groups(prefix, batch_format="pandas")
+    return tagged.map_batches(mark, batch_format="pyarrow").union(offsets)
+
+
+def _sketch_window(df: pd.DataFrame, bucket: int) -> pa.Table:
+    """One positional window's (user_id, window_id, rank, value) rows ->
+    its sketch row (``s1_seq`` summed sequentially in rank order)."""
+    from ts_pymfe_ray.functions import sketch as sk
+
+    df = df.sort_values("rank")
+    v = np.ascontiguousarray(df["value"].to_numpy(), dtype=np.float64)
+    m = sk.compute_window_sketches(v, bucket)[0]
+    rows = {
+        "user_id": pa.array([int(df["user_id"].iloc[0])], pa.int64()),
+        "window_id": pa.array([int(df["window_id"].iloc[0])], pa.int64()),
     }
-    for c in _SKETCH_COLS:
-        cols[c] = np.empty(0, np.float64)
-    return pd.DataFrame(cols)
+    for i, c in enumerate(sk.FIELDS):
+        rows[c] = pa.array([float(m[i])], pa.float64())
+    rows["s1_seq"] = pa.array([float(sk.seq_window_sums(v, bucket)[0])],
+                              pa.float64())
+    return pa.table(rows)
+
+
+def _window_stats(df: pd.DataFrame, scale: float = 1.0) -> pd.DataFrame:
+    """Sketch rows -> per-window count / mean / var, with ``s1`` summed
+    sequentially (DuckDB's association) and mean / var divided by
+    ``scale`` / ``scale**2`` (100 undoes the exact-cents stream)."""
+    from ts_pymfe_ray.functions import sketch as sk
+
+    m = df[list(sk.FIELDS)].to_numpy(dtype=np.float64)
+    m[:, sk.FIELDS.index("s1")] = df["s1_seq"].to_numpy()
+    feats = sk.derive_features(m)
+    return pd.DataFrame({
+        "user_id": df["user_id"].to_numpy(dtype=np.int64),
+        "window_id": df["window_id"].to_numpy(dtype=np.int64),
+        "value_count": feats["count"].astype(np.int64),
+        "value_mean": round_ha(feats["mean"] / scale),
+        "value_var": round_ha(feats["var"] / scale**2),
+    })
 
 
 def _positional_window_sketches(sf_dir: str, bucket: int,
@@ -1011,12 +1077,9 @@ def _positional_window_sketches(sf_dir: str, bucket: int,
     derived mean/var by 100 / 10^4; mean-on-the-6dp-half-boundary flips
     (hit at sf0.1) become impossible because the pre-division stats are
     identical doubles on both sides."""
-    from ray.data.aggregate import Count
-
     from ts_pymfe_ray.functions import sketch as sk
 
-    span_us = span_hours * 3600 * 1_000_000
-    tagged = _tag_events_for_spans(sf_dir, span_us)
+    tagged = _span_tagged(sf_dir, ["user_id", "event_id", "value"], span_hours)
     if cents:
         def to_cents(batch: pa.Table) -> pa.Table:
             v = np.round(batch.column("value").to_numpy() * 100)
@@ -1024,25 +1087,22 @@ def _positional_window_sketches(sf_dir: str, bucket: int,
                                     "value", pa.array(v, pa.float64()))
 
         tagged = tagged.map_batches(to_cents, batch_format="pyarrow")
-    joined = _join_span_offsets(tagged)
 
     def per_span(df: pd.DataFrame) -> pd.DataFrame:
         offset = int(df.loc[df["kind"] == 1, "off"].iloc[0])
-        ev = df[df["kind"] == 0].sort_values(["ts_us", "event_id"])
-        n = len(ev)
-        if n == 0:
-            return _empty_span_parts()
-        uid = np.int64(ev["user_id"].iloc[0])
-        v = np.ascontiguousarray(ev["value"].to_numpy(), dtype=np.float64)
+        uid = np.int64(df["user_id"].iloc[0])
+        v = np.ascontiguousarray(df.loc[df["kind"] == 0, "value"].to_numpy(),
+                                 dtype=np.float64)
+        n = v.size
         first_w = -(-offset // bucket)          # first window starting in-span
         last_we = (offset + n) // bucket        # first window NOT ending in-span
+        head_end = tail_start = n
         out = []
         if last_we > first_w:
             head_end = first_w * bucket - offset
             tail_start = last_we * bucket - offset
             xs = v[head_end:tail_start]
             m = sk.compute_window_sketches(xs, bucket)
-            s1s = sk.seq_window_sums(xs, bucket)
             nw = m.shape[0]
             rows = {
                 "user_id": np.full(nw, uid, dtype=np.int64),
@@ -1053,123 +1113,30 @@ def _positional_window_sketches(sf_dir: str, bucket: int,
             }
             for i, c in enumerate(sk.FIELDS):
                 rows[c] = m[:, i]
-            rows["s1_seq"] = s1s
+            rows["s1_seq"] = sk.seq_window_sums(xs, bucket)
             out.append(pd.DataFrame(rows))
-        else:
-            head_end, tail_start = n, n
         b_local = np.concatenate(
             [np.arange(0, head_end), np.arange(tail_start, n)])
-        if b_local.size:
-            ranks = offset + b_local
-            rows = {
-                "user_id": np.full(b_local.size, uid, dtype=np.int64),
-                "window_id": (ranks // bucket).astype(np.int64),
-                "kind": np.ones(b_local.size, dtype=np.int64),
-                "rank": ranks.astype(np.int64),
-                "value": v[b_local],
-            }
-            for c in _SKETCH_COLS:
-                rows[c] = np.zeros(b_local.size, dtype=np.float64)
-            out.append(pd.DataFrame(rows))
-        if not out:
-            return _empty_span_parts()
+        ranks = offset + b_local
+        rows = {
+            "user_id": np.full(b_local.size, uid, dtype=np.int64),
+            "window_id": (ranks // bucket).astype(np.int64),
+            "kind": np.ones(b_local.size, dtype=np.int64),
+            "rank": ranks.astype(np.int64),
+            "value": v[b_local],
+        }
+        for c in _SKETCH_COLS:
+            rows[c] = np.zeros(b_local.size, dtype=np.float64)
+        out.append(pd.DataFrame(rows))
         return pd.concat(out, ignore_index=True)
 
-    parts = (
-        joined.groupby(["user_id", "span_id"])
-        .map_groups(per_span, batch_format="pandas")
-        .materialize()  # branched below into sketch rows + boundary events
-    )
-    sketch_cols = ["user_id", "window_id", *_SKETCH_COLS]
-
-    def take_sketches(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return batch.filter(pc.equal(batch.column("kind"), 0)).select(sketch_cols)
-
-    def take_boundary(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return batch.filter(pc.equal(batch.column("kind"), 1)).select(
-            ["user_id", "window_id", "rank", "value"])
-
-    local_sk = parts.map_batches(take_sketches, batch_format="pyarrow")
-
-    def sketch_window(df: pd.DataFrame) -> pa.Table:
-        df = df.sort_values("rank")
-        v = np.ascontiguousarray(df["value"].to_numpy(), dtype=np.float64)
-        m = sk.compute_window_sketches(v, bucket)[0]
-        rows = {
-            "user_id": pa.array([int(df["user_id"].iloc[0])], pa.int64()),
-            "window_id": pa.array([int(df["window_id"].iloc[0])], pa.int64()),
-        }
-        for i, c in enumerate(sk.FIELDS):
-            rows[c] = pa.array([float(m[i])], pa.float64())
-        rows["s1_seq"] = pa.array([float(sk.seq_window_sums(v, bucket)[0])],
-                                  pa.float64())
-        return pa.table(rows)
-
-    boundary_sk = (
-        parts.map_batches(take_boundary, batch_format="pyarrow")
-        .groupby(["user_id", "window_id"])
-        .map_groups(sketch_window, batch_format="pandas")
-    )
+    local_sk, boundary = _split_kinds(
+        _span_partials(_join_span_offsets(tagged), "user_id", per_span),
+        ["user_id", "window_id", *_SKETCH_COLS],
+        ["user_id", "window_id", "rank", "value"])
+    boundary_sk = boundary.groupby(["user_id", "window_id"]).map_groups(
+        _sketch_window, fn_kwargs={"bucket": bucket}, batch_format="pandas")
     return local_sk.union(boundary_sk)
-
-
-def _tag_events_for_spans(sf_dir: str, span_us: int,
-                          columns: tuple[str, ...] = ("user_id", "ts",
-                                                      "event_id", "value")):
-    """events -> (user_id, span_id, kind=0, off=0, ts_us, event_id, value)."""
-    import pyarrow.compute as pc
-
-    ds = _read(sf_dir, "events", list(columns))
-
-    def tag(batch: pa.Table) -> pa.Table:
-        ts_us = pc.cast(pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64())
-        nz = len(batch)
-        return pa.table({
-            "user_id": batch.column("user_id"),
-            "span_id": pc.divide(ts_us, span_us),
-            "kind": pa.array(np.zeros(nz, dtype=np.int64), pa.int64()),
-            "off": pa.array(np.zeros(nz, dtype=np.int64), pa.int64()),
-            "ts_us": ts_us,
-            "event_id": batch.column("event_id"),
-            "value": batch.column("value"),
-        })
-
-    return ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _join_span_offsets(tagged):
-    """Union the tagged events with one kind=1 offset row per (user, span):
-    offset = number of the user's events in EARLIER spans, i.e. the span's
-    starting chronological rank.  The count shuffle moves combiner partials
-    only; the prefix sum runs per user over one tiny row per active span
-    (a 10^9-event bot spanning a month is ~720 rows)."""
-    from ray.data.aggregate import Count
-
-    counts = tagged.groupby(["user_id", "span_id"]).aggregate(Count())
-
-    def prefix(df: pd.DataFrame) -> pa.Table:
-        df = df.sort_values("span_id")
-        c = df["count()"].to_numpy(dtype=np.int64)
-        off = np.concatenate([[0], np.cumsum(c)[:-1]]).astype(np.int64)
-        nz = len(df)
-        # arrow block: the union partner (tagged events) is arrow, and
-        # Ray's shuffle sort rejects mixed pandas/arrow block unions
-        return pa.table({
-            "user_id": pa.array(df["user_id"].to_numpy(dtype=np.int64), pa.int64()),
-            "span_id": pa.array(df["span_id"].to_numpy(dtype=np.int64), pa.int64()),
-            "kind": pa.array(np.ones(nz, dtype=np.int64), pa.int64()),
-            "off": pa.array(off, pa.int64()),
-            "ts_us": pa.array(np.zeros(nz, dtype=np.int64), pa.int64()),
-            "event_id": pa.array(np.full(nz, -1, dtype=np.int64), pa.int64()),
-            "value": pa.array(np.zeros(nz, dtype=np.float64), pa.float64()),
-        })
-
-    offsets = counts.groupby("user_id").map_groups(prefix, batch_format="pandas")
-    return tagged.union(offsets)
 
 
 def q_events_user_window_rollup(sf_dir: str, bucket: int = 16) -> pd.DataFrame:
@@ -1184,24 +1151,9 @@ def q_events_user_window_rollup(sf_dir: str, bucket: int = 16) -> pd.DataFrame:
     integer, and the derived mean/var are the same doubles on both sides
     at EVERY scale (raw-float var_samp flipped a 6dp half boundary at
     sf0.1)."""
-    from ts_pymfe_ray.functions import sketch as sk
-
     sks = _positional_window_sketches(sf_dir, bucket, cents=True)
-    s1 = sk.FIELDS.index("s1")
-
-    def derive(df: pd.DataFrame) -> pd.DataFrame:
-        m = df[list(sk.FIELDS)].to_numpy(dtype=np.float64)
-        m[:, s1] = df["s1_seq"].to_numpy()
-        feats = sk.derive_features(m)
-        return pd.DataFrame({
-            "user_id": df["user_id"].to_numpy(dtype=np.int64),
-            "window_id": df["window_id"].to_numpy(dtype=np.int64),
-            "value_count": feats["count"].astype(np.int64),
-            "value_mean": round_ha(feats["mean"] / 100.0),
-            "value_var": round_ha(feats["var"] / 10000.0),
-        })
-
-    out = sks.map_batches(derive, batch_format="pandas").to_pandas()
+    out = sks.map_batches(_window_stats, fn_kwargs={"scale": 100.0},
+                          batch_format="pandas").to_pandas()
     # single-observation windows: SQL var_samp yields NULL; sketch yields NaN
     return out.sort_values(["user_id", "window_id"]).reset_index(drop=True)
 
@@ -1291,27 +1243,16 @@ def q_events_gapfill_rollup(sf_dir: str, bucket: int = 16,
     group is O(active spans + boundary-run events), never the full
     history.  The DuckDB twin reproduces the policy with IGNORE NULLS
     window functions, validating the gap-fill path end-to-end."""
-    from ts_pymfe_ray.functions import sketch as sk
-
-    span_us = span_hours * 3600 * 1_000_000
-    tagged = _tag_events_for_spans(sf_dir, span_us)
-    joined = _join_span_offsets(tagged)
+    tagged = _span_tagged(sf_dir, ["user_id", "event_id", "value"], span_hours)
 
     # kind 0: resolved (rank, filled value); kind 1: unresolved missing
     # (rank); kind 2: span carry (first/last valid rank+value packed into
     # rank=first_rank, value=first_value, rank2/value2)
     def per_span(df: pd.DataFrame) -> pd.DataFrame:
         offset = int(df.loc[df["kind"] == 1, "off"].iloc[0])
-        ev = df[df["kind"] == 0].sort_values(["ts_us", "event_id"])
+        ev = df[df["kind"] == 0]
         n = len(ev)
-        empty = pd.DataFrame({
-            "user_id": np.empty(0, np.int64), "kind": np.empty(0, np.int64),
-            "rank": np.empty(0, np.int64), "value": np.empty(0, np.float64),
-            "rank2": np.empty(0, np.int64), "value2": np.empty(0, np.float64),
-        })
-        if n == 0:
-            return empty
-        uid = np.int64(ev["user_id"].iloc[0])
+        uid = np.int64(df["user_id"].iloc[0])
         v = np.ascontiguousarray(ev["value"].to_numpy(), dtype=np.float64)
         missing = (ev["event_id"].to_numpy() % 10) == 0
         ranks = offset + np.arange(n, dtype=np.int64)
@@ -1359,35 +1300,15 @@ def q_events_gapfill_rollup(sf_dir: str, bucket: int = 16,
         rows(2, [ranks[fv]], [v[fv]], [ranks[lv]], [v[lv]])
         return pd.concat(out, ignore_index=True)
 
-    parts = (
-        joined.groupby(["user_id", "span_id"])
-        .map_groups(per_span, batch_format="pandas")
-        .materialize()
-    )
-
-    def take_resolved(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return batch.filter(pc.equal(batch.column("kind"), 0)).select(
-            ["user_id", "rank", "value"])
-
-    def take_carry(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return batch.filter(pc.greater(batch.column("kind"), 0))
+    resolved, carry = _split_kinds(
+        _span_partials(_join_span_offsets(tagged), "user_id", per_span),
+        ["user_id", "rank", "value"])
 
     def resolve_user(df: pd.DataFrame) -> pa.Table:
-        un = df[df["kind"] == 1]
-        empty = pa.table({
-            "user_id": pa.array([], pa.int64()),
-            "rank": pa.array([], pa.int64()),
-            "value": pa.array([], pa.float64()),
-        })
-        if len(un) == 0:
-            return empty
         ca = df[df["kind"] == 2]
-        if len(ca) == 0:
-            return empty  # user has no valid value anywhere: emit nothing
+        # a user with no valid value anywhere keeps its missing events
+        # unfilled: emit nothing
+        un = df[df["kind"] == 1] if len(ca) else df.iloc[:0]
         # nearest valid BEFORE rank p is always some span's LAST valid;
         # nearest valid AFTER is some span's FIRST valid (no valids exist
         # between a span's last valid and the next span's first)
@@ -1417,12 +1338,7 @@ def q_events_gapfill_rollup(sf_dir: str, bucket: int = 16,
             "value": pa.array(filled.astype(np.float64), pa.float64()),
         })
 
-    fixed = (
-        parts.map_batches(take_carry, batch_format="pyarrow")
-        .groupby("user_id")
-        .map_groups(resolve_user, batch_format="pandas")
-    )
-    filled_events = parts.map_batches(take_resolved, batch_format="pyarrow").union(fixed)
+    fixed = carry.groupby("user_id").map_groups(resolve_user, batch_format="pandas")
 
     def add_window(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1430,25 +1346,15 @@ def q_events_gapfill_rollup(sf_dir: str, bucket: int = 16,
         return batch.append_column(
             "window_id", pc.divide(batch.column("rank"), bucket))
 
-    def sketch_window(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("rank")
-        v = np.ascontiguousarray(df["value"].to_numpy(), dtype=np.float64)
-        m = sk.compute_window_sketches(v, bucket)
-        m[0, sk.FIELDS.index("s1")] = sk.seq_window_sums(v, bucket)[0]
-        feats = sk.derive_features(m)
-        return pd.DataFrame({
-            "user_id": np.array([df["user_id"].iloc[0]], dtype=np.int64),
-            "window_id": np.array([df["window_id"].iloc[0]], dtype=np.int64),
-            "value_count": feats["count"].astype(np.int64),
-            "value_mean": round_ha(feats["mean"]),
-        })
-
-    out = (
-        filled_events.map_batches(add_window, batch_format="pyarrow")
+    sks = (
+        resolved.union(fixed)
+        .map_batches(add_window, batch_format="pyarrow")
         .groupby(["user_id", "window_id"])
-        .map_groups(sketch_window, batch_format="pandas")
+        .map_groups(_sketch_window, fn_kwargs={"bucket": bucket},
+                    batch_format="pandas")
         .to_pandas()
     )
+    out = _window_stats(sks).drop(columns="value_var")
     return out.sort_values(["user_id", "window_id"]).reset_index(drop=True)
 
 
@@ -1485,113 +1391,26 @@ def q_events_user_window_moments(sf_dir: str, bucket: int = 16) -> pd.DataFrame:
     return out.sort_values(["user_id", "window_id"]).reset_index(drop=True)
 
 
-def q_events_sessionize(sf_dir: str, gap_minutes: int = 30) -> pd.DataFrame:
-    """SESSION WINDOWS (the windowed-aggregate class Ray Data lacks):
-    per user, a new session starts when the gap since the previous event
-    exceeds ``gap_minutes``.  Co-located per key via groupby — the whole
-    user fits one task here; the SCALE form is q_events_sessionize_carry
-    (time-range partitions + boundary-carry merge, identical output).
-    Output: per-user session counts, the largest session, events/session
-    and mean session span."""
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
-
-    gap_us = gap_minutes * 60 * 1_000_000
-
-    def per_user(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["ts", "event_id"])
-        ts = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()  # microseconds
-        brk = np.concatenate([[True], np.diff(ts) > gap_us])
-        sid = np.cumsum(brk) - 1
-        n_sessions = int(sid[-1]) + 1
-        counts = np.bincount(sid)
-        spans = np.zeros(n_sessions, dtype=np.int64)
-        first = np.concatenate([np.flatnonzero(brk), [ts.size]])
-        for s in range(n_sessions):
-            spans[s] = ts[first[s + 1] - 1] - ts[first[s]]
-        return pd.DataFrame(
-            {
-                "user_id": [np.int64(df["user_id"].iloc[0])],
-                "n_events": [np.int64(ts.size)],
-                "n_sessions": [np.int64(n_sessions)],
-                "max_session_events": [np.int64(counts.max())],
-                "avg_events_per_session": [round_ha(ts.size / n_sessions)],
-                "avg_session_sec": [round_ha(int(spans.sum()) / n_sessions / 1_000_000.0)],
-            }
-        )
-
-    out = ds.groupby("user_id").map_groups(per_user, batch_format="pandas").to_pandas()
-    return out.sort_values("user_id").reset_index(drop=True)
-
-
-def q_events_asof_purchase(sf_dir: str) -> pd.DataFrame:
-    """AS-OF JOIN (strictly-before LOCF match): every 'click' event joins
-    the latest 'purchase' of the SAME user ordered by (ts, event_id).
-    Expressed as per-key sort + one accumulate pass — the co-partitioned
-    sort-merge shape an as-of join takes at scale (hash-partition both
-    sides by key, sort within partition, single forward pass; time-range
-    partitions carry the last-seen row across boundaries)."""
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-
-    def per_user(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["ts", "event_id"])
-        ts = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        ids = df["event_id"].to_numpy()
-        et = df["event_type"].to_numpy()
-        is_p = et == "purchase"
-        idx = np.arange(ts.size)
-        last_p = np.maximum.accumulate(np.where(is_p, idx, -1))
-        before = np.concatenate([[-1], last_p[:-1]])  # strictly earlier rows
-        click = np.flatnonzero(et == "click")
-        m = before[click]
-        has = m >= 0
-        return pd.DataFrame(
-            {
-                "event_id": ids[click].astype(np.int64),
-                "purchase_event_id": np.where(has, ids[np.maximum(m, 0)], -1).astype(np.int64),
-                "lag_us": np.where(has, ts[click] - ts[np.maximum(m, 0)], -1).astype(np.int64),
-            }
-        )
-
-    out = ds.groupby("user_id").map_groups(per_user, batch_format="pandas").to_pandas()
-    return out.sort_values("event_id").reset_index(drop=True)
-
-
-def _add_span_id(ds, span_us: int):
-    """Append ``span_id = ts_us // span_us`` (time-range partition key)."""
-    import pyarrow.compute as pc
-
-    def add(batch: pa.Table) -> pa.Table:
-        ts_us = pc.cast(pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64())
-        return batch.append_column("span_id", pc.divide(ts_us, span_us))
-
-    return ds.map_batches(add, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def q_events_sessionize_carry(sf_dir: str, gap_minutes: int = 30,
                               span_hours: int = _SPAN_HOURS) -> pd.DataFrame:
-    """Boundary-carry SESSIONIZE — the scale form of q_events_sessionize:
-    no key ever needs to fit in one task.
+    """SESSION WINDOWS (the windowed-aggregate class Ray Data lacks): per
+    user, a new session starts when the gap since the previous event
+    exceeds ``gap_minutes``.  Output: per-user session counts, the largest
+    session, events/session and mean session span.  Boundary-carry, so no
+    user ever needs to fit in one task:
 
-    1. partition by (user_id, span_id = ts // span) — group size is
-       bounded by the span width, not by the user's total history;
-    2. per span: close every interior session locally; emit ONE carry row
-       per (user, span) holding the first/last boundary sessions'
+    1. per (user_id, span) slice: close every interior session locally;
+       emit ONE carry row holding the first/last boundary sessions'
        (count, first_ts, last_ts) plus interior aggregates;
-    3. per user over CARRY ROWS ONLY (tiny: one row per active span):
+    2. per user over CARRY ROWS ONLY (tiny: one row per active span):
        stitch boundary sessions across spans when the inter-span gap is
        within ``gap_minutes``, exactly reproducing whole-history
-       semantics.
-
-    Output is identical to q_events_sessionize (asserted in
-    tests/test_pipeline.py::test_sessionize_carry_matches_per_user)."""
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
+       semantics (pinned against a per-user pandas reference by
+       tests/test_pipeline.py::test_sessionize_carry_matches_per_user)."""
     gap_us = gap_minutes * 60 * 1_000_000
-    span_us = span_hours * 3600 * 1_000_000
-    ds = _add_span_id(ds, span_us)
 
     def per_span(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["ts", "event_id"])
-        ts = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
+        ts = df["ts_us"].to_numpy()
         brk = np.concatenate([[True], np.diff(ts) > gap_us])
         sid = np.cumsum(brk) - 1
         n_s = int(sid[-1]) + 1
@@ -1659,9 +1478,9 @@ def q_events_sessionize_carry(sf_dir: str, gap_minutes: int = 30,
             }
         )
 
+    tagged = _span_tagged(sf_dir, ["user_id", "event_id"], span_hours)
     out = (
-        ds.groupby(["user_id", "span_id"])
-        .map_groups(per_span, batch_format="pandas")
+        _span_partials(tagged, "user_id", per_span)
         .groupby("user_id")
         .map_groups(merge_user, batch_format="pandas")
         .to_pandas()
@@ -1671,23 +1490,17 @@ def q_events_sessionize_carry(sf_dir: str, gap_minutes: int = 30,
 
 def q_events_asof_purchase_carry(sf_dir: str,
                                  span_hours: int = _SPAN_HOURS) -> pd.DataFrame:
-    """Boundary-carry AS-OF JOIN — the scale form of
-    q_events_asof_purchase: clicks resolve against in-span purchases
-    locally; only the UNRESOLVED clicks (no earlier purchase in their own
-    span) and one last-purchase carry row per span take the second,
-    per-user pass.  Resolved rows stream straight through — a user's full
-    history is never co-located.
-
-    Output is identical to q_events_asof_purchase (asserted in
+    """AS-OF JOIN (strictly-before LOCF match): every 'click' event joins
+    the latest 'purchase' of the SAME user ordered by (ts, event_id).
+    Boundary-carry: clicks resolve against in-span purchases locally;
+    only the UNRESOLVED clicks (no earlier purchase in their own span) and
+    one last-purchase carry row per span take the second, per-user pass.
+    Resolved rows stream straight through — a user's full history is
+    never co-located (pinned against a per-user pandas reference by
     tests/test_pipeline.py::test_asof_carry_matches_per_user)."""
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-    span_us = span_hours * 3600 * 1_000_000
-    ds = _add_span_id(ds, span_us)
-
     # kind: 0 = resolved click, 1 = unresolved click, 2 = span purchase carry
     def per_span(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["ts", "event_id"])
-        ts = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
+        ts = df["ts_us"].to_numpy()
         ids = df["event_id"].to_numpy()
         et = df["event_type"].to_numpy()
         is_p = et == "purchase"
@@ -1723,24 +1536,9 @@ def q_events_asof_purchase_carry(sf_dir: str,
             res = pd.concat([res, carry], ignore_index=True)
         return res
 
-    parts = (
-        ds.groupby(["user_id", "span_id"])
-        .map_groups(per_span, batch_format="pandas")
-        .materialize()  # branched below; rows are already click-sized
-    )
-
-    def project(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        keep = batch.filter(pc.equal(batch.column("kind"), 0))
-        return keep.select(["event_id", "purchase_event_id", "lag_us"])
-
-    resolved = parts.map_batches(project, batch_format="pyarrow")
-
-    def carries_only(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return batch.filter(pc.greater(batch.column("kind"), 0))
+    tagged = _span_tagged(sf_dir, ["user_id", "event_id", "event_type"], span_hours)
+    resolved, carry = _split_kinds(_span_partials(tagged, "user_id", per_span),
+                                   ["event_id", "purchase_event_id", "lag_us"])
 
     def merge_user(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["span_id", "kind"])  # clicks of a span before its carry
@@ -1769,12 +1567,7 @@ def q_events_asof_purchase_carry(sf_dir: str,
             }
         )
 
-    fixed = (
-        parts.map_batches(carries_only, batch_format="pyarrow")
-        .groupby("user_id")
-        .map_groups(merge_user, batch_format="pandas")
-    )
-
+    fixed = carry.groupby("user_id").map_groups(merge_user, batch_format="pandas")
     out = resolved.union(fixed).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
@@ -1850,8 +1643,7 @@ def q_events_range_join(sf_dir: str, band_sec: int = 60) -> pd.DataFrame:
     BIG = np.int64(2**62)
 
     def emit(batch: pa.Table) -> pa.Table:
-        ts_us = pc.cast(pc.cast(batch.column("ts"), pa.timestamp("us")),
-                        pa.int64()).to_numpy()
+        ts_us = _ts_us(batch.column("ts")).to_numpy()
         is_err = pc.equal(batch.column("event_type"), "error").to_numpy(
             zero_copy_only=False)
         is_clk = pc.equal(batch.column("event_type"), "click").to_numpy(

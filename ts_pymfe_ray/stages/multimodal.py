@@ -318,10 +318,16 @@ def q_multimodal_byte_entropy(sf_dir: str):
     association ulps — the hist_entropy precedent), then averaged per
     kind."""
     import pandas as pd
+    import pyarrow.compute as pc
 
     from ts_pymfe_ray.functions.rounding import round_ha
 
-    ds = documents_as_media(sf_dir)
+    def non_empty(batch: pa.Table) -> pa.Table:
+        # an empty payload has no byte to count: the twin's
+        # generate_series(1, length(text)) yields no row for it either
+        return batch.filter(pc.greater(pc.binary_length(batch.column("payload")), 0))
+
+    ds = documents_as_media(sf_dir).map_batches(non_empty, batch_format="pyarrow")
     ent = ds.map_batches(ByteEntropyStage, batch_format="pyarrow",
                          batch_size=64, concurrency=2)
 
