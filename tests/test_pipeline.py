@@ -928,9 +928,11 @@ def test_funnel_span_partials_match_bruteforce(ray_session, tmp_path_factory):
     pd.testing.assert_frame_equal(got, exp)
 
 
-def _degenerate_events(path):
+def _degenerate_events(path, parts=1):
     """A hand-built events table of edge cases for the span-partial
-    operators (see test_span_partials_degenerate_inputs_match_twins)."""
+    operators (see test_span_partials_degenerate_inputs_match_twins).
+    ``parts`` > 1 writes ``events.parquet`` as a directory of that many
+    files, the second one empty."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -969,13 +971,22 @@ def _degenerate_events(path):
     ]
     eid, uid, off, et, val = zip(*rows)
     t0 = np.datetime64("2024-01-01T00:00:00", "us").astype("int64")
-    pq.write_table(pa.table({
+    tbl = pa.table({
         "event_id": pa.array(eid, pa.int64()),
         "ts": pa.array((t0 + np.array(off, dtype=np.int64)).view("datetime64[us]")),
         "user_id": pa.array(uid, pa.int64()),
         "event_type": pa.array(et, pa.string()),
         "value": pa.array(val, pa.float64()),
-    }), os.path.join(path, "events.parquet"))
+    })
+    out = os.path.join(path, "events.parquet")
+    if parts == 1:
+        pq.write_table(tbl, out)
+        return
+    os.makedirs(out)
+    cuts = np.linspace(0, tbl.num_rows, parts, dtype=int)
+    bounds = [0, 0, *cuts[1:]]  # the second file holds no rows
+    for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        pq.write_table(tbl.slice(a, b - a), os.path.join(out, f"part-{i}.parquet"))
 
 
 @pytest.fixture(scope="module")
@@ -989,7 +1000,8 @@ _SPAN_ENTRIES = {
     "events_acf1": True, "events_interarrival": True, "events_funnel": True,
     "events_sessionize_carry": True, "events_asof_carry": True,
     "events_gapfill_rollup": True, "events_user_window_rollup": False,
-    "events_user_window_moments": False,
+    "events_user_window_moments": False, "events_retention_cohorts": False,
+    "events_user_window_acf1": False, "events_user_window_rollup_10x": False,
 }
 
 
@@ -1003,15 +1015,69 @@ def test_span_partials_degenerate_inputs_match_twins(
     inputs: single-event users and types, a two-event type, a user inside
     one span, a user in two non-adjacent spans, purchases only before the
     first click, clicks without a purchase, an all-missing gap-fill user."""
-    import duckdb
-
     import __ray_entry__ as e
 
     d = degenerate_dir
     fn = e.queries()[name]
     got = fn(d) if span_hours is None else fn(d, span_hours=span_hours)
+    _assert_twin(check_oracle, name, got, f"{d}/events.parquet")
+
+
+def _assert_twin(check_oracle, name, got, events_files):
+    """``got`` equals the DuckDB twin of ``name`` over ``events_files``,
+    and the twin returns rows."""
+    import duckdb
+
+    import __ray_entry__ as e
+
     con = duckdb.connect()
-    con.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{d}/events.parquet')")
+    con.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{events_files}')")
     exp = con.execute(e.oracle_sql()[name]).fetchdf()
     assert len(exp) > 0
     assert check_oracle.compare(name, got, exp) == "OK"
+
+
+@pytest.fixture(scope="module")
+def degenerate_parts_dir(tmp_path_factory):
+    d = str(tmp_path_factory.mktemp("degenerate_parts"))
+    _degenerate_events(d, parts=5)
+    return d
+
+
+def test_sorted_groups_colocated_across_blocks(ray_session, degenerate_parts_dir):
+    """Read from five files (one empty), the shuffle sort spreads the
+    (user, span) groups over several blocks and never splits one: each
+    group reaches exactly one kernel call."""
+    import pyarrow as pa
+    from ts_pymfe_ray.pipelines import queries as q
+
+    def per_block(block, starts):
+        return pa.table({"groups": [starts.size], "rows": [block.num_rows]})
+
+    tagged = q._span_tagged(degenerate_parts_dir, ["user_id", "event_id"], 1)
+    got = q._map_sorted_groups(tagged, ["user_id", "span_id"], per_block).to_pandas()
+    exp = tagged.to_pandas().groupby(["user_id", "span_id"]).size()
+    assert len(got) > 1
+    assert got["rows"].sum() == exp.sum() and got["groups"].sum() == len(exp)
+
+
+_MULTI_BLOCK_ENTRIES = (
+    "events_window_rollup", "events_user_window_moments", "events_acf1",
+    "events_gapfill_rollup", "events_interarrival", "events_sessionize_carry",
+    "events_asof_carry", "events_funnel", "events_retention_cohorts",
+    "events_wau", "events_user_window_rollup", "events_user_window_acf1",
+    "events_user_window_rollup_10x",
+)
+
+
+@pytest.mark.parametrize("name", _MULTI_BLOCK_ENTRIES)
+def test_multi_block_events_match_twins(
+        ray_session, degenerate_parts_dir, check_oracle, name):
+    """The degenerate events written as a directory of five parquet files
+    (one empty), so every sort-based step sees several blocks: each entry
+    still equals its DuckDB twin over the same files."""
+    import __ray_entry__ as e
+
+    d = degenerate_parts_dir
+    _assert_twin(check_oracle, name, e.queries()[name](d),
+                 f"{d}/events.parquet/*.parquet")

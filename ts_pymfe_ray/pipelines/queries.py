@@ -10,14 +10,17 @@ sides so the driver's value-hash is stable across summation orders.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
+from ts_pymfe_ray.functions import sketch as sk
 from ts_pymfe_ray.functions.rounding import round_ha
 
 ROUND = 6
@@ -88,8 +91,6 @@ _DAY_US = 24 * _HOUR_US
 
 def _ts_us(ts: pa.ChunkedArray) -> pa.ChunkedArray:
     """Timestamp column -> int64 epoch microseconds (DuckDB's epoch_us)."""
-    import pyarrow.compute as pc
-
     return pc.cast(pc.cast(ts, pa.timestamp("us")), pa.int64())
 
 
@@ -108,17 +109,103 @@ def _user_days(batch: pa.Table) -> np.ndarray:
 # whole history: tag each event with span_id = ts_us // span width, reduce
 # each (key, span) slice to a few partial rows, then merge the partials
 # per key (rows bounded by active spans, never by event count).
+#
+# Every per-group step is a SEGMENT KERNEL on _map_sorted_groups: one
+# shuffle sort by the group keys co-locates each group inside one block
+# (the contract Ray's own map_groups rests on), a local sort puts the
+# block in (keys, order) order, and the kernel reduces all of the block's
+# groups in whole-block numpy passes over their start offsets — one
+# Python call per block, not one pandas call per group.  The groups are
+# the ones map_groups would form — one (key, span) slice, one key's span
+# rows or one window — so the per-task bound is unchanged: no group holds
+# more than max(span event count, bucket) rows of one key.
 
 # span width of every span-partial operator: bounds any single task's
 # group by TIME RANGE — the production knob against hot keys (a bot
 # user's events split across spans instead of landing in one task)
 _SPAN_HOURS = 24
+_NONE = np.int64(2**62)  # integer sentinel: no such event / gap
+
+
+def _sorted_groups(block: pa.Table, keys, order=()):
+    """``block`` sorted by ``keys + order``, and the offsets where each
+    ``keys`` group begins."""
+    block = block.sort_by([(c, "ascending") for c in (*keys, *order)])
+    n = block.num_rows
+    new = np.zeros(n, dtype=bool)
+    if n:
+        new[0] = True
+        for k in keys:
+            col = block.column(k)
+            new[1:] |= pc.not_equal(col.slice(1), col.slice(0, n - 1)).to_numpy()
+    return block, np.flatnonzero(new)
+
+
+def _map_sorted_groups(ds, keys, fn, order=()):
+    """``fn(block, starts) -> pa.Table`` once per block of ``ds`` sorted by
+    ``keys`` (``_sorted_groups`` order and group starts).  The shuffle
+    sorts by ``keys`` only: its range boundaries are key values, so no
+    group spans two blocks (an ``order`` column in the shuffle key could
+    split one).  ``fn`` must return its full typed schema for an empty
+    block too."""
+    keys = list(keys)
+
+    def run(block: pa.Table) -> pa.Table:
+        return fn(*_sorted_groups(block, keys, order))
+
+    return ds.sort(keys).map_batches(run, batch_format="pyarrow", batch_size=None)
+
+
+def _seg(starts: np.ndarray, n: int):
+    """Segment ends and each row's segment index for sorted-group starts."""
+    ends = np.append(starts[1:], n)[:starts.size].astype(np.int64)
+    return ends, np.repeat(np.arange(starts.size), ends - starts)
+
+
+def _cols(block: pa.Table, *names: str):
+    """The named columns of ``block`` as numpy arrays."""
+    return [block.column(c).to_numpy() for c in names]
+
+
+def _firsts(seg: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows opening a new run of equal ``x`` inside their segment."""
+    new = np.ones(x.size, dtype=bool)
+    new[1:] = (x[1:] != x[:-1]) | (seg[1:] != seg[:-1])
+    return new
+
+
+def _reduce(ufunc, x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``ufunc.reduceat`` over sorted-group segments (exact for integers;
+    for floats it associates like a per-segment reduceat, not ``.sum()``)."""
+    return ufunc.reduceat(x, starts) if starts.size else x[:0]
+
+
+def _steps(a: np.ndarray, b: np.ndarray, starts: np.ndarray):
+    """Integer steps ``b[j+1] - a[j]`` between consecutive rows inside each
+    segment: per segment (count, sum, min, max), min/max ``_NONE``/-1 when
+    the segment has a single row."""
+    ends, _ = _seg(starts, a.size)
+    d = np.append(b[1:] - a[:-1], 0).astype(np.int64)
+    lo, hi = d.copy(), d.copy()
+    d[ends - 1], lo[ends - 1], hi[ends - 1] = 0, _NONE, -1  # leaves the segment
+    return (ends - starts - 1, _reduce(np.add, d, starts),
+            _reduce(np.minimum, lo, starts), _reduce(np.maximum, hi, starts))
+
+
+def _nearest(mask: np.ndarray, starts: np.ndarray):
+    """Per row, the nearest row at or before it and the nearest row at or
+    after it where ``mask`` holds, inside the row's segment (-1: none)."""
+    n = mask.size
+    idx = np.arange(n)
+    ends, seg = _seg(starts, n)
+    before = np.maximum.accumulate(np.where(mask, idx, -1))
+    after = np.minimum.accumulate(np.where(mask, idx, n)[::-1])[::-1]
+    return (np.where(before >= starts[seg], before, -1),
+            np.where(after < ends[seg], after, -1))
 
 
 def _span_tagged(sf_dir: str, columns: list[str], span_hours: int):
     """events[columns] plus ``ts_us`` and ``span_id = ts_us // span``."""
-    import pyarrow.compute as pc
-
     span_us = span_hours * _HOUR_US
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -131,13 +218,10 @@ def _span_tagged(sf_dir: str, columns: list[str], span_hours: int):
 
 
 def _span_partials(tagged, key: str, per_span):
-    """``per_span`` over every (key, span_id) slice of ``tagged``, handed
-    over sorted by (ts_us, event_id)."""
-    def sorted_span(df: pd.DataFrame) -> pd.DataFrame:
-        return per_span(df.sort_values(["ts_us", "event_id"]))
-
-    return tagged.groupby([key, "span_id"]).map_groups(
-        sorted_span, batch_format="pandas")
+    """The segment kernel ``per_span(block, starts)`` over the (key,
+    span_id) slices of ``tagged``, each slice sorted by (ts_us, event_id)."""
+    return _map_sorted_groups(tagged, [key, "span_id"], per_span,
+                              order=("ts_us", "event_id"))
 
 
 def _split_kinds(parts, resolved_cols: list[str],
@@ -145,8 +229,6 @@ def _split_kinds(parts, resolved_cols: list[str],
     """Materialize span partials once and split them by ``kind``: kind 0
     rows (resolved in-span) projected to ``resolved_cols``, kind > 0 rows
     (left for a second pass) to ``rest_cols`` (all columns when None)."""
-    import pyarrow.compute as pc
-
     parts = parts.materialize()
 
     def take(keep, cols):
@@ -211,6 +293,52 @@ def q_events_user_topk(sf_dir: str, k: int = 10) -> pd.DataFrame:
     return g.reset_index(drop=True)
 
 
+_PAIR_SUMS = ("sx", "sy", "sxy", "sx2", "sy2")
+
+
+def _acf1_span(block: pa.Table, starts: np.ndarray) -> pa.Table:
+    """Per (event_type, span) slice: adjacent-pair sums, count and the
+    first/last value."""
+    v, span = _cols(block, "value", "span_id")
+    ends, _ = _seg(starts, v.size)
+    acc = np.zeros((starts.size, len(_PAIR_SUMS)))
+    for g, (s, e) in enumerate(zip(starts, ends)):
+        x, y = v[s:e - 1], v[s + 1:e]
+        acc[g] = (x.sum(), y.sum(), (x * y).sum(), (x * x).sum(), (y * y).sum())
+    return pa.table({
+        "event_type": block.column("event_type").take(starts),
+        "span_id": span[starts], "cnt": ends - starts,
+        "npairs": ends - starts - 1, **dict(zip(_PAIR_SUMS, acc.T)),
+        "first_v": v[starts], "last_v": v[ends - 1],
+    })
+
+
+def _acf1_merge(block: pa.Table, starts: np.ndarray) -> pa.Table:
+    """Per event_type over its span-sorted rows: the merged sums plus the
+    cross-span boundary pairs -> Pearson r."""
+    cnt, npairs, first_v, last_v = _cols(block, "cnt", "npairs", "first_v", "last_v")
+    sx, sy, sxy, sx2, sy2 = _cols(block, *_PAIR_SUMS)
+    ends, _ = _seg(starts, cnt.size)
+    n_events = _reduce(np.add, cnt, starts)
+    r = np.full(starts.size, np.nan)
+    for g, (s, e) in enumerate(zip(starts, ends)):
+        if n_events[g] < 3:
+            continue
+        bx = last_v[s:e - 1]   # boundary pairs: last of span k
+        by = first_v[s + 1:e]  # with first of next active span
+        m = float(int(npairs[s:e].sum()) + bx.size)
+        x = float(sx[s:e].sum() + bx.sum())
+        y = float(sy[s:e].sum() + by.sum())
+        xy = float(sxy[s:e].sum() + (bx * by).sum())
+        x2 = float(sx2[s:e].sum() + (bx * bx).sum())
+        y2 = float(sy2[s:e].sum() + (by * by).sum())
+        den = (m * x2 - x * x) * (m * y2 - y * y)
+        if den > 0:
+            r[g] = (m * xy - x * y) / np.sqrt(den)
+    return pa.table({"event_type": block.column("event_type").take(starts),
+                     "acf1": round_ha(r), "n": n_events})
+
+
 def q_events_acf1(sf_dir: str, span_hours: int = _SPAN_HOURS) -> pd.DataFrame:
     """Lag-1 autocorrelation (Pearson r of value vs previous value in time
     order) per event_type — the ACF operator in SQL-checkable form.
@@ -222,49 +350,11 @@ def q_events_acf1(sf_dir: str, span_hours: int = _SPAN_HOURS) -> pd.DataFrame:
     per active span — bounded by time range, not key frequency), adds the
     cross-span boundary pairs, and assembles Pearson r from the merged
     sums.  A hot event_type with 10^9 events never materializes in one
-    task."""
-    def per_span(df: pd.DataFrame) -> pd.DataFrame:
-        v = df["value"].to_numpy(dtype=np.float64)
-        x, y = v[:-1], v[1:]
-        return pd.DataFrame({
-            "event_type": [df["event_type"].iloc[0]],
-            "span_id": [np.int64(df["span_id"].iloc[0])],
-            "cnt": [np.int64(v.size)],
-            "npairs": [np.int64(x.size)],
-            "sx": [float(x.sum())], "sy": [float(y.sum())],
-            "sxy": [float((x * y).sum())],
-            "sx2": [float((x * x).sum())], "sy2": [float((y * y).sum())],
-            "first_v": [float(v[0])], "last_v": [float(v[-1])],
-        })
-
-    def merge_type(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("span_id")
-        bx = df["last_v"].to_numpy()[:-1]   # boundary pairs: last of span k
-        by = df["first_v"].to_numpy()[1:]   # with first of next active span
-        n_events = int(df["cnt"].sum())
-        if n_events < 3:
-            r = np.nan
-        else:
-            m = float(int(df["npairs"].sum()) + bx.size)
-            sx = float(df["sx"].sum() + bx.sum())
-            sy = float(df["sy"].sum() + by.sum())
-            sxy = float(df["sxy"].sum() + (bx * by).sum())
-            sx2 = float(df["sx2"].sum() + (bx * bx).sum())
-            sy2 = float(df["sy2"].sum() + (by * by).sum())
-            den = (m * sx2 - sx * sx) * (m * sy2 - sy * sy)
-            r = float((m * sxy - sx * sy) / np.sqrt(den)) if den > 0 else np.nan
-        return pd.DataFrame(
-            {"event_type": [df["event_type"].iloc[0]], "acf1": [round_ha(r)],
-             "n": [np.int64(n_events)]}
-        )
-
+    task.  Float sums stay per-slice ``.sum()`` calls (np.add.reduceat
+    associates differently and would move the rounded r)."""
     tagged = _span_tagged(sf_dir, ["event_type", "event_id", "value"], span_hours)
-    out = (
-        _span_partials(tagged, "event_type", per_span)
-        .groupby("event_type")
-        .map_groups(merge_type, batch_format="pandas")
-        .to_pandas()
-    )
+    out = _map_sorted_groups(_span_partials(tagged, "event_type", _acf1_span),
+                             ["event_type"], _acf1_merge, order=("span_id",)).to_pandas()
     return out.sort_values("event_type").reset_index(drop=True)
 
 
@@ -452,8 +542,6 @@ def q_embeddings_knn(sf_dir: str, k: int = 5, query_vec_id: int = 0) -> pd.DataF
     matmul per batch, per-batch partial top-k, tiny final merge.  The
     scale path swaps the per-batch scan for an LSH/IVF bucket probe
     (q_embeddings_neardup uses the banding variant)."""
-    import pyarrow.compute as pc
-
     # pushdown-filtered read: only the query vector's row leaves storage
     qtbl = ray.data.read_parquet(
         os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"],
@@ -487,8 +575,6 @@ def q_embeddings_knn_multi(sf_dir: str, k: int = 3,
     per-query top-k, tiny final merge.  At scale the query matrix ships
     once via the task closure (ray.put semantics) while the corpus
     streams; cost is one GEMM per batch instead of n_queries scans."""
-    import pyarrow.compute as pc
-
     qtbl = ray.data.read_parquet(
         os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"],
         filter=pc.field("vec_id") < n_queries,
@@ -726,6 +812,17 @@ def q_orders_monthly(sf_dir: str) -> pd.DataFrame:
                          sum_decimals=2, cents=True)
 
 
+def _cohort_user(block: pa.Table, starts: np.ndarray) -> pa.Table:
+    """Per user over its day-sorted (user, day) rows: one (cohort, offset)
+    per distinct active day.  The first day is the cohort; a day repeated
+    by several batches counts once."""
+    day, = _cols(block, "day")
+    _, seg = _seg(starts, day.size)
+    first = _firsts(seg, day)
+    cohort = day[starts][seg]
+    return pa.table({"cohort": cohort[first], "offset": (day - cohort)[first]})
+
+
 def q_events_retention_cohorts(sf_dir: str) -> pd.DataFrame:
     """Classic cohort-retention matrix: users grouped by first-seen day
     (cohort), counted per activity-day offset — the engagement rollup
@@ -744,22 +841,9 @@ def q_events_retention_cohorts(sf_dir: str) -> pd.DataFrame:
         return pa.table({"user_id": pa.array(pairs[:, 0], pa.int64()),
                          "day": pa.array(pairs[:, 1], pa.int64())})
 
-    def per_user(df: pd.DataFrame) -> pd.DataFrame:
-        days = np.unique(df["day"].to_numpy())
-        cohort = days[0]
-        return pd.DataFrame({
-            "cohort": np.full(days.size, cohort, dtype=np.int64),
-            "offset": (days - cohort).astype(np.int64),
-        })
-
-    # per_user's np.unique dedups across batches, so the per-batch
-    # distinct rows go straight to the per-user group (rows bounded by
-    # active days x touching batches, never events)
-    pairs = (
-        ds.map_batches(user_days, batch_format="pyarrow")
-        .groupby("user_id")
-        .map_groups(per_user, batch_format="pandas")
-    )
+    # rows bounded by active days x touching batches, never events
+    pairs = _map_sorted_groups(ds.map_batches(user_days, batch_format="pyarrow"),
+                               ["user_id"], _cohort_user, order=("day",))
 
     def count_cells(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -772,6 +856,38 @@ def q_events_retention_cohorts(sf_dir: str) -> pd.DataFrame:
     return g.sort_values(["cohort", "offset"]).reset_index(drop=True)
 
 
+def _interarrival_span(block: pa.Table, starts: np.ndarray) -> pa.Table:
+    """Per (event_type, span) slice: interior gap count/sum/min/max and the
+    first/last ts."""
+    t, span = _cols(block, "ts_us", "span_id")
+    n, s1, gmin, gmax = _steps(t, t, starts)
+    ends, _ = _seg(starts, t.size)
+    return pa.table({
+        "event_type": block.column("event_type").take(starts),
+        "span_id": span[starts], "n": n, "s1": s1, "gmin": gmin,
+        "gmax": gmax, "first_ts": t[starts], "last_ts": t[ends - 1],
+    })
+
+
+def _interarrival_merge(block: pa.Table, starts: np.ndarray) -> pa.Table:
+    """Per event_type over its span-sorted rows: interior plus cross-span
+    boundary gaps."""
+    n, s1, gmin, gmax, first_ts, last_ts = _cols(
+        block, "n", "s1", "gmin", "gmax", "first_ts", "last_ts")
+    # boundary gaps: first of span row k+1 minus last of span row k
+    bn, bs, bmin, bmax = _steps(last_ts, first_ts, starts)
+    n = _reduce(np.add, n, starts) + bn
+    s1 = _reduce(np.add, s1, starts) + bs
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = np.where(n > 0, round_ha(s1.astype(np.float64) / n), np.nan)
+    return pa.table({
+        "event_type": block.column("event_type").take(starts),
+        "n_gaps": n, "mean_gap_us": mean,
+        "min_gap_us": np.minimum(_reduce(np.minimum, gmin, starts), bmin),
+        "max_gap_us": np.maximum(_reduce(np.maximum, gmax, starts), bmax),
+    })
+
+
 def q_events_interarrival(sf_dir: str, span_hours: int = _SPAN_HOURS) -> pd.DataFrame:
     """Per-type inter-arrival gap statistics (count / mean / min / max of
     adjacent event gaps in global chronological order) — the traffic-
@@ -781,42 +897,9 @@ def q_events_interarrival(sf_dir: str, span_hours: int = _SPAN_HOURS) -> pd.Data
     merge over span rows adds the cross-span boundary gaps.  Gap sums are
     exact int64 (total <= the time range in us), so mean is one shared
     IEEE division and min/max are exact."""
-    _BIG = np.int64(2**62)
-
-    def per_span(df: pd.DataFrame) -> pd.DataFrame:
-        t = df["ts_us"].to_numpy()
-        gaps = np.diff(t)
-        return pd.DataFrame({
-            "event_type": [df["event_type"].iloc[0]],
-            "span_id": [np.int64(df["span_id"].iloc[0])],
-            "n": [np.int64(gaps.size)],
-            "s1": [np.int64(gaps.sum())],
-            "gmin": [np.int64(gaps.min()) if gaps.size else _BIG],
-            "gmax": [np.int64(gaps.max()) if gaps.size else np.int64(-1)],
-            "first_ts": [np.int64(t[0])],
-            "last_ts": [np.int64(t[-1])],
-        })
-
-    def merge_type(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("span_id")
-        bg = df["first_ts"].to_numpy()[1:] - df["last_ts"].to_numpy()[:-1]
-        n = int(df["n"].sum()) + bg.size
-        s1 = int(df["s1"].sum()) + int(bg.sum())
-        return pd.DataFrame({
-            "event_type": [df["event_type"].iloc[0]],
-            "n_gaps": [np.int64(n)],
-            "mean_gap_us": [round_ha(float(s1) / n) if n else np.nan],
-            "min_gap_us": [np.concatenate([df["gmin"].to_numpy(), bg]).min()],
-            "max_gap_us": [np.concatenate([df["gmax"].to_numpy(), bg]).max()],
-        })
-
     tagged = _span_tagged(sf_dir, ["event_type", "event_id"], span_hours)
-    out = (
-        _span_partials(tagged, "event_type", per_span)
-        .groupby("event_type")
-        .map_groups(merge_type, batch_format="pandas")
-        .to_pandas()
-    )
+    out = _map_sorted_groups(_span_partials(tagged, "event_type", _interarrival_span),
+                             ["event_type"], _interarrival_merge, order=("span_id",)).to_pandas()
     # a single-event type has no gap: the twin's MIN/MAX are NULL, which
     # DuckDB hands over as NaN in a float64 column
     no_gap = out["n_gaps"].to_numpy() == 0
@@ -860,6 +943,45 @@ def q_events_wau(sf_dir: str, window_days: int = 7) -> pd.DataFrame:
     return out.sort_values("window_day").reset_index(drop=True)
 
 
+def _funnel_span(block: pa.Table, starts: np.ndarray) -> pa.Table:
+    """Per (user, span) slice: first click, first purchase and first
+    purchase at or after that click (``_NONE`` when absent)."""
+    uid, span, ts = _cols(block, "user_id", "span_id", "ts_us")
+    _, seg = _seg(starts, ts.size)
+    et = block.column("event_type")
+    click = pc.equal(et, "click").to_numpy()
+    purch = pc.equal(et, "purchase").to_numpy()
+    # slices are time-sorted: a segment's first event of a kind is
+    # its minimum ts
+    fc = _reduce(np.minimum, np.where(click, ts, _NONE), starts)
+    fp = _reduce(np.minimum, np.where(purch, ts, _NONE), starts)
+    after = purch & (ts >= fc[seg])
+    return pa.table({
+        "user_id": uid[starts], "span_id": span[starts],
+        "first_click": fc, "first_purchase": fp,
+        "first_purchase_after": _reduce(np.minimum, np.where(after, ts, _NONE), starts),
+    })
+
+
+def _funnel_user(block: pa.Table, starts: np.ndarray, win_us: int) -> pa.Table:
+    """Per user over its span-sorted rows: (cohort day, converted) for a
+    user with a click."""
+    fc, fp, fpa = _cols(block, "first_click", "first_purchase",
+                        "first_purchase_after")
+    _, seg = _seg(starts, fc.size)
+    row = np.arange(fc.size)
+    # k: the user's first span row with a click (spans in order)
+    k = _reduce(np.minimum, np.where(fc < _NONE, row, _NONE), starts)
+    has = k < _NONE
+    k = np.where(has, k, 0)
+    later = _reduce(np.minimum, np.where(row > k[seg], fp, _NONE), starts)
+    first = np.minimum(fpa[k], later)
+    c = fc[k]
+    conv = (first < _NONE) & (first - c <= win_us)
+    return pa.table({"cohort_day": c[has] // _DAY_US,
+                     "conv": conv[has].astype(np.int64)})
+
+
 def q_events_funnel(sf_dir: str, window_hours: int = 72,
                     span_hours: int = _SPAN_HOURS) -> pd.DataFrame:
     """Forward conversion funnel: of the users whose FIRST click happened
@@ -874,49 +996,10 @@ def q_events_funnel(sf_dir: str, window_hours: int = 72,
     span's own after-click purchase or the first purchase of any later
     span.  A 10^9-event user contributes <= one row per active span."""
     win_us = window_hours * _HOUR_US
-    _NONE = np.int64(2**62)  # sentinel: no such event in the span
-
-    def per_span(df: pd.DataFrame) -> pd.DataFrame:
-        et = df["event_type"].to_numpy()
-        ts = df["ts_us"].to_numpy()
-        clicks = ts[et == "click"]
-        purch = ts[et == "purchase"]
-        fc = clicks[0] if clicks.size else _NONE
-        fp = purch[0] if purch.size else _NONE
-        after = purch[purch >= fc]
-        fpa = after[0] if after.size else _NONE
-        return pd.DataFrame({
-            "user_id": [np.int64(df["user_id"].iloc[0])],
-            "span_id": [np.int64(df["span_id"].iloc[0])],
-            "first_click": [np.int64(fc)],
-            "first_purchase": [np.int64(fp)],
-            "first_purchase_after": [np.int64(fpa)],
-        })
-
-    def per_user(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("span_id")
-        fc_all = df["first_click"].to_numpy()
-        has = fc_all < _NONE
-        if not has.any():
-            return pd.DataFrame({"cohort_day": np.empty(0, np.int64),
-                                 "conv": np.empty(0, np.int64)})
-        k = int(np.flatnonzero(has)[0])
-        fc = fc_all[k]
-        candidates = [df["first_purchase_after"].to_numpy()[k]]
-        later = df["first_purchase"].to_numpy()[k + 1:]
-        if later.size:
-            candidates.append(later.min())
-        fp = int(min(candidates))
-        conv = int(fp < _NONE and fp - fc <= win_us)
-        return pd.DataFrame({"cohort_day": [np.int64(fc // _DAY_US)],
-                             "conv": [np.int64(conv)]})
-
     tagged = _span_tagged(sf_dir, ["user_id", "event_id", "event_type"], span_hours)
-    rows = (
-        _span_partials(tagged, "user_id", per_span)
-        .groupby("user_id")
-        .map_groups(per_user, batch_format="pandas")
-    )
+    rows = _map_sorted_groups(_span_partials(tagged, "user_id", _funnel_span),
+                              ["user_id"], functools.partial(_funnel_user, win_us=win_us),
+                              order=("span_id",))
 
     def count_cells(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -963,92 +1046,114 @@ def q_events_value_var(sf_dir: str) -> pd.DataFrame:
 # chronologically sorted events with the tier ladder's sketch kernels, on
 # the span-partial engine above — no task co-locates a user's history:
 #
-#   1. count partials: groupby (user, span) + Count() — the shuffle
-#      carries combiner-collapsed count rows only, never events;
-#   2. per-user prefix sum over those counts (ONE tiny row per active
-#      (user, span)) yields each span's starting chronological rank;
-#   3. events co-partitioned with their span's offset row assign global
-#      ranks locally; windows FULLY inside the span are sketched
-#      vectorized right there (compute_window_sketches — the bulk of the
-#      data at production event rates);
-#   4. only the <= bucket-1 head/tail boundary events per span ship to a
-#      (user_id, window_id) groupby whose groups are <= bucket rows BY
-#      CONSTRUCTION.
+#   1. per-batch (user, span) event counts, merged per user by one
+#      segmented cumsum over its count rows (bounded by active spans x
+#      touching batches, never by events), give each span's starting
+#      chronological rank;
+#   2. events sorted together with their span's offset row assign global
+#      ranks locally; windows FULLY inside a span (the bulk of the data at
+#      production event rates) are sketched right there, all of a block's
+#      in-span windows in one compute_window_sketches_at call;
+#   3. only the <= bucket-1 head/tail boundary events per span ship to a
+#      (user_id, window_id) sort whose groups are <= bucket rows BY
+#      CONSTRUCTION, again sketched one block per call.
 #
-# No task ever holds more than max(span event count, bucket) rows of one
-# user.  Per-window sketches computed in isolation are bitwise-identical
-# to the whole-series path for every field except the comoment c1 (a
-# (sum+cross)-cross vs sum+0 ulp-class association difference that only
-# feeds acf1, an off-grid ratio the 6dp rounding absorbs — same tolerance
-# class as engine-vs-DuckDB association drift).  Equality with a per-user
-# pandas reference is pinned by
-# tests/test_pipeline.py::test_window_family_hot_user_distributed.
+# No group ever holds more than max(span event count, bucket) rows of one
+# user.  A block-wide sketch call is bitwise-identical to one call per
+# span (or per window): `barriers` zero the comoment pair across each
+# group end exactly like the per-call zero pad, and np.add.reduceat sums a
+# segment the same way wherever it sits in the array.  Per-window sketches
+# computed in isolation are bitwise-identical to the whole-series path for
+# every field except the comoment c1 (a (sum+cross)-cross vs sum+0
+# ulp-class association difference that only feeds acf1, an off-grid
+# ratio the 6dp rounding absorbs — same tolerance class as engine-vs-DuckDB
+# association drift).  Equality with a per-user pandas reference is pinned
+# by tests/test_pipeline.py::test_window_family_hot_user_distributed.
 
 _SKETCH_COLS = ("n", "s1", "s2", "s3", "s4", "c1", "vmin", "vmax",
                 "first", "last", "s1_seq")
+
+
+def _seq_sums(x: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """Per segment of <= ``width`` rows, the sum accumulated strictly left
+    to right — bitwise ``sketch.seq_window_sums(segment, width)[0]``."""
+    _, seg = _seg(starts, x.size)
+    pad = np.zeros((starts.size, width))
+    pad[seg, np.arange(x.size) - starts[seg]] = x
+    return np.cumsum(pad, axis=1)[:, -1]
+
+
+def _span_offsets(block: pa.Table, starts: np.ndarray) -> pa.Table:
+    """Per user over its span-sorted per-batch (user, span, c) counts: one
+    kind=1 offset row per span, off = the user's events in earlier spans
+    (a segmented exclusive cumsum)."""
+    uid, span, c = _cols(block, "user_id", "span_id", "c")
+    _, seg = _seg(starts, c.size)
+    run = np.flatnonzero(_firsts(seg, span))  # one run per (user, span)
+    cnt = _reduce(np.add, c, run)
+    before = np.cumsum(cnt) - cnt             # events before the run
+    off = before - before[np.searchsorted(run, starts)][seg[run]]
+    nz = run.size
+    # the events' column order, so the union sorts as one table
+    return pa.table({
+        "user_id": uid[run], "event_id": np.full(nz, -1),
+        "value": np.zeros(nz), "ts_us": np.zeros(nz, dtype=np.int64),
+        "span_id": span[run], "kind": np.ones(nz, dtype=np.int64), "off": off,
+    })
 
 
 def _join_span_offsets(tagged):
     """Span-tagged (user_id, event_id, value) events as kind=0 rows, unioned
     with one kind=1 offset row per (user, span): offset = number of the
     user's events in EARLIER spans, i.e. the span's starting chronological
-    rank.  The count shuffle moves combiner partials only; the prefix sum
-    runs per user over one tiny row per active span (a 10^9-event bot
-    spanning a month is ~720 rows)."""
-    from ray.data.aggregate import Count
-
-    counts = tagged.groupby(["user_id", "span_id"]).aggregate(Count())
-
-    def prefix(df: pd.DataFrame) -> pa.Table:
-        df = df.sort_values("span_id")
-        c = df["count()"].to_numpy(dtype=np.int64)
-        off = np.concatenate([[0], np.cumsum(c)[:-1]]).astype(np.int64)
-        nz = len(df)
-        # arrow block with the events' column order: Ray's shuffle sort
-        # rejects mixed pandas/arrow block unions
-        return pa.table({
-            "user_id": pa.array(df["user_id"].to_numpy(dtype=np.int64), pa.int64()),
-            "event_id": pa.array(np.full(nz, -1, dtype=np.int64), pa.int64()),
-            "value": pa.array(np.zeros(nz, dtype=np.float64), pa.float64()),
-            "ts_us": pa.array(np.zeros(nz, dtype=np.int64), pa.int64()),
-            "span_id": pa.array(df["span_id"].to_numpy(dtype=np.int64), pa.int64()),
-            "kind": pa.array(np.ones(nz, dtype=np.int64), pa.int64()),
-            "off": pa.array(off, pa.int64()),
-        })
+    rank.  Counts are combined per batch; the per-user prefix sum runs over
+    those count rows only (a 10^9-event bot spanning a month is ~720 spans
+    times the batches touching each)."""
+    def span_counts(batch: pa.Table) -> pa.Table:
+        keys, c = np.unique(np.stack(_cols(batch, "user_id", "span_id"), axis=1),
+                            axis=0, return_counts=True)
+        return pa.table({"user_id": keys[:, 0], "span_id": keys[:, 1],
+                         "c": c.astype(np.int64)})
 
     def mark(batch: pa.Table) -> pa.Table:
         zeros = pa.array(np.zeros(len(batch), dtype=np.int64), pa.int64())
         return batch.append_column("kind", zeros).append_column("off", zeros)
 
-    offsets = counts.groupby("user_id").map_groups(prefix, batch_format="pandas")
+    offsets = _map_sorted_groups(
+        tagged.map_batches(span_counts, batch_format="pyarrow"),
+        ["user_id"], _span_offsets, order=("span_id",))
     return tagged.map_batches(mark, batch_format="pyarrow").union(offsets)
 
 
-def _sketch_window(df: pd.DataFrame, bucket: int) -> pa.Table:
-    """One positional window's (user_id, window_id, rank, value) rows ->
-    its sketch row (``s1_seq`` summed sequentially in rank order)."""
-    from ts_pymfe_ray.functions import sketch as sk
+def _ranked_events(block: pa.Table, starts: np.ndarray, *names: str):
+    """A block of ``_join_span_offsets`` rows sorted by (user, span, ts_us,
+    event_id) -> the events' ``names`` columns, their global chronological
+    ranks, and the (user, span) slice starts and segment index among the
+    events (each slice holds exactly one offset row)."""
+    kind, off = _cols(block, "kind", "off")
+    ev = kind == 0
+    starts = starts - np.arange(starts.size)  # drop the earlier offset rows
+    cols = [c[ev] for c in _cols(block, *names)]
+    ends, seg = _seg(starts, int(ev.sum()))
+    rank = off[~ev][seg] + np.arange(seg.size) - starts[seg]
+    return cols, rank, starts, ends, seg
 
-    df = df.sort_values("rank")
-    v = np.ascontiguousarray(df["value"].to_numpy(), dtype=np.float64)
-    m = sk.compute_window_sketches(v, bucket)[0]
-    rows = {
-        "user_id": pa.array([int(df["user_id"].iloc[0])], pa.int64()),
-        "window_id": pa.array([int(df["window_id"].iloc[0])], pa.int64()),
-    }
-    for i, c in enumerate(sk.FIELDS):
-        rows[c] = pa.array([float(m[i])], pa.float64())
-    rows["s1_seq"] = pa.array([float(sk.seq_window_sums(v, bucket)[0])],
-                              pa.float64())
-    return pa.table(rows)
+
+def _sketch_windows(block: pa.Table, starts: np.ndarray, bucket: int) -> pa.Table:
+    """Each (user_id, window_id) group of <= ``bucket`` rank-sorted rows ->
+    its sketch row (``s1_seq`` summed sequentially in rank order)."""
+    uid, wid, v = _cols(block, "user_id", "window_id", "value")
+    ends, _ = _seg(starts, v.size)
+    m = sk.compute_window_sketches_at(v, starts, ends, barriers=ends[:-1] - 1)
+    return pa.table({"user_id": uid[starts], "window_id": wid[starts],
+                     **{c: m[:, i] for i, c in enumerate(sk.FIELDS)},
+                     "s1_seq": _seq_sums(v, starts, bucket)})
 
 
 def _window_stats(df: pd.DataFrame, scale: float = 1.0) -> pd.DataFrame:
     """Sketch rows -> per-window count / mean / var, with ``s1`` summed
     sequentially (DuckDB's association) and mean / var divided by
     ``scale`` / ``scale**2`` (100 undoes the exact-cents stream)."""
-    from ts_pymfe_ray.functions import sketch as sk
-
     m = df[list(sk.FIELDS)].to_numpy(dtype=np.float64)
     m[:, sk.FIELDS.index("s1")] = df["s1_seq"].to_numpy()
     feats = sk.derive_features(m)
@@ -1058,6 +1163,35 @@ def _window_stats(df: pd.DataFrame, scale: float = 1.0) -> pd.DataFrame:
         "value_count": feats["count"].astype(np.int64),
         "value_mean": round_ha(feats["mean"] / scale),
         "value_var": round_ha(feats["var"] / scale**2),
+    })
+
+
+def _window_span(block: pa.Table, starts: np.ndarray, bucket: int) -> pa.Table:
+    """Per (user, span) slice: kind 0 sketch rows of the windows fully
+    inside the span, kind 1 (rank, value) rows of its head/tail events."""
+    (uid, v), rank, starts, ends, seg = _ranked_events(
+        block, starts, "user_id", "value")
+    off = rank[starts]
+    w = rank // bucket
+    first_w = -(-off // bucket)               # first window starting in-span
+    last_we = (off + ends - starts) // bucket  # first window NOT ending in-span
+    inner = (w >= first_w[seg]) & (w < last_we[seg])
+    xs = v[inner]
+    ws = np.arange(0, xs.size, bucket)        # in-span windows, slice by slice
+    wseg = seg[inner][ws]
+    # a barrier after each slice's last window: per-slice sketches
+    m = sk.compute_window_sketches_at(
+        xs, ws, ws + bucket, barriers=(ws + bucket - 1)[:-1][wseg[1:] != wseg[:-1]])
+    edge = ~inner
+    nw, nb = ws.size, int(edge.sum())
+    return pa.table({
+        "user_id": np.concatenate([uid[inner][ws], uid[edge]]),
+        "window_id": np.concatenate([w[inner][ws], w[edge]]),
+        "kind": np.repeat(np.array([0, 1]), [nw, nb]),
+        "rank": np.concatenate([np.zeros(nw, dtype=np.int64), rank[edge]]),
+        "value": np.concatenate([np.zeros(nw), v[edge]]),
+        **{c: np.concatenate([m[:, i], np.zeros(nb)]) for i, c in enumerate(sk.FIELDS)},
+        "s1_seq": np.concatenate([sk.seq_window_sums(xs, bucket), np.zeros(nb)]),
     })
 
 
@@ -1077,8 +1211,6 @@ def _positional_window_sketches(sf_dir: str, bucket: int,
     derived mean/var by 100 / 10^4; mean-on-the-6dp-half-boundary flips
     (hit at sf0.1) become impossible because the pre-division stats are
     identical doubles on both sides."""
-    from ts_pymfe_ray.functions import sketch as sk
-
     tagged = _span_tagged(sf_dir, ["user_id", "event_id", "value"], span_hours)
     if cents:
         def to_cents(batch: pa.Table) -> pa.Table:
@@ -1088,54 +1220,14 @@ def _positional_window_sketches(sf_dir: str, bucket: int,
 
         tagged = tagged.map_batches(to_cents, batch_format="pyarrow")
 
-    def per_span(df: pd.DataFrame) -> pd.DataFrame:
-        offset = int(df.loc[df["kind"] == 1, "off"].iloc[0])
-        uid = np.int64(df["user_id"].iloc[0])
-        v = np.ascontiguousarray(df.loc[df["kind"] == 0, "value"].to_numpy(),
-                                 dtype=np.float64)
-        n = v.size
-        first_w = -(-offset // bucket)          # first window starting in-span
-        last_we = (offset + n) // bucket        # first window NOT ending in-span
-        head_end = tail_start = n
-        out = []
-        if last_we > first_w:
-            head_end = first_w * bucket - offset
-            tail_start = last_we * bucket - offset
-            xs = v[head_end:tail_start]
-            m = sk.compute_window_sketches(xs, bucket)
-            nw = m.shape[0]
-            rows = {
-                "user_id": np.full(nw, uid, dtype=np.int64),
-                "window_id": np.arange(first_w, last_we, dtype=np.int64),
-                "kind": np.zeros(nw, dtype=np.int64),
-                "rank": np.zeros(nw, dtype=np.int64),
-                "value": np.zeros(nw, dtype=np.float64),
-            }
-            for i, c in enumerate(sk.FIELDS):
-                rows[c] = m[:, i]
-            rows["s1_seq"] = sk.seq_window_sums(xs, bucket)
-            out.append(pd.DataFrame(rows))
-        b_local = np.concatenate(
-            [np.arange(0, head_end), np.arange(tail_start, n)])
-        ranks = offset + b_local
-        rows = {
-            "user_id": np.full(b_local.size, uid, dtype=np.int64),
-            "window_id": (ranks // bucket).astype(np.int64),
-            "kind": np.ones(b_local.size, dtype=np.int64),
-            "rank": ranks.astype(np.int64),
-            "value": v[b_local],
-        }
-        for c in _SKETCH_COLS:
-            rows[c] = np.zeros(b_local.size, dtype=np.float64)
-        out.append(pd.DataFrame(rows))
-        return pd.concat(out, ignore_index=True)
-
     local_sk, boundary = _split_kinds(
-        _span_partials(_join_span_offsets(tagged), "user_id", per_span),
+        _span_partials(_join_span_offsets(tagged), "user_id",
+                       functools.partial(_window_span, bucket=bucket)),
         ["user_id", "window_id", *_SKETCH_COLS],
         ["user_id", "window_id", "rank", "value"])
-    boundary_sk = boundary.groupby(["user_id", "window_id"]).map_groups(
-        _sketch_window, fn_kwargs={"bucket": bucket}, batch_format="pandas")
+    boundary_sk = _map_sorted_groups(boundary, ["user_id", "window_id"],
+                                     functools.partial(_sketch_windows, bucket=bucket),
+                                     order=("rank",))
     return local_sk.union(boundary_sk)
 
 
@@ -1158,6 +1250,28 @@ def q_events_user_window_rollup(sf_dir: str, bucket: int = 16) -> pd.DataFrame:
     return out.sort_values(["user_id", "window_id"]).reset_index(drop=True)
 
 
+def _coarse_merge(block: pa.Table, starts: np.ndarray, factor: int) -> pa.Table:
+    """Per (user, coarse window) over its <= ``factor`` window-sorted
+    cents sketch rows: the merged 10x window's count / mean / var."""
+    s1 = sk.FIELDS.index("s1")
+    uid, cid, s1_seq = _cols(block, "user_id", "coarse_id", "s1_seq")
+    ends, _ = _seg(starts, uid.size)
+    fine = np.stack(_cols(block, *sk.FIELDS), axis=1)
+    fine[:, s1] = s1_seq
+    # one coarse row per group; barriers keep the groups' merges apart
+    merged = sk.merge_adjacent_at(fine, starts, ends, barriers=ends[:-1] - 1)
+    # sums-of-sums with DuckDB's sequential association (the two-level
+    # oracle aggregates fine-window s1 the same way)
+    merged[:, s1] = _seq_sums(s1_seq, starts, factor)
+    feats = sk.derive_features(merged)
+    return pa.table({
+        "user_id": uid[starts], "window_id": cid[starts],
+        "value_count": feats["count"].astype(np.int64),
+        "value_mean": round_ha(feats["mean"] / 100.0),
+        "value_var": round_ha(feats["var"] / 10000.0),
+    })
+
+
 def q_events_user_window_rollup_10x(sf_dir: str, bucket: int = 16, factor: int = 10) -> pd.DataFrame:
     """Tier-MERGE algebra SQL-checked: bucket-16 sketches merged 10x
     (merge_adjacent — the exact raw->10x ladder step) must equal direct
@@ -1168,41 +1282,16 @@ def q_events_user_window_rollup_10x(sf_dir: str, bucket: int = 16, factor: int =
     the only remaining shuffle).  Exact-cents stream like the bucket-16
     twin (merged power sums stay exact integers through the ladder
     step)."""
-    from ts_pymfe_ray.functions import sketch as sk
-
     sks = _positional_window_sketches(sf_dir, bucket, cents=True)
-    s1 = sk.FIELDS.index("s1")
 
     def add_coarse(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return batch.append_column(
             "coarse_id", pc.divide(batch.column("window_id"), factor))
 
-    def merge_coarse(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("window_id")
-        fine = df[list(sk.FIELDS)].to_numpy(dtype=np.float64)
-        s1_seq = df["s1_seq"].to_numpy(dtype=np.float64)
-        fine[:, s1] = s1_seq
-        merged = sk.merge_adjacent(fine, factor)  # one coarse row
-        # sums-of-sums with DuckDB's sequential association (the two-level
-        # oracle aggregates fine-window s1 the same way)
-        merged[0, s1] = sk.seq_window_sums(s1_seq, factor)[0]
-        feats = sk.derive_features(merged)
-        return pd.DataFrame({
-            "user_id": np.array([df["user_id"].iloc[0]], dtype=np.int64),
-            "window_id": np.array([df["coarse_id"].iloc[0]], dtype=np.int64),
-            "value_count": feats["count"].astype(np.int64),
-            "value_mean": round_ha(feats["mean"] / 100.0),
-            "value_var": round_ha(feats["var"] / 10000.0),
-        })
-
-    out = (
-        sks.map_batches(add_coarse, batch_format="pyarrow")
-        .groupby(["user_id", "coarse_id"])
-        .map_groups(merge_coarse, batch_format="pandas")
-        .to_pandas()
-    )
+    out = _map_sorted_groups(sks.map_batches(add_coarse, batch_format="pyarrow"),
+                             ["user_id", "coarse_id"],
+                             functools.partial(_coarse_merge, factor=factor),
+                             order=("window_id",)).to_pandas()
     return out.sort_values(["user_id", "window_id"]).reset_index(drop=True)
 
 
@@ -1211,8 +1300,6 @@ def q_events_user_window_acf1(sf_dir: str, bucket: int = 16) -> pd.DataFrame:
     SQL-checked: sum((x_i-mu)(x_{i+1}-mu))/sum((x_i-mu)^2) over full
     windows — the exact per-window ACF of the tier ladder, sketched by
     the distributed positional-window engine."""
-    from ts_pymfe_ray.functions import sketch as sk
-
     sks = _positional_window_sketches(sf_dir, bucket)
 
     def derive(df: pd.DataFrame) -> pd.DataFrame:
@@ -1227,6 +1314,66 @@ def q_events_user_window_acf1(sf_dir: str, bucket: int = 16) -> pd.DataFrame:
 
     out = sks.map_batches(derive, batch_format="pandas").to_pandas()
     return out.sort_values(["user_id", "window_id"]).reset_index(drop=True)
+
+
+def _gapfill_span(block: pa.Table, starts: np.ndarray) -> pa.Table:
+    """Per (user, span) slice: kind 0 resolved (rank, filled value), kind 1
+    unresolved missing (rank), kind 2 one span carry (first/last valid
+    rank+value packed into rank=first_rank, value=first_value,
+    rank2/value2)."""
+    (uid, ids, v), rank, starts, _, _ = _ranked_events(
+        block, starts, "user_id", "event_id", "value")
+    n = v.size
+    idx = np.arange(n)
+    valid = (ids % 10) != 0
+    # nearest valid event before / after each event, inside its slice
+    pi, ni = _nearest(valid, starts)
+    # interior missing: both neighbors in-span -> the oracle expression
+    interior = ~valid & (pi >= 0) & (ni >= 0)
+    edge = ~valid & ~interior  # head/tail runs: neighbors in other spans
+    pi, ni = np.maximum(pi, 0), np.maximum(ni, 0)
+    g = rank.astype(np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        filled = v[pi] + (v[ni] - v[pi]) * (g - g[pi]) / (g[ni] - g[pi])
+    # one carry row per span with a valid value: first and last valid
+    fv = _reduce(np.minimum, np.where(valid, idx, n), starts)
+    lv = _reduce(np.maximum, np.where(valid, idx, -1), starts)
+    fv, lv = fv[lv >= 0], lv[lv >= 0]
+    done = valid | interior
+    zero = np.zeros(int(done.sum() + edge.sum()))
+    return pa.table({
+        "user_id": np.concatenate([uid[done], uid[edge], uid[fv]]),
+        "kind": np.repeat(np.array([0, 1, 2]), [done.sum(), edge.sum(), fv.size]),
+        "rank": np.concatenate([rank[done], rank[edge], rank[fv]]),
+        "value": np.concatenate([np.where(valid, v, filled)[done], v[edge], v[fv]]),
+        "rank2": np.concatenate([zero.astype(np.int64), rank[lv]]),
+        "value2": np.concatenate([zero, v[lv]]),
+    })
+
+
+def _gapfill_resolve(block: pa.Table, starts: np.ndarray) -> pa.Table:
+    """Per user over its kind 1 and kind 2 rows in rank order: each
+    unresolved missing rank p filled.  Spans cover disjoint rank ranges,
+    so the nearest valid BEFORE p is the last valid of the latest carry
+    row before p, and the nearest valid AFTER p is the first valid of the
+    earliest carry row after p."""
+    uid, kind, p, v, r2, v2 = _cols(block, "user_id", "kind", "rank", "value",
+                                    "rank2", "value2")
+    ip, iq = _nearest(kind == 2, starts)
+    un = np.flatnonzero(kind == 1)
+    ip, iq, pu = ip[un], iq[un], p[un]
+    has_p, has_n = ip >= 0, iq >= 0
+    ip, iq = np.maximum(ip, 0), np.maximum(iq, 0)
+    gpi, pv = r2[ip].astype(np.float64), v2[ip]
+    gni, nv = p[iq].astype(np.float64), v[iq]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        interp = pv + (nv - pv) * (pu.astype(np.float64) - gpi) / (gni - gpi)
+    filled = np.where(~has_p, nv, np.where(~has_n, pv, interp))
+    # a user with no valid value anywhere keeps its missing events
+    # unfilled: emit nothing
+    keep = has_p | has_n
+    return pa.table({"user_id": uid[un][keep], "rank": pu[keep],
+                     "value": filled[keep]})
 
 
 def q_events_gapfill_rollup(sf_dir: str, bucket: int = 16,
@@ -1244,116 +1391,19 @@ def q_events_gapfill_rollup(sf_dir: str, bucket: int = 16,
     history.  The DuckDB twin reproduces the policy with IGNORE NULLS
     window functions, validating the gap-fill path end-to-end."""
     tagged = _span_tagged(sf_dir, ["user_id", "event_id", "value"], span_hours)
-
-    # kind 0: resolved (rank, filled value); kind 1: unresolved missing
-    # (rank); kind 2: span carry (first/last valid rank+value packed into
-    # rank=first_rank, value=first_value, rank2/value2)
-    def per_span(df: pd.DataFrame) -> pd.DataFrame:
-        offset = int(df.loc[df["kind"] == 1, "off"].iloc[0])
-        ev = df[df["kind"] == 0]
-        n = len(ev)
-        uid = np.int64(df["user_id"].iloc[0])
-        v = np.ascontiguousarray(ev["value"].to_numpy(), dtype=np.float64)
-        missing = (ev["event_id"].to_numpy() % 10) == 0
-        ranks = offset + np.arange(n, dtype=np.int64)
-        out = []
-
-        def rows(kind, r, val, r2=None, v2=None):
-            nz = np.asarray(r).size
-            out.append(pd.DataFrame({
-                "user_id": np.full(nz, uid, dtype=np.int64),
-                "kind": np.full(nz, kind, dtype=np.int64),
-                "rank": np.asarray(r, dtype=np.int64),
-                "value": np.asarray(val, dtype=np.float64),
-                "rank2": (np.zeros(nz, dtype=np.int64) if r2 is None
-                          else np.asarray(r2, dtype=np.int64)),
-                "value2": (np.zeros(nz, dtype=np.float64) if v2 is None
-                           else np.asarray(v2, dtype=np.float64)),
-            }))
-
-        valid = ~missing
-        if not valid.any():
-            # all-missing span: every event unresolved, no carry
-            rows(1, ranks, v)
-            return pd.concat(out, ignore_index=True)
-        vloc = np.flatnonzero(valid)
-        fv, lv = vloc[0], vloc[-1]
-        rows(0, ranks[valid], v[valid])  # valid events pass through
-        # interior missing: both neighbors in-span -> the oracle expression
-        interior = missing & (np.arange(n) > fv) & (np.arange(n) < lv)
-        if interior.any():
-            pos = np.flatnonzero(interior)
-            pi = vloc[np.searchsorted(vloc, pos, side="right") - 1]
-            ni = vloc[np.searchsorted(vloc, pos, side="left")]
-            pv, nv = v[pi], v[ni]
-            gp = ranks[pos].astype(np.float64)
-            gpi = ranks[pi].astype(np.float64)
-            gni = ranks[ni].astype(np.float64)
-            filled = pv + (nv - pv) * (gp - gpi) / (gni - gpi)
-            rows(0, ranks[pos], filled)
-        # head/tail missing runs: neighbors live in other spans
-        edge = missing & ~interior
-        if edge.any():
-            pos = np.flatnonzero(edge)
-            rows(1, ranks[pos], v[pos])
-        # one carry row: the span's first and last valid (rank, value)
-        rows(2, [ranks[fv]], [v[fv]], [ranks[lv]], [v[lv]])
-        return pd.concat(out, ignore_index=True)
-
     resolved, carry = _split_kinds(
-        _span_partials(_join_span_offsets(tagged), "user_id", per_span),
+        _span_partials(_join_span_offsets(tagged), "user_id", _gapfill_span),
         ["user_id", "rank", "value"])
-
-    def resolve_user(df: pd.DataFrame) -> pa.Table:
-        ca = df[df["kind"] == 2]
-        # a user with no valid value anywhere keeps its missing events
-        # unfilled: emit nothing
-        un = df[df["kind"] == 1] if len(ca) else df.iloc[:0]
-        # nearest valid BEFORE rank p is always some span's LAST valid;
-        # nearest valid AFTER is some span's FIRST valid (no valids exist
-        # between a span's last valid and the next span's first)
-        first_r = ca["rank"].to_numpy(dtype=np.int64)
-        first_v = ca["value"].to_numpy(dtype=np.float64)
-        last_r = ca["rank2"].to_numpy(dtype=np.int64)
-        last_v = ca["value2"].to_numpy(dtype=np.float64)
-        o1 = np.argsort(first_r)
-        first_r, first_v = first_r[o1], first_v[o1]
-        o2 = np.argsort(last_r)
-        last_r, last_v = last_r[o2], last_v[o2]
-        p = un["rank"].to_numpy(dtype=np.int64)
-        ip = np.searchsorted(last_r, p, side="left") - 1   # last_r[ip] < p
-        iq = np.searchsorted(first_r, p, side="right")     # first_r[iq] > p
-        has_p = ip >= 0
-        has_n = iq < first_r.size
-        gpi = last_r[np.clip(ip, 0, last_r.size - 1)].astype(np.float64)
-        gni = first_r[np.clip(iq, 0, first_r.size - 1)].astype(np.float64)
-        pv = last_v[np.clip(ip, 0, last_r.size - 1)]
-        nv = first_v[np.clip(iq, 0, first_r.size - 1)]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            interp = pv + (nv - pv) * (p.astype(np.float64) - gpi) / (gni - gpi)
-        filled = np.where(~has_p, nv, np.where(~has_n, pv, interp))
-        return pa.table({
-            "user_id": pa.array(un["user_id"].to_numpy(dtype=np.int64), pa.int64()),
-            "rank": pa.array(p, pa.int64()),
-            "value": pa.array(filled.astype(np.float64), pa.float64()),
-        })
-
-    fixed = carry.groupby("user_id").map_groups(resolve_user, batch_format="pandas")
+    fixed = _map_sorted_groups(carry, ["user_id"], _gapfill_resolve, order=("rank",))
 
     def add_window(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return batch.append_column(
             "window_id", pc.divide(batch.column("rank"), bucket))
 
-    sks = (
-        resolved.union(fixed)
-        .map_batches(add_window, batch_format="pyarrow")
-        .groupby(["user_id", "window_id"])
-        .map_groups(_sketch_window, fn_kwargs={"bucket": bucket},
-                    batch_format="pandas")
-        .to_pandas()
-    )
+    sks = _map_sorted_groups(
+        resolved.union(fixed).map_batches(add_window, batch_format="pyarrow"),
+        ["user_id", "window_id"], functools.partial(_sketch_windows, bucket=bucket),
+        order=("rank",)).to_pandas()
     out = _window_stats(sks).drop(columns="value_var")
     return out.sort_values(["user_id", "window_id"]).reset_index(drop=True)
 
@@ -1364,8 +1414,6 @@ def q_events_user_window_moments(sf_dir: str, bucket: int = 16) -> pd.DataFrame:
     stores (via the distributed positional-window engine), converted to
     DuckDB's bias-corrected (e1071 type-2) definitions for the oracle
     comparison."""
-    from ts_pymfe_ray.functions import sketch as sk
-
     sks = _positional_window_sketches(sf_dir, bucket)
 
     def derive(df: pd.DataFrame) -> pd.DataFrame:
@@ -1391,6 +1439,84 @@ def q_events_user_window_moments(sf_dir: str, bucket: int = 16) -> pd.DataFrame:
     return out.sort_values(["user_id", "window_id"]).reset_index(drop=True)
 
 
+def _sessions(brk: np.ndarray, starts: np.ndarray, first: np.ndarray,
+              last: np.ndarray, cnt: np.ndarray):
+    """Runs of rows joined by ``~brk`` (a break at every group start):
+    per run its group, row count (summed ``cnt``), first and last ts."""
+    run = np.flatnonzero(brk)
+    run_end, _ = _seg(run, brk.size)
+    grp = np.searchsorted(starts, run, side="right") - 1
+    return grp, _reduce(np.add, cnt, run), first[run], last[run_end - 1]
+
+
+def _session_span(block: pa.Table, starts: np.ndarray, gap_us: int) -> pa.Table:
+    """Per (user, span) slice: its sessions closed in-span, as one carry
+    row (first/last boundary session and interior aggregates)."""
+    uid, span, ts = _cols(block, "user_id", "span_id", "ts_us")
+    brk = np.ones(ts.size, dtype=bool)
+    brk[1:] = np.diff(ts) > gap_us
+    brk[starts] = True
+    grp, cnt, s_first, s_last = _sessions(brk, starts, ts, ts,
+                                         np.ones(ts.size, dtype=np.int64))
+    fs = np.searchsorted(grp, np.arange(starts.size))  # first session
+    ls = _seg(fs, grp.size)[0] - 1                      # last session
+    inner = np.ones(grp.size, dtype=bool)
+    inner[fs], inner[ls] = False, False
+    n_s = ls - fs + 1
+    return pa.table({
+        "user_id": uid[starts], "span_id": span[starts],
+        "n_events": _seg(starts, ts.size)[0] - starts,
+        "f_cnt": cnt[fs], "f_first": s_first[fs], "f_last": s_last[fs],
+        "l_cnt": cnt[ls], "l_first": s_first[ls], "l_last": s_last[ls],
+        "single": n_s == 1, "int_n": np.maximum(n_s - 2, 0),
+        "int_span_sum": _reduce(np.add, np.where(inner, s_last - s_first, 0), fs),
+        "int_max": _reduce(np.maximum, np.where(inner, cnt, 0), fs),
+    })
+
+
+def _session_user(block: pa.Table, starts: np.ndarray, gap_us: int) -> pa.Table:
+    """Per user over its span-sorted carry rows: boundary sessions
+    stitched across spans, then the user's session statistics."""
+    (uid, n_events, f_cnt, f_first, f_last, l_cnt, l_first, l_last,
+     single, int_n, int_span_sum, int_max) = _cols(
+        block, "user_id", "n_events", "f_cnt", "f_first", "f_last", "l_cnt",
+        "l_first", "l_last", "single", "int_n", "int_span_sum", "int_max")
+    # fragments in time order: each span row's first boundary session,
+    # then its last one when the span closed more than one session.  A
+    # first fragment continues the previous row's last fragment when
+    # the gap between them is within gap_us; a last fragment always
+    # opens a new session.
+    rows = f_cnt.size
+    yes, no = np.ones(rows, dtype=bool), np.zeros(rows, dtype=bool)
+    keep = np.stack([yes, ~single], axis=1).ravel()
+
+    def frag(a, b):
+        return np.stack([a, b], axis=1).ravel()[keep]
+
+    cont = no.copy()
+    cont[1:] = f_first[1:] - l_last[:-1] <= gap_us
+    cont[starts] = False
+    brk = frag(~cont, yes)
+    row_start = no.copy()
+    row_start[starts] = True
+    user_start = frag(row_start, no)
+    grp, cnt, first, last = _sessions(brk, np.flatnonzero(user_start),
+                                     frag(f_first, l_first), frag(f_last, l_last),
+                                     frag(f_cnt, l_cnt))
+    us = np.searchsorted(grp, np.arange(starts.size))  # first session per user
+    n_sess = _seg(us, grp.size)[0] - us + _reduce(np.add, int_n, starts)
+    n_ev = _reduce(np.add, n_events, starts)
+    span_sum = (_reduce(np.add, last - first, us)
+                + _reduce(np.add, int_span_sum, starts))
+    return pa.table({
+        "user_id": uid[starts], "n_events": n_ev, "n_sessions": n_sess,
+        "max_session_events": np.maximum(_reduce(np.maximum, cnt, us),
+                                         _reduce(np.maximum, int_max, starts)),
+        "avg_events_per_session": round_ha(n_ev / n_sess),
+        "avg_session_sec": round_ha(span_sum / n_sess / 1_000_000.0),
+    })
+
+
 def q_events_sessionize_carry(sf_dir: str, gap_minutes: int = 30,
                               span_hours: int = _SPAN_HOURS) -> pd.DataFrame:
     """SESSION WINDOWS (the windowed-aggregate class Ray Data lacks): per
@@ -1408,84 +1534,56 @@ def q_events_sessionize_carry(sf_dir: str, gap_minutes: int = 30,
        semantics (pinned against a per-user pandas reference by
        tests/test_pipeline.py::test_sessionize_carry_matches_per_user)."""
     gap_us = gap_minutes * 60 * 1_000_000
-
-    def per_span(df: pd.DataFrame) -> pd.DataFrame:
-        ts = df["ts_us"].to_numpy()
-        brk = np.concatenate([[True], np.diff(ts) > gap_us])
-        sid = np.cumsum(brk) - 1
-        n_s = int(sid[-1]) + 1
-        counts = np.bincount(sid)
-        bounds = np.concatenate([np.flatnonzero(brk), [ts.size]])
-        s_first = ts[bounds[:-1]]
-        s_last = ts[bounds[1:] - 1]
-        spans = s_last - s_first
-        interior = slice(1, n_s - 1)
-        return pd.DataFrame(
-            {
-                "user_id": [np.int64(df["user_id"].iloc[0])],
-                "span_id": [np.int64(df["span_id"].iloc[0])],
-                "n_events": [np.int64(ts.size)],
-                "f_cnt": [np.int64(counts[0])],
-                "f_first": [s_first[0]],
-                "f_last": [s_last[0]],
-                "l_cnt": [np.int64(counts[-1])],
-                "l_first": [s_first[-1]],
-                "l_last": [s_last[-1]],
-                "single": [n_s == 1],
-                "int_n": [np.int64(max(0, n_s - 2))],
-                "int_span_sum": [np.int64(spans[interior].sum() if n_s > 2 else 0)],
-                "int_max": [np.int64(counts[interior].max() if n_s > 2 else 0)],
-            }
-        )
-
-    def merge_user(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("span_id")
-        n_sess = 0
-        max_cnt = 0
-        span_sum = 0
-        open_cnt = open_first = open_last = None
-
-        def finalize():
-            nonlocal n_sess, max_cnt, span_sum
-            n_sess += 1
-            max_cnt = max(max_cnt, open_cnt)
-            span_sum += open_last - open_first
-
-        for row in df.itertuples(index=False):
-            if open_cnt is not None and row.f_first - open_last <= gap_us:
-                open_cnt += row.f_cnt  # boundary session continues
-                open_last = row.f_last
-            else:
-                if open_cnt is not None:
-                    finalize()
-                open_cnt, open_first, open_last = row.f_cnt, row.f_first, row.f_last
-            if not row.single:
-                finalize()  # >1 session in span: the first one closed in-span
-                n_sess += int(row.int_n)
-                span_sum += int(row.int_span_sum)
-                max_cnt = max(max_cnt, int(row.int_max))
-                open_cnt, open_first, open_last = row.l_cnt, row.l_first, row.l_last
-        finalize()
-        n_events = int(df["n_events"].sum())
-        return pd.DataFrame(
-            {
-                "user_id": [np.int64(df["user_id"].iloc[0])],
-                "n_events": [np.int64(n_events)],
-                "n_sessions": [np.int64(n_sess)],
-                "max_session_events": [np.int64(max_cnt)],
-                "avg_events_per_session": [round_ha(n_events / n_sess)],
-                "avg_session_sec": [round_ha(int(span_sum) / n_sess / 1_000_000.0)],
-            }
-        )
-
     tagged = _span_tagged(sf_dir, ["user_id", "event_id"], span_hours)
-    out = (
-        _span_partials(tagged, "user_id", per_span)
-        .groupby("user_id")
-        .map_groups(merge_user, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = _span_partials(tagged, "user_id",
+                           functools.partial(_session_span, gap_us=gap_us))
+    out = _map_sorted_groups(parts, ["user_id"],
+                             functools.partial(_session_user, gap_us=gap_us),
+                             order=("span_id",)).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
+
+
+def _asof_span(block: pa.Table, starts: np.ndarray) -> pa.Table:
+    """Per (user, span) slice: each click with its latest strictly earlier
+    in-slice purchase (kind 0) or unresolved (kind 1), plus one carry row
+    (kind 2) holding the slice's last purchase."""
+    uid, span, ts, ids = _cols(block, "user_id", "span_id", "ts_us", "event_id")
+    et = block.column("event_type")
+    is_p = pc.equal(et, "purchase").to_numpy()
+    click = np.flatnonzero(pc.equal(et, "click").to_numpy())
+    # a click is no purchase: the latest purchase at or before it is
+    # strictly earlier
+    m = _nearest(is_p, starts)[0][click]
+    has = m >= 0
+    m = np.maximum(m, 0)
+    j = _reduce(np.maximum, np.where(is_p, np.arange(ts.size), -1), starts)
+    j = j[j >= 0]  # the last purchase row of each slice that has one
+    carry = np.full(j.size, -1, dtype=np.int64)
+    return pa.table({
+        "user_id": np.concatenate([uid[click], uid[j]]),
+        "span_id": np.concatenate([span[click], span[j]]),
+        "kind": np.concatenate([np.where(has, 0, 1), np.full(j.size, 2)]),
+        "event_id": np.concatenate([ids[click], ids[j]]),
+        "ts_us": np.concatenate([ts[click], ts[j]]),
+        "purchase_event_id": np.concatenate([np.where(has, ids[m], -1), carry]),
+        "lag_us": np.concatenate([np.where(has, ts[click] - ts[m], -1), carry]),
+    })
+
+
+def _asof_user(block: pa.Table, starts: np.ndarray) -> pa.Table:
+    """Per user over its unresolved clicks and carry rows in (span, kind)
+    order: a span's clicks come before its carry, so the latest carry row
+    before a click is the last purchase of an earlier span (LOCF)."""
+    kind, ids, ts = _cols(block, "kind", "event_id", "ts_us")
+    un = np.flatnonzero(kind == 1)
+    c = _nearest(kind == 2, starts)[0][un]
+    has = c >= 0
+    c = np.maximum(c, 0)
+    return pa.table({
+        "event_id": ids[un],
+        "purchase_event_id": np.where(has, ids[c], -1),
+        "lag_us": np.where(has, ts[un] - ts[c], -1),
+    })
 
 
 def q_events_asof_purchase_carry(sf_dir: str,
@@ -1498,76 +1596,10 @@ def q_events_asof_purchase_carry(sf_dir: str,
     Resolved rows stream straight through — a user's full history is
     never co-located (pinned against a per-user pandas reference by
     tests/test_pipeline.py::test_asof_carry_matches_per_user)."""
-    # kind: 0 = resolved click, 1 = unresolved click, 2 = span purchase carry
-    def per_span(df: pd.DataFrame) -> pd.DataFrame:
-        ts = df["ts_us"].to_numpy()
-        ids = df["event_id"].to_numpy()
-        et = df["event_type"].to_numpy()
-        is_p = et == "purchase"
-        idx = np.arange(ts.size)
-        last_p = np.maximum.accumulate(np.where(is_p, idx, -1))
-        before = np.concatenate([[-1], last_p[:-1]])
-        click = np.flatnonzero(et == "click")
-        m = before[click]
-        has = m >= 0
-        out = {
-            "user_id": np.full(click.size, np.int64(df["user_id"].iloc[0])),
-            "span_id": np.full(click.size, np.int64(df["span_id"].iloc[0])),
-            "kind": np.where(has, 0, 1).astype(np.int64),
-            "event_id": ids[click].astype(np.int64),
-            "ts_us": ts[click],
-            "purchase_event_id": np.where(has, ids[np.maximum(m, 0)], -1).astype(np.int64),
-            "lag_us": np.where(has, ts[click] - ts[np.maximum(m, 0)], -1).astype(np.int64),
-        }
-        res = pd.DataFrame(out)
-        if is_p.any():
-            j = int(np.flatnonzero(is_p)[-1])  # last purchase row of the span
-            carry = pd.DataFrame(
-                {
-                    "user_id": [np.int64(df["user_id"].iloc[0])],
-                    "span_id": [np.int64(df["span_id"].iloc[0])],
-                    "kind": [np.int64(2)],
-                    "event_id": [np.int64(ids[j])],
-                    "ts_us": [np.int64(ts[j])],
-                    "purchase_event_id": [np.int64(-1)],
-                    "lag_us": [np.int64(-1)],
-                }
-            )
-            res = pd.concat([res, carry], ignore_index=True)
-        return res
-
     tagged = _span_tagged(sf_dir, ["user_id", "event_id", "event_type"], span_hours)
-    resolved, carry = _split_kinds(_span_partials(tagged, "user_id", per_span),
+    resolved, carry = _split_kinds(_span_partials(tagged, "user_id", _asof_span),
                                    ["event_id", "purchase_event_id", "lag_us"])
-
-    def merge_user(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["span_id", "kind"])  # clicks of a span before its carry
-        last_id, last_ts = -1, -1
-        ev, pid, lag = [], [], []
-        cur_span = None
-        pend_id, pend_ts = -1, -1
-        for row in df.itertuples(index=False):
-            if cur_span != row.span_id:
-                # entering a new span: the previous span's carry activates
-                if pend_id != -1:
-                    last_id, last_ts = pend_id, pend_ts
-                    pend_id = -1
-                cur_span = row.span_id
-            if row.kind == 1:
-                ev.append(row.event_id)
-                pid.append(last_id)
-                lag.append(row.ts_us - last_ts if last_id != -1 else -1)
-            else:  # kind 2: becomes visible from the NEXT span on
-                pend_id, pend_ts = row.event_id, row.ts_us
-        return pd.DataFrame(
-            {
-                "event_id": np.array(ev, dtype=np.int64),
-                "purchase_event_id": np.array(pid, dtype=np.int64),
-                "lag_us": np.array(lag, dtype=np.int64),
-            }
-        )
-
-    fixed = carry.groupby("user_id").map_groups(merge_user, batch_format="pandas")
+    fixed = _map_sorted_groups(carry, ["user_id"], _asof_user, order=("span_id", "kind"))
     out = resolved.union(fixed).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
@@ -1636,8 +1668,6 @@ def q_events_range_join(sf_dir: str, band_sec: int = 60) -> pd.DataFrame:
     clipped to the band window — exact integer math, no per-error loop.
     Output: per error event, the number of in-band clicks and the nearest
     click's absolute lag."""
-    import pyarrow.compute as pc
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
     band_us = band_sec * 1_000_000
     BIG = np.int64(2**62)
@@ -2020,8 +2050,6 @@ def q_documents_split_assign(sf_dir: str) -> pd.DataFrame:
 def _load_centroids(sf_dir: str, k: int) -> np.ndarray:
     """Deterministic init: the embeddings of vec_id < k, pushdown-filtered
     so only k rows leave storage."""
-    import pyarrow.compute as pc
-
     tbl = ray.data.read_parquet(
         os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"],
         filter=pc.field("vec_id") < k,
