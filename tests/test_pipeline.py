@@ -252,6 +252,40 @@ def test_tier_analytics_from_compressed_streams(ray_session, seq_dir_small, tmp_
     assert df["avg_sd_volatility"].notna().sum() >= 3
 
 
+def test_tier_read_lists_only_the_requested_tier(ray_session, rollup_out):
+    """A 10x read opens only tier=10x files and never projects the raw
+    tier's token blob."""
+    from ts_pymfe_ray.pipelines.tier_analytics import read_tier_dataset
+
+    out, _ = rollup_out
+    ds = read_tier_dataset(out, "10x")
+    files = ds.input_files()
+    assert files and all(f"{os.sep}tier=10x{os.sep}" in f for f in files)
+    assert "tokens_dod" not in ds.schema().names
+    assert set(ds.unique("tier")) == {"10x"}
+    with pytest.raises(ValueError):
+        read_tier_dataset(out, "raw", ["doc_id", "tokens_dod"])
+
+
+def test_tier_diagnostics_of_a_dropped_tier_is_empty(ray_session, seq_dir_small, tmp_path_factory):
+    """Diagnostics of an aged-out tier are a typed empty frame, not a
+    KeyError."""
+    import pandas as pd
+
+    from ts_pymfe_ray.pipelines.tier_analytics import tier_diagnostics
+    from ts_pymfe_ray.state import retention
+
+    out = str(tmp_path_factory.mktemp("tiers_dropped"))
+    flagship.run_rollup(seq_dir_small, out, num_shards=2)
+    full = tier_diagnostics(out, tier="10x")
+    retention.apply_retention(out, drop_tiers=("10x",))
+    for gap_free in (False, True):
+        df = tier_diagnostics(out, tier="10x", gap_free=gap_free)
+        assert len(df) == 0
+        pd.testing.assert_series_equal(df.dtypes, full.dtypes)
+    assert len(tier_diagnostics(out, tier="100x")) == len(full)
+
+
 def test_source_rollup_consistent_under_splitting(ray_session, seq_dir_small):
     """Cross-series rollup must be invariant to hot-key splitting: chunk
     rows contribute their windows at GLOBAL positions."""

@@ -160,7 +160,7 @@ def compression_ratio(raw_nbytes: int, encoded: bytes) -> float:
     return raw_nbytes / max(1, len(encoded))
 
 
-# --------------------------------------------------------- batched encoders
+# ------------------------------------------------------- batched codecs
 #
 # The rollup stage encodes ~3 streams per (row, tier) — tens of thousands
 # of TINY codec calls per batch, which turns the vectorized encoders above
@@ -168,7 +168,8 @@ def compression_ratio(raw_nbytes: int, encoded: bytes) -> float:
 # The *_many variants below encode EVERY row of a batch in one set of
 # vectorized passes and return a single (data, offsets) pair whose row
 # slices are BITWISE IDENTICAL to the per-row encoders (tested), so the
-# decode path and every golden/oracle stay untouched.
+# per-row decoders and every golden/oracle stay untouched.  The tier read
+# side has the same shape in reverse: decode_floats_xor_many.
 
 
 def _pack_suffix_reversed(bm_le: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
@@ -261,6 +262,62 @@ def encode_floats_xor_many(flat: np.ndarray, offsets: np.ndarray) -> tuple[np.nd
         ps = pay_start[r]
         data[ps : ps + (p1 - p0)] = packed[p0:p1]
     return data, out_off
+
+
+def _gather_words(data: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` little-endian bytes at ``data[pos[i]:]`` of every row,
+    as a (len(pos), width) uint8 matrix (one fancy-index gather)."""
+    return data[pos[:, None] + np.arange(width, dtype=np.int64)[None, :]]
+
+
+def decode_floats_xor_many(data: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched :func:`decode_floats_xor`, the inverse of
+    :func:`encode_floats_xor_many`: row i's stream is
+    ``data[offsets[i]:offsets[i+1]]``; returns ``(flat, out_offsets)`` where
+    ``flat[out_offsets[i]:out_offsets[i+1]]`` equals
+    ``decode_floats_xor(row_i)`` bitwise.
+
+    Every row's header and payload unpack in one set of vectorized passes,
+    then ONE global ``bitwise_xor.accumulate`` runs over all rows; row i is
+    re-based by XOR with the running value just before its first element
+    (XOR is exact, so the re-based prefix equals the per-row one)."""
+    data = np.asarray(data, dtype=np.uint8)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    pos = offsets[:-1]
+    if not (_gather_words(data, pos, 4) == np.frombuffer(_MAGIC_F, np.uint8)).all():
+        raise ValueError("not a GXF1 stream")
+    counts = _gather_words(data, pos + 4, 4).view(np.uint32).ravel().astype(np.int64)
+    out_off = np.concatenate([[0], np.cumsum(counts)])
+    vals = np.empty(int(out_off[-1]), dtype=np.uint64)
+    has = counts > 0
+    row_first = out_off[:-1][has]
+    vals[row_first] = _gather_words(data, pos[has] + 8, 8).view(np.uint64).ravel()
+
+    # xor elements: every value but each row's first; headers and payload
+    # are contiguous per row, so element -> byte positions are cumsum math
+    m_cnt = np.maximum(counts - 1, 0)
+    elem_off = np.concatenate([[0], np.cumsum(m_cnt)])
+    within = np.arange(int(elem_off[-1]), dtype=np.int64) - np.repeat(elem_off[:-1], m_cnt)
+    headers = data[np.repeat(pos + 16, m_cnt) + within].astype(np.int64)
+    lzb, nbytes = headers // 9, headers % 9
+    pay_cum = np.concatenate([[0], np.cumsum(nbytes)])
+    # payload byte t of element e sits at pay_start[row(e)] + (t - pay_cum[row's first e])
+    pay_base = np.repeat(pos + 16 + m_cnt - pay_cum[elem_off[:-1]], m_cnt)
+    src = np.repeat(pay_base, nbytes) + np.arange(int(pay_cum[-1]), dtype=np.int64)
+    bm = _unpack_selected_bytes(data[src], lzb, lzb + nbytes)
+    # bm rows are big-endian: reverse to native little-endian uint64
+    xor = np.ascontiguousarray(bm[:, ::-1]).view(np.uint64).ravel()
+    is_first = np.zeros(vals.size, dtype=bool)
+    is_first[row_first] = True
+    vals[~is_first] = xor
+
+    acc = np.bitwise_xor.accumulate(vals)
+    prev = np.zeros(counts.size, dtype=np.uint64)
+    starts = out_off[:-1]
+    later = has & (starts > 0)
+    prev[later] = acc[starts[later] - 1]
+    acc ^= np.repeat(prev, counts)
+    return acc.view(np.float64), out_off
 
 
 def encode_ints_dod_many(flat: np.ndarray, offsets: np.ndarray,

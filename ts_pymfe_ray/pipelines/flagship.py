@@ -326,10 +326,9 @@ def _partial_sketches(batch: pa.Table, tiers=("raw", "10x", "100x")) -> pa.Table
     window_id).  Output rows per batch are bounded by distinct keys, so the
     downstream groupby shuffles tiny pre-aggregated rows, not raw windows —
     the partial+final aggregation pattern that keeps the all-to-all cheap."""
-    from ts_pymfe_ray.functions.gapfill import gap_fill
-    from ts_pymfe_ray.stages.rollup import RAW_BUCKET, TIER_FACTORS, tokens_views
+    from ts_pymfe_ray.stages.rollup import RAW_BUCKET, TIER_FACTORS, TIERS, sketch_ladder, tokens_views
 
-    views, _, _ = tokens_views(batch)
+    views, t_off, _ = tokens_views(batch)
     sources = batch.column("source").to_pylist()
     # hot-key-split chunk rows carry a window_offset; their windows must
     # land at GLOBAL positions (offset // bucket), not restart at 0
@@ -340,31 +339,30 @@ def _partial_sketches(batch: pa.Table, tiers=("raw", "10x", "100x")) -> pa.Table
     )
     src_names = sorted(set(sources))
     src_id = {s: i for i, s in enumerate(src_names)}
+    row_src = np.fromiter((src_id[s] for s in sources), dtype=np.int64, count=len(sources))
     tier_names = list(tiers)
-    tier_id = {t: i for i, t in enumerate(tier_names)}
 
-    mats: list[np.ndarray] = []
-    max_wid = 1
-    per_row_tiers = []
-    for i, tok in enumerate(views):
-        x = gap_fill(tok)
-        raw = sk.compute_window_sketches(x, RAW_BUCKET)
-        per_tier = {"raw": raw, "10x": sk.merge_adjacent(raw, 10)}
-        per_tier["100x"] = sk.merge_adjacent(per_tier["10x"], 10)
-        for tier in tiers:
-            mat = per_tier[tier]
-            bucket = RAW_BUCKET * TIER_FACTORS[tier]
-            base = int(offsets[i]) // bucket
-            mats.append(mat)
-            per_row_tiers.append((src_id[sources[i]], tier_id[tier], mat.shape[0], base))
-            max_wid = max(max_wid, base + mat.shape[0])
-    if not mats:
+    # RollupStage's batch-wide ladder; each requested tier's block keeps
+    # the rows in batch order, so inside every (source, tier, window) key
+    # the stable sort below sees the windows in row order, as per-row
+    # ladders appended row by row did
+    ladder, tier_off = sketch_ladder(views, t_off)
+    block = np.concatenate([[0], np.cumsum([o[-1] for o in tier_off])])
+    take, rel_wid, row_key = [], [], []
+    for t, tier in enumerate(tier_names):
+        lvl = TIERS.index(tier)
+        o = tier_off[lvl]
+        nw = np.diff(o)
+        within = np.arange(int(o[-1]), dtype=np.int64) - np.repeat(o[:-1], nw)
+        take.append(block[lvl] + np.arange(int(o[-1]), dtype=np.int64))
+        rel_wid.append(np.repeat(offsets // (RAW_BUCKET * TIER_FACTORS[tier]), nw) + within)
+        row_key.append(np.repeat(row_src * len(tier_names) + t, nw))
+    wids = np.concatenate(rel_wid)
+    if not wids.size:
         return pa.table({n: pa.array([], _PARTIAL_SCHEMA.field(n).type) for n in _PARTIAL_SCHEMA.names})
-    big = np.vstack(mats)
-    key_parts = np.concatenate([
-        (np.full(nw, s, dtype=np.int64) * len(tier_names) + t) * max_wid + base + np.arange(nw)
-        for s, t, nw, base in per_row_tiers
-    ])
+    max_wid = max(1, int(wids.max()) + 1)
+    big = ladder[np.concatenate(take)]
+    key_parts = np.concatenate(row_key) * max_wid + wids
     # sort-group-reduce: one argsort, then reduceat per field — no Python
     # per-window loop
     order = np.argsort(key_parts, kind="stable")

@@ -74,6 +74,74 @@ def num_partitions_default() -> int:
     return 64
 
 
+def _fresh_buffers(n_windows: int, total: int):
+    return np.empty((n_windows, sk.N_FIELDS)), np.empty(total), None
+
+
+def sketch_ladder(views: list[np.ndarray], offsets: np.ndarray,
+                  buffers=_fresh_buffers) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Raw, 10x and 100x window sketches of EVERY row of a batch in three
+    global reduceat passes.
+
+    Rows gap-fill into one flat buffer; raw windows of every row tile that
+    buffer, so compute_window_sketches_at sketches all of them in ~10 numpy
+    kernels (row-barrier cross products zeroed — bitwise identical to
+    per-row calls, parity gate in test_sketch.py).  The sketch matrix is
+    laid out in tier BLOCKS (all raw | all 10x | all 100x) so each merge
+    level is likewise ONE merge_adjacent_at call instead of a Python call
+    per row — round-4 profile: the 768 per-row sketch/merge calls were
+    ~1/3 of stage wall.
+
+    ``offsets`` are the token offsets of ``views`` (see :func:`tokens_views`);
+    ``buffers(n_windows, n_tokens)`` hands out the ``(sketch matrix,
+    gap-fill buffer, power-sum scratch)`` to write into (RollupStage passes
+    its reusable ones; scratch may be None).  Returns ``(big, tier_off)``:
+    ``tier_off[t]`` are the per-row window offsets inside tier block ``t``
+    (TIERS order), the blocks stacked in that order in ``big``.
+    """
+    rel_off = (offsets - offsets[0]).astype(np.int64) if len(views) else np.zeros(1, np.int64)
+    nw_raw = -(-np.diff(rel_off) // RAW_BUCKET)
+    nw10 = -(-nw_raw // 10)
+    tier_off = [np.concatenate([[0], np.cumsum(w)]) for w in (nw_raw, nw10, -(-nw10 // 10))]
+    raw_off, t10_off, t100_off = tier_off
+    Wr, W10 = int(raw_off[-1]), int(t10_off[-1])
+    W = Wr + W10 + int(t100_off[-1])
+    total = int(rel_off[-1])
+    bigbuf, gf, scratch = buffers(W, total)
+    big, gff = bigbuf[:W], gf[:total]
+    for i, tok in enumerate(views):
+        gap_fill(tok, out=gff[rel_off[i] : rel_off[i + 1]])
+
+    def _tile(dst_off, src_off, unit):
+        # source-coordinate (starts, ends) tiling every row's windows
+        widths = np.diff(dst_off)
+        within = (np.arange(int(dst_off[-1]), dtype=np.int64)
+                  - np.repeat(dst_off[:-1], widths))
+        starts = np.repeat(src_off[:-1], widths) + within * unit
+        ends = np.minimum(starts + unit, np.repeat(src_off[1:], widths))
+        return starts, ends
+
+    def _barriers(src_off):
+        b = src_off[1:-1] - 1
+        return b[b >= 0]
+
+    if W:
+        merge_scratch = None if scratch is None else scratch[0]
+        s_r, e_r = _tile(raw_off, rel_off, RAW_BUCKET)
+        sk.compute_window_sketches_at(
+            gff, s_r, e_r, out=big[:Wr], scratch=scratch,
+            barriers=_barriers(rel_off))
+        s10, e10 = _tile(t10_off, raw_off, 10)
+        sk.merge_adjacent_at(
+            big[:Wr], s10, e10, out=big[Wr : Wr + W10], scratch=merge_scratch,
+            barriers=_barriers(raw_off))
+        s100, e100 = _tile(t100_off, t10_off, 10)
+        sk.merge_adjacent_at(
+            big[Wr : Wr + W10], s100, e100, out=big[Wr + W10 : W],
+            scratch=merge_scratch, barriers=_barriers(t10_off))
+    return big, tier_off
+
+
 class RollupStage:
     """Per-batch tier-ladder computation.
 
@@ -127,63 +195,21 @@ class RollupStage:
             else np.zeros(n_in, dtype=np.int64)
         )
 
-        # pass 1: the WHOLE batch's sketches in three global reduceat passes.
-        # Rows gap-fill into one flat buffer; raw windows of every row tile
-        # that buffer, so compute_window_sketches_at sketches all of them in
-        # ~10 numpy kernels (row-barrier cross products zeroed — bitwise
-        # identical to per-row calls, parity gate in test_sketch.py).  The
-        # sketch matrix is laid out in tier BLOCKS (all raw | all 10x | all
-        # 100x) so each merge level is likewise ONE merge_adjacent_at call
-        # instead of a Python call per row — round-4 profile: the 768
-        # per-row sketch/merge calls were ~1/3 of stage wall.
+        # pass 1: the whole batch's raw/10x/100x sketches (tier blocks)
+        # (the callback grows every scratch buffer of the stage)
+        ns = len(STREAMS)
+        big, tier_off = sketch_ladder(
+            views, t_off, lambda W, total: self._buffers(W, ns * W, total)[:3])
+        wsbuf, tokbuf, gapbuf = self._ws, self._tok, self._gap
+        raw_off, t10_off, t100_off = tier_off
         rel_off = (t_off - t_off[0]).astype(np.int64) if n_in else np.zeros(1, np.int64)
         lens = np.diff(rel_off)
         total = int(rel_off[-1])
-        nw_raw = -(-lens // RAW_BUCKET)
-        nw10 = -(-nw_raw // 10)
-        nw100 = -(-nw10 // 10)
-        nws = np.empty(3 * n_in, dtype=np.int64)
-        nws[0::3] = nw_raw
-        nws[1::3] = nw10
-        nws[2::3] = nw100
+        # per-row order is (raw, 10x, 100x)
+        nws = np.column_stack([np.diff(o) for o in tier_off]).ravel()
         sk_off = np.concatenate([[0], np.cumsum(nws)])
         W = int(sk_off[-1])
-        raw_off = np.concatenate([[0], np.cumsum(nw_raw)])
-        t10_off = np.concatenate([[0], np.cumsum(nw10)])
-        t100_off = np.concatenate([[0], np.cumsum(nw100)])
         Wr, W10 = int(raw_off[-1]), int(t10_off[-1])
-        ns = len(STREAMS)
-        bigbuf, gf, scratch, wsbuf, tokbuf, gapbuf = self._buffers(W, ns * W, total)
-        big = bigbuf[:W]
-        gff = gf[:total]
-        for i, tok in enumerate(views):
-            gap_fill(tok, out=gff[rel_off[i] : rel_off[i + 1]])
-
-        def _tile(dst_off, widths, src_off, unit):
-            # source-coordinate (starts, ends) tiling every row's windows
-            within = (np.arange(int(dst_off[-1]), dtype=np.int64)
-                      - np.repeat(dst_off[:-1], widths))
-            starts = np.repeat(src_off[:-1], widths) + within * unit
-            ends = np.minimum(starts + unit, np.repeat(src_off[1:], widths))
-            return starts, ends
-
-        def _barriers(src_off):
-            b = src_off[1:-1] - 1
-            return b[b >= 0]
-
-        if W:
-            s_r, e_r = _tile(raw_off, nw_raw, rel_off, RAW_BUCKET)
-            sk.compute_window_sketches_at(
-                gff, s_r, e_r, out=big[:Wr], scratch=scratch,
-                barriers=_barriers(rel_off))
-            s10, e10 = _tile(t10_off, nw10, raw_off, 10)
-            sk.merge_adjacent_at(
-                big[:Wr], s10, e10, out=big[Wr : Wr + W10], scratch=scratch[0],
-                barriers=_barriers(raw_off))
-            s100, e100 = _tile(t100_off, nw100, t10_off, 10)
-            sk.merge_adjacent_at(
-                big[Wr : Wr + W10], s100, e100, out=big[Wr + W10 : W],
-                scratch=scratch[0], barriers=_barriers(t10_off))
         feats = sk.derive_features(big)
         stream_mat = np.column_stack([feats[s] for s in STREAMS]) if W else np.empty((0, ns))
         # source offset of each output tier row's windows in the block layout
