@@ -224,14 +224,86 @@ flagship.run_rollup({seq_dir_small!r}, {out!r}, num_shards=4)
     assert res["fingerprint"] == ref["fingerprint"]
 
 
-def test_rollup_with_compressor_actor_pool(ray_session, seq_dir_small, tmp_path_factory):
-    """Actor-pool variant of the compressor stage produces identical output
-    (fingerprint) to the stateless-task variant."""
-    out_t = str(tmp_path_factory.mktemp("tiers_tasks"))
-    out_a = str(tmp_path_factory.mktemp("tiers_actors"))
-    r1 = flagship.run_rollup(seq_dir_small, out_t, num_shards=2)
-    r2 = flagship.run_rollup(seq_dir_small, out_a, num_shards=2, compressor_actors=2)
-    assert r1["fingerprint"] == r2["fingerprint"]
+def _with_empty_file(seq_dir, dst):
+    """``seq_dir``'s parquet files copied to ``dst`` plus one zero-row file
+    with the same schema."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    os.makedirs(dst)
+    files = sorted(f for f in os.listdir(seq_dir) if f.endswith(".parquet"))
+    for f in files:
+        shutil.copy(os.path.join(seq_dir, f), dst)
+    schema = pq.read_schema(os.path.join(seq_dir, files[0]))
+    pq.write_table(schema.empty_table(), os.path.join(dst, "zz-empty.parquet"))
+    return len(files) + 1
+
+
+@pytest.mark.parametrize("job", ["rollup", "features"])
+def test_sharded_jobs_commit_a_shard_of_empty_files(ray_session, seq_dir_small,
+                                                    tmp_path_factory, job):
+    """An input dir holding a zero-row file: with one shard per file the
+    empty file is a zero-row shard.  It commits with 0 rows and its own
+    ``shard=K`` directory, so a rerun finds every shard committed, appends
+    no line and keeps the fingerprint."""
+    import json
+
+    src = str(tmp_path_factory.mktemp(f"empty_in_{job}")) + "/seq"
+    n_files = _with_empty_file(seq_dir_small, src)
+    out = str(tmp_path_factory.mktemp(f"empty_out_{job}"))
+    if job == "rollup":
+        run = lambda: flagship.run_rollup(src, out, num_shards=n_files)  # noqa: E731
+    else:
+        run = lambda: flagship.run_features(  # noqa: E731
+            src, out, groups=("general",), max_cost="cheap", num_shards=n_files)
+    first, second = run(), run()
+    assert first["committed"] == second["committed"] == n_files
+    assert first["fingerprint"] == second["fingerprint"]
+    lines = [json.loads(l) for l in open(mf.manifest_path(out)) if l.strip()]
+    assert sorted(r["shard_id"] for r in lines) == list(range(n_files))
+    empty = [r for r in lines if r["input_files"][0].endswith("zz-empty.parquet")]
+    assert len(empty) == 1 and empty[0]["rows"] == 0 and empty[0]["tokens"] == 0
+    assert os.path.isdir(mf.shard_dir(out, empty[0]["shard_id"]))
+
+
+def test_commit_as_complete_bookkeeping():
+    """The sharded runner's commit step over a hand-made tally stream:
+    shards interleaved, one shard's rows split over several tallies, a
+    zero-row shard.  Each shard commits once, right after the tally that
+    completes its input rows, with its summed output rows and tokens."""
+    expected = {0: 5, 1: 3, 2: 0, 3: 4}
+    stream = [
+        {"shard": [0, 1], "in_rows": [2, 1], "out_rows": [6, 3], "tokens": [20, 10]},
+        {"shard": [3], "in_rows": [4], "out_rows": [12], "tokens": [40]},
+        {"shard": [1, 0], "in_rows": [2, 2], "out_rows": [6, 3], "tokens": [21, 11]},
+        {"shard": [0], "in_rows": [1], "out_rows": [6], "tokens": [22]},
+        {"shard": [], "in_rows": [], "out_rows": [], "tokens": []},
+        {"shard": [2], "in_rows": [0], "out_rows": [0], "tokens": [0]},
+    ]
+    events = []
+
+    def tallies():
+        for i, t in enumerate(stream):
+            events.append(("tally", i))
+            yield {k: np.asarray(v, dtype=np.int64) for k, v in t.items()}
+
+    flagship._commit_as_complete(
+        tallies(), expected, lambda sid, rows, tok: events.append(("commit", sid, rows, tok)))
+    assert events == [
+        ("commit", 2, 0, 0),
+        ("tally", 0), ("tally", 1), ("commit", 3, 12, 40),
+        ("tally", 2), ("commit", 1, 9, 31),
+        ("tally", 3), ("commit", 0, 15, 53),
+        ("tally", 4), ("tally", 5),
+    ]
+    # a shard whose rows never reach (or pass) its footer count raises
+    for short in ([{"shard": [0], "in_rows": [4], "out_rows": [1], "tokens": [1]}],
+                  [{"shard": [0], "in_rows": [6], "out_rows": [1], "tokens": [1]}]):
+        with pytest.raises(RuntimeError):
+            flagship._commit_as_complete(
+                ({k: np.asarray(v) for k, v in t.items()} for t in short),
+                {0: 5}, lambda *a: None)
 
 
 def test_tier_analytics_from_compressed_streams(ray_session, seq_dir_small, tmp_path_factory):
@@ -1114,4 +1186,40 @@ def test_multi_block_events_match_twins(
 
     d = degenerate_parts_dir
     _assert_twin(check_oracle, name, e.queries()[name](d),
+                 f"{d}/events.parquet/*.parquet")
+
+
+_WAU_CASES = {
+    "one_user_one_event": [(1, 0)],
+    "days_exactly_window_apart": [(1, 0), (1, 7), (1, 14)],
+    "days_window_minus_one_apart": [(1, 0), (1, 6), (1, 12)],
+    "mixed": [(1, 0), (1, 0), (1, 7), (2, 3), (2, 9), (2, 20), (3, 6), (3, 13),
+              (4, 1), (4, 2), (4, 30), (5, 5)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WAU_CASES))
+def test_wau_runs_match_twin(ray_session, tmp_path_factory, check_oracle, case):
+    """events_wau equals its DuckDB twin on active days exactly 7 and 6
+    days apart (two runs against one merged run), one user with one event,
+    and a mix whose repeated user-days are spread over three files."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as e
+
+    rows = _WAU_CASES[case]
+    day_us = 86_400 * 1_000_000
+    t0 = np.datetime64("2024-01-01T00:00:00", "us").astype("int64")
+    uid = np.array([u for u, _ in rows], dtype=np.int64)
+    ts = t0 + np.array([d * day_us + 3_600_000_000 * (i % 5) for i, (_, d) in enumerate(rows)])
+    tbl = pa.table({"event_id": pa.array(np.arange(len(rows)), pa.int64()),
+                    "ts": pa.array(ts.astype(np.int64).view("datetime64[us]")),
+                    "user_id": pa.array(uid, pa.int64())})
+    d = str(tmp_path_factory.mktemp(f"wau_{case}"))
+    os.makedirs(f"{d}/events.parquet")
+    for k in range(3):
+        pq.write_table(tbl.slice(k * len(rows) // 3, (k + 1) * len(rows) // 3 - k * len(rows) // 3),
+                       f"{d}/events.parquet/part-{k}.parquet")
+    _assert_twin(check_oracle, "events_wau", e.queries()["events_wau"](d),
                  f"{d}/events.parquet/*.parquet")

@@ -205,3 +205,92 @@ def test_buffer_reuse_bitwise_parity():
     for seed, nrows in ((1, 30), (2, 7), (3, 45)):
         batch = mk(nrows, seed)
         assert reused_stage(batch).equals(RollupStage()(batch))
+
+
+def _fast_features_per_row(batch):
+    """FastFeatureStage's former per-row loop (one whole-row and one
+    first-difference sketch call per row), kept as the parity reference;
+    a zero-length row reads length 0 and NaN elsewhere."""
+    import pyarrow as pa
+
+    from ts_pymfe_ray.functions.gapfill import gap_fill
+    from ts_pymfe_ray.stages.rollup import tokens_views
+    from ts_pymfe_ray.synth import stable_hash64
+
+    views, _, _ = tokens_views(batch)
+    doc_ids = batch.column("doc_id").to_pylist()
+    n = len(views)
+    whole = np.full((n, sk.N_FIELDS), np.nan)
+    diffs = np.full((n, sk.N_FIELDS), np.nan)
+    part_ids = np.empty(n, dtype=np.int32)
+    for i, tok in enumerate(views):
+        part_ids[i] = stable_hash64(doc_ids[i]) % 64
+        if not tok.size:
+            continue
+        x = gap_fill(tok)
+        whole[i] = sk.compute_window_sketches(x, max(1, x.size))[0]
+        d = np.diff(x)
+        if d.size:
+            diffs[i] = sk.compute_window_sketches(d, d.size)[0]
+    fw = sk.derive_features(whole)
+    fd = sk.derive_features(diffs)
+    length = np.where(np.isnan(fw["count"]), 0.0, fw["count"])
+    cols = {"doc_id": batch.column("doc_id"), "source": batch.column("source"),
+            "part_id": pa.array(part_ids), "length": pa.array(length, pa.float64())}
+    for name in ("mean", "var", "sd", "skewness", "kurtosis", "acf1", "vmin", "vmax", "vrange"):
+        cols[name] = pa.array(fw[name], pa.float64())
+    for name in ("mean", "var", "sd", "skewness", "kurtosis", "acf1"):
+        cols[f"diff_{name}"] = pa.array(fd[name], pa.float64())
+    return pa.table(cols)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fast_feature_stage_matches_per_row_loop(seed):
+    """The batch-wide FastFeatureStage equals the per-row loop bitwise on
+    ragged batches: 0-, 1- and 2-token rows, all-gap rows, rows ending or
+    starting in gaps, hot-split chunk rows, rows near 2^30 (a missing row
+    barrier changes their comoment bits) and a batch sliced out of a
+    larger one (list offsets not starting at 0)."""
+    import warnings
+
+    import pyarrow as pa
+
+    from ts_pymfe_ray.stages.fast_features import FastFeatureStage
+    from ts_pymfe_ray.stages.rollup import split_long_rows
+
+    rng = np.random.default_rng(seed)
+    lens = [0, 1, 2, 0, 3, 64, 7, 1, 13000] + list(rng.integers(0, 900, 30))
+    toks = []
+    for n in lens:
+        t = rng.integers(0, 60000, size=n).astype(np.int32)
+        t[rng.random(n) < 0.1] = -1
+        if n > 2:
+            t[[0, -1]] = rng.integers(2**29, 2**30, 2)
+        toks.append(t)
+    toks[4][:] = -1
+    toks[6][:3] = -1
+    toks[6][-2:] = -1
+    batch = pa.table({
+        "doc_id": [f"ff{seed}-{i}" for i in range(len(lens))],
+        "tokens": pa.array(toks, pa.list_(pa.int32())),
+        "n_tok": pa.array(lens, pa.int32()),
+        "source": ["web", "code"] * (len(lens) // 2) + ["chat"] * (len(lens) % 2),
+    })
+    split = split_long_rows(batch, max_chunk_tokens=6400)
+    assert split.num_rows > batch.num_rows
+    for b in (batch, split, split.slice(3, 20), batch.slice(0, 1), batch.slice(1, 1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = FastFeatureStage()(b)
+            want = _fast_features_per_row(b)
+        assert got.schema == want.schema and got.num_rows == b.num_rows
+        for name in got.column_names:
+            a, w = got.column(name).to_numpy(), want.column(name).to_numpy()
+            if a.dtype == np.float64:
+                assert a.view(np.uint64).tobytes() == w.view(np.uint64).tobytes(), name
+            else:
+                assert a.tolist() == w.tolist(), name
+    empty = FastFeatureStage()(batch.slice(0, 1)).to_pylist()[0]
+    assert empty["length"] == 0.0
+    assert all(np.isnan(v) for k, v in empty.items()
+               if k not in ("doc_id", "source", "part_id", "length"))

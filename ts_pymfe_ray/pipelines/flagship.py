@@ -10,75 +10,211 @@
    partial sketches per (source, tier, window_id) combined inside each
    batch (combiner), then one small groupby merge (partial+final pattern;
    the only shuffle in the engine, over pre-aggregated rows).
+
+Jobs 1 and 2 are sharded jobs with one runner (:func:`_run_sharded`): ONE
+streaming Ray Data execution reads every file of every shard still to do,
+each row carrying its shard in the path of the file it came from.  Each
+map task runs the stage, writes its rows under ``shard=K/`` itself and
+emits a per-shard tally (input rows, output rows, raw tokens); the driver
+reads the tally stream and commits a shard the moment its input rows
+reach the row count in its files' Parquet footers.  The shard stays the
+commit and resume unit, and the manifest's rows/tokens come from the pass
+that wrote the data — no side pass re-reads the input for them.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 
 import ray.data
 
 from ts_pymfe_ray.functions import sketch as sk
-from ts_pymfe_ray.sources.sequences import list_parquet_files, read_sequences, shard_files
+from ts_pymfe_ray.sources.sequences import (
+    list_parquet_files,
+    read_sequences,
+    read_sequences_with_paths,
+    shard_files,
+)
 from ts_pymfe_ray.stages.features import FeatureStage
 from ts_pymfe_ray.stages.rollup import RollupStage, split_long_rows
 from ts_pymfe_ray.state import manifest as mf
+from ts_pymfe_ray.synth import stable_hash64
 
 DEFAULT_OUT_ROOT = "/tmp/ts_pymfe_ray_out"
 
+# ------------------------------------------------------------ sharded jobs
 
-def _shard_workers(num_plans: int) -> int:
-    """Concurrent shard executions: overlap hides per-execution latency,
-    but each execution needs enough CPUs to stream — below ~4 CPUs per
-    concurrent execution the overlap thrashes instead of helping."""
-    import ray
-
-    try:
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        ncpu = 8
-    return max(1, min(8, num_plans, ncpu // 4))
+_TALLY_SCHEMA = pa.schema([("shard", pa.int64()), ("in_rows", pa.int64()),
+                           ("out_rows", pa.int64()), ("tokens", pa.int64())])
 
 
-def _input_counts(files: list[str], max_chunk_tokens: int) -> dict[str, tuple[int, int]]:
-    """Per-FILE (tier rows, raw token count), computed from the input's
-    n_tok column in ONE distributed pass — rows per doc are 3 tiers x its
-    hot-split chunk count, so shard commit metadata never requires
-    re-reading the written output onto the driver (at 10^9 docs per shard
-    that pull was the scale liability), and a single execution up front
-    does not contend with the overlapped shard runs."""
-    from ts_pymfe_ray.stages.rollup import RAW_BUCKET, TIER_FACTORS
+class _ShardWriter:
+    """Stage, write and tally one batch of a sharded job.
 
-    align = RAW_BUCKET * TIER_FACTORS["100x"]
-    max_chunk = max(align, (max_chunk_tokens // align) * align)
-    n_tiers = len(TIER_FACTORS)
+    The batch's rows are split by shard (``path`` -> shard id); each part
+    runs the stage on slices of at most ``batch_size`` rows and is written
+    to ``shard=K[/tier=T]/<name>-0.parquet``, the partition columns dropped
+    from the file data as Ray's hive write does.  ``<name>`` hashes the
+    part's first (path, doc_id) — chunk 0, as hot rows are split inside the
+    stage — so a retried task overwrites its own files instead of adding
+    copies.  Returns one
+    tally row per shard of the batch: input rows, output rows and raw
+    tokens (the token-list lengths, i.e. the raw tier's ``n_tok`` sum).
 
-    def part(batch: pa.Table) -> pa.Table:
-        import pandas as pd
+    ``stage`` is a class built here from ``stage_kwargs``, so the same
+    writer runs as stateless tasks (pass an instance) or as an actor pool
+    (pass the class)."""
 
-        nt = batch.column("n_tok").to_numpy().astype(np.int64)
-        chunks = np.where(nt > max_chunk, -(-nt // max_chunk), 1)
-        df = pd.DataFrame({"path": batch.column("path").to_pylist(),
-                           "rows": chunks * n_tiers, "tokens": nt})
-        g = df.groupby("path", as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def __init__(self, stage, stage_kwargs: dict, batch_size: int, out_dir: str,
+                 shard_of: dict[str, int], partition_cols: tuple[str, ...] = ()):
+        self.stage = stage(**stage_kwargs)
+        self.batch_size = batch_size
+        self.out_dir = out_dir
+        self.shard_of = shard_of
+        self.partitioning = list(partition_cols) or None
 
-    p = (
-        ray.data.read_parquet(files, columns=["n_tok"], include_paths=True)
-        .map_batches(part, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("path")
-        .sum()
-    )
-    out: dict[str, tuple[int, int]] = {}
-    for path, row in p.iterrows():
-        out[os.path.normpath(str(path))] = (int(row["rows"]), int(row["tokens"]))
-    return out
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        tally: dict[str, list[int]] = {c: [] for c in _TALLY_SCHEMA.names}
+        if not batch.num_rows:
+            return pa.table(tally, schema=_TALLY_SCHEMA)
+        paths = batch.column("path")
+        uniq = pc.unique(paths)
+        sid_of = np.array([self.shard_of[os.path.normpath(p)] for p in uniq.to_pylist()])
+        sids = sid_of[pc.index_in(paths, uniq).to_numpy()]
+        data = batch.drop_columns(["path"])
+        for sid in np.unique(sids):
+            mask = sids == sid
+            part = data.filter(pa.array(mask))
+            first = int(np.argmax(mask))
+            name = stable_hash64(f"{paths[first].as_py()}:{part.column('doc_id')[0].as_py()}")
+            out = pa.concat_tables([self.stage(part.slice(i, self.batch_size))
+                                    for i in range(0, part.num_rows, self.batch_size)])
+            if out.num_rows:
+                pads.write_dataset(
+                    out, mf.shard_dir(self.out_dir, int(sid)), format="parquet",
+                    basename_template=f"{name:016x}-{{i}}.parquet",
+                    partitioning=self.partitioning, partitioning_flavor="hive",
+                    existing_data_behavior="overwrite_or_ignore")
+            tally["shard"].append(int(sid))
+            tally["in_rows"].append(part.num_rows)
+            tally["out_rows"].append(out.num_rows)
+            tally["tokens"].append(int(pc.sum(pc.list_value_length(part.column("tokens"))).as_py() or 0))
+        return pa.table(tally, schema=_TALLY_SCHEMA)
+
+
+def _commit_as_complete(tallies, expected: dict[int, int], commit) -> None:
+    """Commit every shard exactly once, as soon as its tallied input rows
+    reach ``expected[shard]`` (its files' footer row count); a zero-row
+    shard commits before the first tally.  ``tallies`` yields mappings of
+    equal-length arrays with the ``_TALLY_SCHEMA`` columns; ``commit(shard,
+    out_rows, tokens)`` writes the manifest line.  A shard whose rows end
+    short of or past its count raises: its output does not match its
+    input files."""
+    got = {sid: [0, 0, 0] for sid in expected}
+    for sid, n in expected.items():
+        if n == 0:
+            commit(sid, 0, 0)
+    for t in tallies:
+        for sid, n_in, n_out, tok in zip(*(t[c].tolist() for c in _TALLY_SCHEMA.names)):
+            acc = got[sid]
+            acc[0] += n_in
+            acc[1] += n_out
+            acc[2] += tok
+            if n_in and acc[0] == expected[sid]:
+                commit(sid, acc[1], acc[2])
+    bad = {sid: acc[0] for sid, acc in got.items() if acc[0] != expected[sid]}
+    if bad:
+        raise RuntimeError(f"shard input rows {bad} differ from their files' "
+                           f"footer row counts {expected}")
+
+
+def _run_sharded(out_dir: str, shards: list[list[str]], config: dict, resume: bool,
+                 max_shards: int | None, writer: dict, concurrency: int | None,
+                 record_tokens: bool) -> dict:
+    """Run the shards that are not committed (or whose input files
+    changed) as ONE streaming execution: read with paths -> ``_ShardWriter``
+    (``writer`` holds its stage, stage kwargs and partition columns) ->
+    tally stream -> per-shard commits.  The writer takes whole read
+    blocks (``batch_size=None``), so Ray fuses it into the read tasks and
+    the input never round-trips through the object store; it batches the
+    stage itself.  ``concurrency`` runs it as an actor pool of that size.
+    A commit's ``wall_ms`` is the time from the job's start to that
+    commit."""
+    if resume:
+        mf.clean_uncommitted(out_dir, len(shards))
+    committed = mf.load_committed(out_dir) if resume else {}
+
+    def _stale(sid: int, shard: list[str]) -> bool:
+        """A committed shard whose input-file list changed (files appended
+        or resharded) must recompute — its manifest line no longer
+        describes the data it would produce."""
+        rec = committed.get(sid)
+        return rec is not None and rec.get("input_files") != sorted(shard)
+
+    todo = {sid: shard for sid, shard in enumerate(shards)
+            if shard and (sid not in committed or _stale(sid, shard))}
+    for sid, shard in todo.items():
+        if _stale(sid, shard):
+            shutil.rmtree(mf.shard_dir(out_dir, sid), ignore_errors=True)
+    if max_shards is not None:
+        todo = dict(list(todo.items())[:max_shards])
+    if todo:
+        t0 = time.perf_counter()
+
+        def commit(sid: int, rows: int, tokens: int) -> None:
+            # a zero-row shard writes no file: its directory is what
+            # load_committed(check_data=True) looks for
+            os.makedirs(mf.shard_dir(out_dir, sid), exist_ok=True)
+            mf.commit_shard(out_dir, sid, todo[sid], config, rows,
+                            tokens if record_tokens else 0,
+                            (time.perf_counter() - t0) * 1000.0)
+
+        expected = {sid: sum(pq.read_metadata(f).num_rows for f in shard)
+                    for sid, shard in todo.items()}
+        writer = dict(writer, out_dir=out_dir, shard_of={
+            os.path.normpath(f): sid for sid, shard in todo.items() for f in shard})
+        # files in shard order, so shards complete (and commit) one by one
+        ds = read_sequences_with_paths([f for shard in todo.values() for f in shard])
+        kwargs = {"batch_format": "pyarrow", "zero_copy_batch": True, "batch_size": None}
+        if concurrency:
+            ds = ds.map_batches(_ShardWriter, fn_constructor_kwargs=writer,
+                                concurrency=concurrency, **kwargs)
+        else:
+            ds = ds.map_batches(_ShardWriter(**writer), **kwargs)
+        _commit_as_complete(ds.iter_batches(batch_format="numpy", batch_size=None),
+                            expected, commit)
+    return {
+        "out_dir": out_dir,
+        "committed": len(mf.load_committed(out_dir)),
+        "num_shards": len(shards),
+        "fingerprint": mf.manifest_fingerprint(out_dir),
+    }
+
+
+class _SplitRollup:
+    """``split_long_rows``, then ``RollupStage`` over slices of at most
+    ``batch_size`` chunk rows: a hot document's chunks stay in the call
+    that read the document, so the tally's input rows count whole
+    documents whose every tier row is written."""
+
+    def __init__(self, num_parts: int, store_tokens: bool, max_chunk_tokens: int,
+                 batch_size: int):
+        self.stage = RollupStage(num_parts=num_parts, store_tokens=store_tokens)
+        self.max_chunk_tokens = max_chunk_tokens
+        self.batch_size = batch_size
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        rows = split_long_rows(batch, max_chunk_tokens=self.max_chunk_tokens)
+        return pa.concat_tables([self.stage(rows.slice(i, self.batch_size))
+                                 for i in range(0, rows.num_rows, self.batch_size)])
 
 
 def run_rollup(
@@ -91,18 +227,17 @@ def run_rollup(
     store_tokens: bool = True,
     max_chunk_tokens: int = 1_048_576,
     max_shards: int | None = None,
-    compressor_actors: int | None = None,
 ) -> dict:
     """Tier-ladder rollup with exact shard-level checkpoint/resume.
 
+    Every uncommitted shard runs in one streaming execution (see the module
+    docstring); each shard commits as soon as its last input row is
+    written, with rows = its tier rows and tokens = its raw ``n_tok`` sum.
+    Output: ``shard=K/tier=T/*.parquet`` (the tier partition lets the
+    retention ladder age out a whole tier with a directory delete).
+
     ``max_shards`` limits how many (uncommitted) shards to process this
     call — used by the kill/resume test to simulate a mid-job crash.
-
-    ``compressor_actors``: run the sketch+Gorilla stage as an actor pool of
-    that size (per-worker codec/scratch state built once — the north
-    rule's per-partition compressor-state shape).  Default None = stateless
-    tasks, which measure slightly faster in single-node local mode; on a
-    real multi-node cluster the actor pool amortizes per-worker setup.
     """
     files = list_parquet_files(input_dir)
     shards = shard_files(files, num_shards)
@@ -112,107 +247,16 @@ def run_rollup(
         "store_tokens": store_tokens,
         "max_chunk_tokens": max_chunk_tokens,
     }
-    lock = mf.AttemptLock(out_dir).acquire()
-    try:
-        return _run_rollup_locked(
-            input_dir, out_dir, shards, config, resume, batch_size, num_parts,
-            store_tokens, max_chunk_tokens, max_shards, compressor_actors,
-        )
-    finally:
-        lock.release()
-
-
-def _run_rollup_locked(
-    input_dir, out_dir, shards, config, resume, batch_size, num_parts,
-    store_tokens, max_chunk_tokens, max_shards, compressor_actors,
-):
-    if resume:
-        mf.clean_uncommitted(out_dir, len(shards))
-    committed = mf.load_committed(out_dir) if resume else {}
-    stage = RollupStage(num_parts=num_parts, store_tokens=store_tokens)
-
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
-
-    commit_lock = threading.Lock()
-
-    def build(shard: list[str]):
-        ds = read_sequences(shard)
-        ds = ds.map_batches(
-            split_long_rows,
-            batch_format="pyarrow",
-            fn_kwargs={"max_chunk_tokens": max_chunk_tokens},
-        )
-        if compressor_actors:
-            return ds.map_batches(
-                RollupStage,
-                fn_constructor_kwargs={"num_parts": num_parts, "store_tokens": store_tokens},
-                concurrency=compressor_actors,
-                batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size,
-            )
-        return ds.map_batches(
-            stage, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
-        )
-
-    def execute(sid: int, shard: list[str], ds) -> None:
-        t0 = time.perf_counter()
-        out_shard = mf.shard_dir(out_dir, sid)
-        # hive-partition by tier inside each shard so the retention ladder
-        # can age out a whole tier with a directory delete (state/retention)
-        ds.write_parquet(out_shard, partition_cols=["tier"])
-        counts = counts_fut.result()
-        rows = sum(counts.get(os.path.normpath(f), (0, 0))[0] for f in shard)
-        tokens = sum(counts.get(os.path.normpath(f), (0, 0))[1] for f in shard)
-        with commit_lock:
-            mf.commit_shard(
-                out_dir, sid, shard, config, rows, tokens,
-                (time.perf_counter() - t0) * 1000.0,
-            )
-
-    def _stale(sid: int, shard: list[str]) -> bool:
-        """A committed shard whose input-file list changed (files appended
-        or resharded) must recompute — its manifest line no longer
-        describes the data it would produce."""
-        rec = committed.get(sid)
-        return rec is not None and rec.get("input_files") != sorted(shard)
-
-    todo = [(sid, shard) for sid, shard in enumerate(shards)
-            if shard and (sid not in committed or _stale(sid, shard))]
-    for sid, shard in todo:
-        if _stale(sid, shard):
-            import shutil as _sh
-
-            _sh.rmtree(mf.shard_dir(out_dir, sid), ignore_errors=True)
-    if max_shards is not None:
-        todo = todo[:max_shards]
-    # one tiny n_tok-column pass for commit metadata, overlapped with the
-    # shard executions (commits block on it only at commit time)
-    counts_pool = ThreadPoolExecutor(max_workers=1)
-    counts_fut = (counts_pool.submit(
-        _input_counts, [f for _, s in todo for f in s], max_chunk_tokens)
-        if todo else None)
-    # Overlap shard executions (each is an independent streaming Dataset
-    # run; Ray shares the CPU pool) so one shard's read fills another's
-    # compute gap.  Plans are BUILT serially (lazy, cheap — avoids
-    # concurrent lazy-import races in filesystem resolution) and EXECUTED
-    # concurrently.  Checkpoint semantics unchanged: a shard commits only
-    # after its write fully completes.
-    plans = [(sid, shard, build(shard)) for sid, shard in todo]
-    workers = _shard_workers(len(plans))
-    if len(plans) == 1 or workers == 1:
-        for p in plans:
-            execute(*p)
-    elif plans:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(execute, *p) for p in plans]
-            for f in futs:
-                f.result()
-    return {
-        "out_dir": out_dir,
-        "committed": len(mf.load_committed(out_dir)),
-        "num_shards": len(shards),
-        "fingerprint": mf.manifest_fingerprint(out_dir),
+    writer = {
+        "stage": _SplitRollup,
+        "stage_kwargs": {"num_parts": num_parts, "store_tokens": store_tokens,
+                         "max_chunk_tokens": max_chunk_tokens, "batch_size": batch_size},
+        "batch_size": batch_size,
+        "partition_cols": ("tier",),
     }
+    with mf.AttemptLock(out_dir):
+        return _run_sharded(out_dir, shards, config, resume, max_shards, writer,
+                            None, record_tokens=True)
 
 
 def run_features(
@@ -225,89 +269,30 @@ def run_features(
     batch_size: int = 256,
     concurrency: int | None = None,
 ) -> dict:
-    """Per-series feature extraction.  Heavy kernel packs (GP / model fits)
-    run the stage as an actor pool (``concurrency``) so per-actor setup is
-    amortized; cheap/medium packs run as stateless tasks.
+    """Per-series feature extraction -> ``shard=K/*.parquet``, every
+    uncommitted shard in one streaming execution with per-shard commits
+    (rows = feature rows; tokens recorded as 0).  Heavy kernel packs (GP /
+    model fits) run the stage as an actor pool (``concurrency``) so
+    per-actor setup is amortized; cheap/medium packs run as stateless
+    tasks.
 
-    ``batch_size`` 256 amortizes per-task scheduling over the ~ms/row
-    kernels (64 -> 256 measured 18.6s -> ~14s at sf0.1/32cpus) while
-    keeping worst-case batches tens of MB; drop it for HEAVY packs
-    (seconds/row — small batches keep the pool load-balanced)."""
+    ``batch_size`` caps the rows per ``FeatureStage`` call, keeping
+    worst-case batches tens of MB; tasks are whole read blocks."""
     files = list_parquet_files(input_dir)
     shards = shard_files(files, num_shards)
     config = {"job": "features", "groups": sorted(groups) if groups else None, "max_cost": max_cost}
-    lock = mf.AttemptLock(out_dir).acquire()
-    try:
-        return _run_features_locked(
-            out_dir, shards, config, resume, batch_size, groups, max_cost, concurrency,
-        )
-    finally:
-        lock.release()
+    writer = {"stage": FeatureStage, "stage_kwargs": {"groups": groups, "max_cost": max_cost},
+              "batch_size": batch_size}
+    if concurrency is None and max_cost == "heavy":
+        # heavy packs (GP / model fits) -> actor pool: per-actor setup
+        # (kernel plan, sim tables) happens once per worker; size the
+        # pool to the cluster, leaving headroom for read tasks
+        import ray as _ray
 
-
-def _run_features_locked(out_dir, shards, config, resume, batch_size, groups, max_cost, concurrency):
-    if resume:
-        mf.clean_uncommitted(out_dir, len(shards))
-    committed = mf.load_committed(out_dir) if resume else {}
-
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
-
-    commit_lock = threading.Lock()
-
-    def build(shard: list[str]):
-        ds = read_sequences(shard)
-        kwargs: dict = {"batch_format": "pyarrow", "zero_copy_batch": True, "batch_size": batch_size}
-        if concurrency or max_cost == "heavy":
-            # heavy packs (GP / model fits) -> actor pool: per-actor setup
-            # (kernel plan, sim tables) happens once per worker; size the
-            # pool to the cluster, leaving headroom for read/write tasks
-            if concurrency:
-                kwargs["concurrency"] = concurrency
-            else:
-                import ray as _ray
-
-                ncpu = int(_ray.cluster_resources().get("CPU", 8))
-                kwargs["concurrency"] = max(4, ncpu - 4)
-            return ds.map_batches(
-                FeatureStage, fn_constructor_kwargs={"groups": groups, "max_cost": max_cost}, **kwargs
-            )
-        return ds.map_batches(FeatureStage(groups=groups, max_cost=max_cost), **kwargs)
-
-    def execute(sid: int, shard: list[str], ds) -> None:
-        t0 = time.perf_counter()
-        out_shard = mf.shard_dir(out_dir, sid)
-        ds.write_parquet(out_shard)
-        rows = pads.dataset(out_shard, format="parquet").count_rows()
-        with commit_lock:
-            mf.commit_shard(out_dir, sid, shard, config, rows, 0,
-                            (time.perf_counter() - t0) * 1000.0)
-
-    def _stale(sid: int, shard: list[str]) -> bool:
-        rec = committed.get(sid)
-        return rec is not None and rec.get("input_files") != sorted(shard)
-
-    todo = [(sid, shard) for sid, shard in enumerate(shards)
-            if shard and (sid not in committed or _stale(sid, shard))]
-    for sid, shard in todo:
-        if _stale(sid, shard):
-            import shutil as _sh
-
-            _sh.rmtree(mf.shard_dir(out_dir, sid), ignore_errors=True)
-    plans = [(sid, shard, build(shard)) for sid, shard in todo]
-    workers = _shard_workers(len(plans))
-    if len(plans) == 1 or workers == 1:
-        for p in plans:
-            execute(*p)
-    elif plans:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for f in [pool.submit(execute, *p) for p in plans]:
-                f.result()
-    return {
-        "out_dir": out_dir,
-        "committed": len(mf.load_committed(out_dir)),
-        "fingerprint": mf.manifest_fingerprint(out_dir),
-    }
+        concurrency = max(4, int(_ray.cluster_resources().get("CPU", 8)) - 4)
+    with mf.AttemptLock(out_dir):
+        return _run_sharded(out_dir, shards, config, resume, None, writer,
+                            concurrency, record_tokens=False)
 
 
 # ------------------------------------------------------- cross-series rollup

@@ -101,6 +101,19 @@ def _user_days(batch: pa.Table) -> np.ndarray:
     return np.unique(np.stack([users, days], axis=1), axis=0)
 
 
+def _user_day_rows(sf_dir: str):
+    """The events as per-batch distinct (user_id, day) rows: one row per
+    active user-day and touching batch, never one per event."""
+
+    def user_days(batch: pa.Table) -> pa.Table:
+        pairs = _user_days(batch)
+        return pa.table({"user_id": pa.array(pairs[:, 0], pa.int64()),
+                         "day": pa.array(pairs[:, 1], pa.int64())})
+
+    return _read(sf_dir, "events", ["user_id", "ts"]).map_batches(
+        user_days, batch_format="pyarrow")
+
+
 # ------------------------------------------------------ span-partial engine
 #
 # Every keyed event operator that needs each key's events in time order
@@ -834,16 +847,9 @@ def q_events_retention_cohorts(sf_dir: str) -> pd.DataFrame:
     10^9-event bot still contributes <= #days rows) emits (cohort,
     offset) pairs -> a bounded-domain (cohort x offset) count groupby.
     All integers, hash-exact at every scale."""
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-
-    def user_days(batch: pa.Table) -> pa.Table:
-        pairs = _user_days(batch)
-        return pa.table({"user_id": pa.array(pairs[:, 0], pa.int64()),
-                         "day": pa.array(pairs[:, 1], pa.int64())})
-
     # rows bounded by active days x touching batches, never events
-    pairs = _map_sorted_groups(ds.map_batches(user_days, batch_format="pyarrow"),
-                               ["user_id"], _cohort_user, order=("day",))
+    pairs = _map_sorted_groups(_user_day_rows(sf_dir), ["user_id"], _cohort_user,
+                               order=("day",))
 
     def count_cells(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -909,36 +915,50 @@ def q_events_interarrival(sf_dir: str, span_hours: int = _SPAN_HOURS) -> pd.Data
     return out.sort_values("event_type").reset_index(drop=True)
 
 
+def _wau_runs(window_days: int):
+    """Segment kernel over day-sorted (user, day) rows: each active day
+    covers windows ``[day, day + window_days)``, and a user's covers merge
+    into runs — a run starts at the user's first day and wherever the gap
+    to the previous active day is >= window_days (a day repeated by
+    several batches never starts one).  The block's runs become
+    per-window-day user counts by a +1/-1 difference array and one cumsum
+    over the block's window-day range."""
+
+    def kernel(block: pa.Table, starts: np.ndarray) -> pa.Table:
+        day, = _cols(block, "day")
+        if not day.size:
+            return pa.table({"window_day": pa.array([], pa.int64()),
+                             "n": pa.array([], pa.int64())})
+        new = np.zeros(day.size, dtype=bool)
+        new[starts] = True
+        new[1:] |= np.diff(day) >= window_days
+        run = np.flatnonzero(new)
+        lo = int(day.min())
+        begin = day[run] - lo
+        end = np.append(day[run[1:] - 1], day[-1]) + window_days - lo
+        width = int(end.max())
+        counts = np.cumsum(np.bincount(begin, minlength=width + 1)
+                           - np.bincount(end, minlength=width + 1))[:width]
+        active = np.flatnonzero(counts)
+        return pa.table({"window_day": pa.array(active + lo, pa.int64()),
+                         "n": pa.array(counts[active], pa.int64())})
+
+    return kernel
+
+
 def q_events_wau(sf_dir: str, window_days: int = 7) -> pd.DataFrame:
     """Rolling weekly-active-users: distinct users in the 7-day window
     ending each day — the sliding-distinct rollup (WAU/MAU) shape.
 
-    Exact: per-batch distinct (user, day) combiner, map-side replication
-    of each user-day into its ``window_days`` covering windows (the
-    hopping-window trick applied to a DISTINCT count), then one
-    (window, user) distinct pass collapsed per window.  Shuffle volume =
-    window_days x active user-days — never events."""
-    from ray.data.aggregate import Count
-
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-
-    def user_day_windows(batch: pa.Table) -> pa.Table:
-        pairs = _user_days(batch)
-        k = np.arange(window_days, dtype=np.int64)
-        wins = (pairs[:, 1][:, None] + k[None, :]).ravel()
-        users = np.repeat(pairs[:, 0], window_days)
-        return pa.table({"window_day": pa.array(wins, pa.int64()),
-                         "user_id": pa.array(users, pa.int64())})
-
-    counts = (
-        ds.map_batches(user_day_windows, batch_format="pyarrow")
-        .groupby(["window_day", "user_id"])
-        .aggregate(Count())          # global distinct (window, user)
-        .groupby("window_day")
-        .aggregate(Count())
-        .to_pandas()
-    )
-    out = counts.rename(columns={"count()": "wau"})
+    Exact: per-batch distinct (user, day) combiner, one sort by user, and
+    per user its active days merged into runs of covered windows
+    (:func:`_wau_runs`); each block emits per-window-day counts over its
+    bounded day range, summed per window day on the driver.  Cost is
+    proportional to active user-days, not ``window_days`` times that."""
+    partials = _map_sorted_groups(_user_day_rows(sf_dir), ["user_id"],
+                                  _wau_runs(window_days), order=("day",)).to_pandas()
+    out = partials.groupby("window_day", as_index=False)["n"].sum()
+    out = out.rename(columns={"n": "wau"})
     out["wau"] = out["wau"].astype("int64")
     return out.sort_values("window_day").reset_index(drop=True)
 

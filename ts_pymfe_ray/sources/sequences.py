@@ -24,6 +24,14 @@ def shard_files(files: list[str], num_shards: int) -> list[list[str]]:
     return [files[i::num_shards] for i in range(num_shards)]
 
 
+def _default_num_blocks(paths: str | list[str]) -> int:
+    import ray
+
+    ncpu = int(ray.cluster_resources().get("CPU", 8))
+    nfiles = len(paths) if isinstance(paths, list) else 1
+    return max(nfiles, 3 * ncpu)
+
+
 def read_sequences(
     paths: str | list[str],
     columns: list[str] | None = None,
@@ -39,11 +47,16 @@ def read_sequences(
     override is unnecessary — pass None to let Ray Data decide.
     """
     if num_blocks is None:
-        import ray
-
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        nfiles = len(paths) if isinstance(paths, list) else 1
-        num_blocks = max(nfiles, 3 * ncpu)
+        num_blocks = _default_num_blocks(paths)
     return ray.data.read_parquet(
         paths, columns=columns or SEQ_COLUMNS, override_num_blocks=num_blocks
+    )
+
+
+def read_sequences_with_paths(files: list[str]) -> ray.data.Dataset:
+    """:func:`read_sequences` of ``files`` plus a ``path`` column naming
+    each row's source file — a sharded job takes a row's shard from it."""
+    return ray.data.read_parquet(
+        files, columns=SEQ_COLUMNS, include_paths=True,
+        override_num_blocks=_default_num_blocks(files),
     )

@@ -4,8 +4,8 @@ The full kernel registry evaluates ~150 features per row with per-row
 Python dispatch (ms/row).  This stage computes the sketch-DERIVABLE subset
 — whole-series and first-difference moments, lag-1 autocorrelation,
 extrema, mean-crossing fraction — with the SAME vectorized machinery as
-the tier rollup: one sketch per row + one batched derive pass, ~tens of
-microseconds per row.  At 10^12 sequences this is the feature pass you can
+the tier rollup: two batch-wide sketch passes + one batched derive pass,
+~tens of microseconds per row.  At 10^12 sequences this is the feature pass you can
 afford on every row; the full registry runs on samples or behind the
 medium/heavy packs.
 """
@@ -28,38 +28,62 @@ FAST_FEATURES = (
 
 
 class FastFeatureStage:
+    """Whole-row and first-difference sketches of every row of a batch in
+    two ``compute_window_sketches_at`` calls, the batch-wide shape of
+    ``rollup.sketch_ladder``: rows gap-fill into one flat buffer and each
+    row is one window, with row barriers zeroing the cross-row products —
+    bitwise identical to one sketch call per row.  The difference windows
+    run over the flat first differences with each row's first position
+    dropped.  A zero-length row reads ``length`` 0 and NaN elsewhere; a
+    one-token row has NaN difference features."""
+
     def __init__(self, num_parts: int = 64):
         self.num_parts = num_parts
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        views, _, _ = tokens_views(batch)
+        views, t_off, _ = tokens_views(batch)
         doc_ids = batch.column("doc_id").to_pylist()
         n = len(views)
-        whole = np.empty((n, sk.N_FIELDS))
-        diffs = np.empty((n, sk.N_FIELDS))
-        part_ids = np.empty(n, dtype=np.int32)
+        off = (t_off - t_off[0]).astype(np.int64) if n else np.zeros(1, np.int64)
+        lens = np.diff(off)
+        x = np.empty(int(off[-1]))
         for i, tok in enumerate(views):
-            x = gap_fill(tok)
-            whole[i] = sk.compute_window_sketches(x, max(1, x.size))[0]
-            d = np.diff(x)
-            if d.size:
-                diffs[i] = sk.compute_window_sketches(d, d.size)[0]
-            else:
-                diffs[i] = np.nan
-            part_ids[i] = stable_hash64(doc_ids[i]) % self.num_parts
+            gap_fill(tok, out=x[off[i] : off[i + 1]])
+        whole = _row_sketches(x, off)
+        # first differences inside each row: every flat position but a
+        # row's first, minus its predecessor (np.diff's subtraction)
+        keep = np.ones(x.size, dtype=bool)
+        keep[off[:-1][lens > 0]] = False
+        pos = np.flatnonzero(keep)
+        d_off = np.concatenate([[0], np.cumsum(np.maximum(lens - 1, 0))])
+        diffs = _row_sketches(x[pos] - x[pos - 1], d_off)
+        part_ids = np.fromiter((stable_hash64(d) % self.num_parts for d in doc_ids),
+                               dtype=np.int32, count=n)
         fw = sk.derive_features(whole)
         fd = sk.derive_features(diffs)
         cols: dict[str, object] = {
             "doc_id": batch.column("doc_id"),
             "source": batch.column("source"),
             "part_id": pa.array(part_ids),
-            "length": pa.array(fw["count"], pa.float64()),
+            "length": pa.array(lens.astype(np.float64), pa.float64()),
         }
         for name in ("mean", "var", "sd", "skewness", "kurtosis", "acf1", "vmin", "vmax", "vrange"):
             cols[name] = pa.array(fw[name], pa.float64())
         for name in ("mean", "var", "sd", "skewness", "kurtosis", "acf1"):
             cols[f"diff_{name}"] = pa.array(fd[name], pa.float64())
         return pa.table(cols)
+
+
+def _row_sketches(x: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """One sketch per row of the flat ``x`` (row ``i`` is
+    ``x[off[i]:off[i+1]]``); NaN for an empty row."""
+    out = np.full((off.size - 1, sk.N_FIELDS), np.nan)
+    rows = np.flatnonzero(np.diff(off) > 0)
+    if rows.size:
+        b = off[1:-1] - 1
+        out[rows] = sk.compute_window_sketches_at(
+            x, off[rows], off[rows + 1], barriers=b[b >= 0])
+    return out
 
 
 def run_fast_features(input_dir: str, out_dir: str | None = None):

@@ -1,9 +1,10 @@
 """Shard manifest: exact checkpoint/resume + per-partition lineage/metrics.
 
 Unit of work = an input-file shard (``files[i::num_shards]`` of the source
-parquet listing).  Each shard is processed by one streaming Dataset
-execution and written under ``out_dir/shard=<id>/``; only after the write
-completes is a manifest line appended (atomic append of one JSON line).  On
+parquet listing), written under ``out_dir/shard=<id>/``; only after every
+row of the shard is written is a manifest line appended (atomic append of
+one JSON line).  A job runs all its shards in one streaming execution
+and commits each as it completes (``pipelines/flagship._run_sharded``).  On
 resume, committed shards are skipped and stale partial output directories
 of uncommitted shards are removed first — re-running a partially-failed job
 reproduces byte-identical manifests (FIXTURES.md §3 invariant 4).
