@@ -20,9 +20,28 @@ import os
 from collections.abc import Callable
 from typing import Any
 
-# bumped per round: resume manifests fingerprint input+config but not
-# code, so a fresh root guarantees driver outputs reflect current code
-_OUT_ROOT = "/tmp/ts_pymfe_ray_entry_r2"
+
+def _out_root(base: str) -> str:
+    """The entries' output root for the checkout at ``base``, keyed by a
+    digest of its package sources and this file: resume manifests
+    fingerprint input+config but not code, so an edited checkout never
+    resumes over tiers or features an earlier one wrote."""
+    import glob
+    import hashlib
+
+    h = hashlib.sha256()
+    files = glob.glob(os.path.join(base, "ts_pymfe_ray", "**", "*.py"), recursive=True)
+    for path in sorted([*files, os.path.join(base, "__ray_entry__.py")]):
+        h.update(os.path.relpath(path, base).encode())
+        with open(path, "rb") as f:
+            h.update(hashlib.sha256(f.read()).digest())
+    return f"/tmp/ts_pymfe_ray_entry_{h.hexdigest()[:16]}"
+
+
+def _out(name: str) -> str:
+    """``name`` under this checkout's entry output root."""
+    return os.path.join(_out_root(os.path.dirname(os.path.abspath(__file__))), name)
+
 
 # the engine's text-quality stopword list, quoted for SQL IN (...)
 _STOP_SQL = ", ".join(
@@ -191,7 +210,7 @@ def entry() -> Any:
     from ts_pymfe_ray.synth import ensure_sequences
 
     seq_dir = ensure_sequences(0.001)
-    out = os.path.join(_OUT_ROOT, "tiers_sf0.001")
+    out = _out("tiers_sf0.001")
     flagship.run_rollup(seq_dir, out, num_shards=4)
     ds = pads.dataset(out, format="parquet", partitioning="hive",
                       ignore_prefixes=[".", "_", "manifest"])
@@ -217,7 +236,7 @@ def _q_seq_tier_rollup(sf_dir: str):
 
     seq_dir = ensure_sequences_for_dir(sf_dir)
     tag = os.path.basename(os.path.normpath(seq_dir))
-    out = os.path.join(_OUT_ROOT, f"tiers_{tag}")
+    out = _out(f"tiers_{tag}")
     flagship.run_rollup(seq_dir, out, num_shards=8)
     ds = pads.dataset(out, format="parquet", partitioning="hive",
                       ignore_prefixes=[".", "_", "manifest"])
@@ -243,7 +262,7 @@ def _q_seq_features(sf_dir: str):
 
     seq_dir = ensure_sequences_for_dir(sf_dir)
     tag = os.path.basename(os.path.normpath(seq_dir))
-    out = os.path.join(_OUT_ROOT, f"features_{tag}")
+    out = _out(f"features_{tag}")
     flagship.run_features(
         seq_dir, out, groups=("general", "global_stats", "autocorr"),
         max_cost="medium", num_shards=4,
@@ -271,7 +290,7 @@ def _q_seq_features_heavy(sf_dir: str):
     seq_dir = ensure_sequences(sf)
     # heavy kernels cost ~3.5 s/series: cap to a deterministic 64-doc
     # subset (first doc_ids in sorted order) for a bounded driver run
-    sub_dir = os.path.join(_OUT_ROOT, f"seq_heavy_input_sf{sf:g}")
+    sub_dir = _out(f"seq_heavy_input_sf{sf:g}")
     if not os.path.exists(os.path.join(sub_dir, "_SUCCESS")):
         os.makedirs(sub_dir, exist_ok=True)
         df = pads.dataset(seq_dir, format="parquet",
@@ -282,7 +301,7 @@ def _q_seq_features_heavy(sf_dir: str):
                        os.path.join(sub_dir, "part-00000.parquet"))
         with open(os.path.join(sub_dir, "_SUCCESS"), "w") as f:
             f.write("ok")
-    out = os.path.join(_OUT_ROOT, f"features_heavy_sf{sf:g}")
+    out = _out(f"features_heavy_sf{sf:g}")
     flagship.run_features(
         sub_dir, out, groups=("landmarking", "model_based", "stat_tests"),
         max_cost="heavy", num_shards=2, batch_size=4,
@@ -530,7 +549,7 @@ def _q_seq_tier_diagnostics(sf_dir: str):
 
     seq_dir = ensure_sequences_for_dir(sf_dir)
     tag = os.path.basename(os.path.normpath(seq_dir))
-    out = os.path.join(_OUT_ROOT, f"tiers_{tag}")
+    out = _out(f"tiers_{tag}")
     flagship.run_rollup(seq_dir, out, num_shards=8)
     return tier_diagnostics(out, tier="10x")
 
@@ -547,7 +566,7 @@ def _q_seq_tier_diagnostics_nogap(sf_dir: str):
 
     seq_dir = ensure_sequences_for_dir(sf_dir)
     tag = os.path.basename(os.path.normpath(seq_dir))
-    out = os.path.join(_OUT_ROOT, f"tiers_{tag}")
+    out = _out(f"tiers_{tag}")
     flagship.run_rollup(seq_dir, out, num_shards=8)
     return tier_diagnostics(out, tier="10x", gap_free=True)
 

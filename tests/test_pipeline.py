@@ -1223,3 +1223,56 @@ def test_wau_runs_match_twin(ray_session, tmp_path_factory, check_oracle, case):
                        f"{d}/events.parquet/part-{k}.parquet")
     _assert_twin(check_oracle, "events_wau", e.queries()["events_wau"](d),
                  f"{d}/events.parquet/*.parquet")
+
+
+@pytest.fixture(scope="module")
+def null_value_dir(tmp_path_factory):
+    """Six events, one NULL value among three clicks of one hour and a
+    lone signup whose only value is NULL."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    m = 60 * 1_000_000
+    t0 = np.datetime64("2024-01-01T10:00:00", "us").astype("int64")
+    off = np.array([0, 5, 9, 70, 130, 200], dtype=np.int64) * m
+    tbl = pa.table({
+        "event_id": pa.array(np.arange(6), pa.int64()),
+        "ts": pa.array((t0 + off).view("datetime64[us]")),
+        "user_id": pa.array([1, 2, 1, 3, 2, 1], pa.int64()),
+        "event_type": pa.array(["click", "click", "click", "view", "signup", "view"]),
+        "value": pa.array([1.25, None, 2.5, 4.0, None, 0.75], pa.float64()),
+    })
+    d = str(tmp_path_factory.mktemp("null_value"))
+    pq.write_table(tbl, f"{d}/events.parquet")
+    return d
+
+
+@pytest.mark.parametrize("name", ["events_window_rollup", "events_hopping_window",
+                                  "events_daily_extremes"])
+def test_null_value_grouped_stats_match_twins(ray_session, null_value_dir, check_oracle, name):
+    """A NULL value counts as a row and adds nothing to a sum: every
+    grouped_stats events entry equals its DuckDB twin (the exact-cents
+    cast once turned the NULL into INT64_MIN cents)."""
+    import __ray_entry__ as e
+
+    d = null_value_dir
+    _assert_twin(check_oracle, name, e.queries()[name](d), f"{d}/events.parquet")
+
+
+def test_out_root_follows_the_package_sources(tmp_path):
+    """The entries' output root is keyed by the package sources: a copy of
+    the checkout gets the same root, and editing one package file moves
+    it, so a tier written by other code is never resumed."""
+    import shutil
+
+    import __ray_entry__ as e
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    shutil.copytree(os.path.join(root, "ts_pymfe_ray"), tmp_path / "ts_pymfe_ray",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(os.path.join(root, "__ray_entry__.py"), tmp_path)
+    here = os.path.dirname(e._out("tiers"))
+    assert e._out_root(str(tmp_path)) == here == e._out_root(root)
+    edited = tmp_path / "ts_pymfe_ray" / "pipelines" / "combine.py"
+    edited.write_text(edited.read_text() + "\n# edited\n")
+    assert e._out_root(str(tmp_path)) != here

@@ -11,10 +11,14 @@ Usage: python tools/profile_features.py [rows] [--heavy] [--groups g1,g2]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
 import numpy as np
+
+# this checkout first, so the script profiles the code next to it
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from ts_pymfe_ray.functions.gapfill import gap_fill
 from ts_pymfe_ray.registry import SeriesCtx, kernels_of, summarize_array

@@ -2,10 +2,12 @@
 
 Every query here has a DuckDB-checkable ANSI-SQL twin (__ray_entry__'s
 oracle_sql); column names match exactly.  Aggregates follow the engine's
-scale rules: combiner-style partial aggregation inside map_batches, one
-small groupby over pre-aggregated rows, broadcast lookups for small join
-sides, column-pruned reads.  Float aggregates are rounded (ROUND6) on both
-sides so the driver's value-hash is stable across summation orders.
+scale rules: grouped aggregates run on the one two-stage combiner of
+``pipelines/combine.py`` (an Arrow partial aggregate per batch, one Arrow
+merge of the partial rows on the driver), broadcast lookups for small
+join sides, column-pruned reads.  Float aggregates are rounded (ROUND6)
+on both sides so the driver's value-hash is stable across summation
+orders.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import ray.data
 
 from ts_pymfe_ray.functions import sketch as sk
 from ts_pymfe_ray.functions.rounding import round_ha
+from ts_pymfe_ray.pipelines.combine import combine, nan_to_null
 
 ROUND = 6
 
@@ -33,6 +36,12 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> ray.data
 # ---------------------------------------------------------------- helpers
 
 
+def _units(x, scale: int) -> pa.ChunkedArray:
+    """``x * scale`` rounded half-even to int64: the exact-units recipe for
+    2dp/4dp-granular float columns.  A NULL or NaN reads NULL."""
+    return pc.cast(pc.round(pc.multiply(nan_to_null(x), scale)), pa.int64())
+
+
 def grouped_stats(
     ds: ray.data.Dataset,
     keys: list[str],
@@ -41,48 +50,36 @@ def grouped_stats(
     sum_decimals: int = ROUND,
     cents: bool = False,
 ) -> pd.DataFrame:
-    """Partial+final grouped (count, sum, min, max, mean): combiner inside
-    map_batches, then a pandas merge of the (tiny) partial rows.
+    """Grouped (count, sum, min, max, mean) through :func:`combine`.
 
     ``cents=True`` is the exactness recipe for 2dp-granular value columns
     (the events stream): sums accumulate as EXACT int64 hundredths, so the
     merged sum is association-order-free and the derived sum/mean are the
     same IEEE doubles on the engine and DuckDB side regardless of scale —
     plain float sums hit the 6dp rounding half boundary at sf0.1+ (e.g. a
-    2dp mean over a 16-multiple count ends exactly in ...0625)."""
+    2dp mean over a 16-multiple count ends exactly in ...0625).  The count
+    is the twins' ``COUNT(*)``; a NULL value adds nothing to the sum."""
     pref = out_prefix or value_col
+    unit_col = "_units" if cents else value_col
 
-    def combiner(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if cents:
-            df = df.assign(
-                _c=np.round(df[value_col].to_numpy() * 100).astype(np.int64))
-            g = df.groupby(keys, observed=True).agg(
-                count=(value_col, "size"), sum=("_c", "sum"),
-                min=(value_col, "min"), max=(value_col, "max")).reset_index()
-        else:
-            g = df.groupby(keys, observed=True)[value_col].agg(
-                ["count", "sum", "min", "max"]).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def units(batch: pa.Table) -> pa.Table:
+        return batch.append_column("_units", _units(batch.column(value_col), 100))
 
-    partials = ds.map_batches(combiner, batch_format="pyarrow").to_pandas()
-    g = partials.groupby(keys).agg(
-        cnt=("count", "sum"), s=("sum", "sum"), mn=("min", "min"), mx=("max", "max")
-    ).reset_index()
+    g = combine(ds, keys, {"n": (value_col, "size"), "nv": (value_col, "count"),
+                           "s": (unit_col, "sum"), "mn": (value_col, "min"),
+                           "mx": (value_col, "max")},
+                units if cents else None).to_pandas()
     out = g[keys].copy()
-    out[f"{pref}_count"] = g["cnt"].astype("int64")
+    out[f"{pref}_count"] = g["n"]
     # float64 + DuckDB-identical rounding so the driver hash matches the
-    # oracle's ROUND(...) doubles even for integer value columns
-    if cents:
-        s = g["s"].to_numpy().astype(np.float64) / 100.0
-        out[f"{pref}_sum"] = round_ha(s, sum_decimals)
-        out[f"{pref}_mean"] = round_ha(s / g["cnt"].to_numpy())
-    else:
-        out[f"{pref}_sum"] = round_ha(g["s"].to_numpy(), sum_decimals)
-        out[f"{pref}_mean"] = round_ha((g["s"] / g["cnt"]).to_numpy())
-    out[f"{pref}_min"] = round_ha(g["mn"].to_numpy())
-    out[f"{pref}_max"] = round_ha(g["mx"].to_numpy())
-    return out.sort_values(keys).reset_index(drop=True)
+    # oracle's ROUND(...) doubles even for integer value columns; the
+    # exact-cents twins divide by COUNT(*), the plain ones take AVG
+    s = g["s"].to_numpy(np.float64) / (100.0 if cents else 1.0)
+    out[f"{pref}_sum"] = round_ha(s, sum_decimals)
+    out[f"{pref}_mean"] = round_ha(s / g["n" if cents else "nv"].to_numpy())
+    out[f"{pref}_min"] = round_ha(g["mn"])
+    out[f"{pref}_max"] = round_ha(g["mx"])
+    return out
 
 
 _HOUR_US = 3600 * 1_000_000
@@ -373,45 +370,29 @@ def q_events_acf1(sf_dir: str, span_hours: int = _SPAN_HOURS) -> pd.DataFrame:
 
 def q_lineitem_pricing(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q1-style pricing summary (grouped mergeable aggregates)."""
-    ds = _read(
-        sf_dir, "lineitem",
-        ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
-    )
+    keys = ["l_returnflag", "l_linestatus"]
+    ds = _read(sf_dir, "lineitem", keys + ["l_quantity", "l_extendedprice", "l_discount"])
 
-    def combiner(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
+    def units(batch: pa.Table) -> pa.Table:
         # exact integer units (the cents recipe): base price is 2dp, the
         # discounted product is 4dp-granular — integer sums are
         # association-order-free, so the merged stats are the same doubles
         # on both sides at every scale (a 4dp disc-price sum can land
         # EXACTLY on the 2dp rounding half)
-        df["_bp"] = np.round(df["l_extendedprice"].to_numpy() * 100).astype(np.int64)
-        df["_dp"] = np.round(
-            (df["l_extendedprice"].to_numpy()
-             * (1 - df["l_discount"].to_numpy())) * 10000).astype(np.int64)
-        g = df.groupby(["l_returnflag", "l_linestatus"]).agg(
-            sum_qty=("l_quantity", "sum"),
-            sum_base_price=("_bp", "sum"),
-            sum_disc_price=("_dp", "sum"),
-            cnt=("l_quantity", "size"),
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        price = batch.column("l_extendedprice")
+        disc = pc.multiply(price, pc.subtract(1, batch.column("l_discount")))
+        return batch.append_column("bp", _units(price, 100)).append_column(
+            "dp", _units(disc, 10000))
 
-    partials = ds.map_batches(combiner, batch_format="pyarrow").to_pandas()
-    g = partials.groupby(["l_returnflag", "l_linestatus"]).agg(
-        sum_qty=("sum_qty", "sum"),
-        sum_base_price=("sum_base_price", "sum"),
-        sum_disc_price=("sum_disc_price", "sum"),
-        cnt=("cnt", "sum"),
-    ).reset_index()
-    g["avg_qty"] = round_ha((g["sum_qty"] / g["cnt"]).to_numpy())
-    g["sum_qty"] = round_ha(g["sum_qty"].to_numpy(), 2)
-    g["sum_base_price"] = round_ha(
-        g["sum_base_price"].to_numpy().astype(np.float64) / 100.0, 2)
-    g["sum_disc_price"] = round_ha(
-        g["sum_disc_price"].to_numpy().astype(np.float64) / 10000.0, 2)
-    g["cnt"] = g["cnt"].astype("int64")
-    return g.sort_values(["l_returnflag", "l_linestatus"]).reset_index(drop=True)
+    g = combine(ds, keys, {
+        "sum_qty": ("l_quantity", "sum"), "sum_base_price": ("bp", "sum"),
+        "sum_disc_price": ("dp", "sum"), "cnt": ("l_quantity", "size"),
+    }, units).to_pandas()
+    g["avg_qty"] = round_ha(g["sum_qty"] / g["cnt"])
+    g["sum_qty"] = round_ha(g["sum_qty"], 2)
+    g["sum_base_price"] = round_ha(g["sum_base_price"] / 100.0, 2)
+    g["sum_disc_price"] = round_ha(g["sum_disc_price"] / 10000.0, 2)
+    return g
 
 
 def q_orders_by_mktsegment(sf_dir: str) -> pd.DataFrame:
@@ -428,21 +409,15 @@ def q_orders_by_mktsegment(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     def joiner(batch: pa.Table) -> pa.Table:
-        keys = batch.column("o_custkey").to_numpy()
-        seg = np.array([lookup.get(k, "UNKNOWN") for k in keys])
-        df = pd.DataFrame({"c_mktsegment": seg, "o_totalprice": batch.column("o_totalprice").to_numpy()})
-        g = df.groupby("c_mktsegment").agg(
-            revenue=("o_totalprice", "sum"), num_orders=("o_totalprice", "size")
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        seg = [lookup.get(k, "UNKNOWN") for k in batch.column("o_custkey").to_pylist()]
+        return pa.table({"c_mktsegment": pa.array(seg, pa.string()),
+                         "o_totalprice": batch.column("o_totalprice")})
 
-    partials = ds.map_batches(joiner, batch_format="pyarrow").to_pandas()
-    g = partials.groupby("c_mktsegment").agg(
-        revenue=("revenue", "sum"), num_orders=("num_orders", "sum")
-    ).reset_index()
-    g["revenue"] = round_ha(g["revenue"].to_numpy(), 2)
-    g["num_orders"] = g["num_orders"].astype("int64")
-    return g.sort_values("c_mktsegment").reset_index(drop=True)
+    g = combine(ds, ["c_mktsegment"], {"revenue": ("o_totalprice", "sum"),
+                                       "num_orders": ("o_totalprice", "size")},
+                joiner).to_pandas()
+    g["revenue"] = round_ha(g["revenue"], 2)
+    return g
 
 
 def q_documents_stats(sf_dir: str) -> pd.DataFrame:
@@ -455,21 +430,13 @@ def q_documents_token_count(sf_dir: str) -> pd.DataFrame:
     semantics = split on single space, matching SQL string_split."""
     ds = _read(sf_dir, "documents", ["lang", "text"])
 
-    def combiner(batch: pa.Table) -> pa.Table:
-        langs = batch.column("lang").to_pylist()
+    def ntok(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
-        ntok = np.array([len(t.split(" ")) for t in texts], dtype=np.int64)
-        df = pd.DataFrame({"lang": langs, "ntok": ntok})
-        g = df.groupby("lang").agg(total_tokens=("ntok", "sum"), n_docs=("ntok", "size")).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.table({"lang": batch.column("lang"),
+                         "ntok": pa.array([len(t.split(" ")) for t in texts], pa.int64())})
 
-    partials = ds.map_batches(combiner, batch_format="pyarrow").to_pandas()
-    g = partials.groupby("lang").agg(
-        total_tokens=("total_tokens", "sum"), n_docs=("n_docs", "sum")
-    ).reset_index()
-    g["total_tokens"] = g["total_tokens"].astype("int64")
-    g["n_docs"] = g["n_docs"].astype("int64")
-    return g.sort_values("lang").reset_index(drop=True)
+    return combine(ds, ["lang"], {"total_tokens": ("ntok", "sum"),
+                                  "n_docs": ("ntok", "size")}, ntok).to_pandas()
 
 
 def q_dedup_exact(sf_dir: str) -> pd.DataFrame:
@@ -652,20 +619,11 @@ def q_events_hopping_window(sf_dir: str, width_hours: int = 2,
 
     def explode(batch: pa.Table) -> pa.Table:
         ts = _ts_us(batch.column("ts")).to_numpy()
-        et = batch.column("event_type").to_pylist()
-        val = batch.column("value").to_numpy()
         base = ts // hop_us  # last window whose span contains the event
-        n = ts.size
-        k = np.arange(overlap, dtype=np.int64)
-        wins = (base[:, None] - k[None, :]).ravel()
-        return pa.table(
-            {
-                "event_type": pa.array(np.repeat(np.array(et, dtype=object), overlap),
-                                       pa.string()),
-                "window_id": pa.array(wins, pa.int64()),
-                "value": pa.array(np.repeat(val, overlap), pa.float64()),
-            }
-        )
+        wins = (base[:, None] - np.arange(overlap, dtype=np.int64)).ravel()
+        rows = np.repeat(np.arange(ts.size), overlap)
+        return batch.select(["event_type", "value"]).take(rows).append_column(
+            "window_id", pa.array(wins, pa.int64()))
 
     ds = ds.map_batches(explode, batch_format="pyarrow")
     return grouped_stats(ds, ["event_type", "window_id"], "value",
@@ -793,21 +751,15 @@ def q_customers_per_region(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "customer", ["c_nationkey", "c_acctbal"])
 
     def joiner(batch: pa.Table) -> pa.Table:
-        nk = batch.column("c_nationkey").to_numpy()
-        rname = np.array([r2name.get(n2r.get(int(k), -1), "UNKNOWN") for k in nk])
-        df = pd.DataFrame({"r_name": rname, "bal": batch.column("c_acctbal").to_numpy()})
-        g = df.groupby("r_name").agg(
-            num_customers=("bal", "size"), total_acctbal=("bal", "sum")
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        rname = [r2name.get(n2r.get(k, -1), "UNKNOWN")
+                 for k in batch.column("c_nationkey").to_pylist()]
+        return pa.table({"r_name": pa.array(rname, pa.string()),
+                         "bal": batch.column("c_acctbal")})
 
-    partials = ds.map_batches(joiner, batch_format="pyarrow").to_pandas()
-    g = partials.groupby("r_name").agg(
-        num_customers=("num_customers", "sum"), total_acctbal=("total_acctbal", "sum")
-    ).reset_index()
-    g["num_customers"] = g["num_customers"].astype("int64")
-    g["total_acctbal"] = round_ha(g["total_acctbal"].to_numpy(), 2)
-    return g.sort_values("r_name").reset_index(drop=True)
+    g = combine(ds, ["r_name"], {"num_customers": ("bal", "size"),
+                                 "total_acctbal": ("bal", "sum")}, joiner).to_pandas()
+    g["total_acctbal"] = round_ha(g["total_acctbal"], 2)
+    return g
 
 
 def q_orders_monthly(sf_dir: str) -> pd.DataFrame:
@@ -851,15 +803,7 @@ def q_events_retention_cohorts(sf_dir: str) -> pd.DataFrame:
     pairs = _map_sorted_groups(_user_day_rows(sf_dir), ["user_id"], _cohort_user,
                                order=("day",))
 
-    def count_cells(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby(["cohort", "offset"]).size().reset_index(name="n")
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    partials = pairs.map_batches(count_cells, batch_format="pyarrow").to_pandas()
-    g = partials.groupby(["cohort", "offset"])["n"].sum().reset_index(name="n_users")
-    g["n_users"] = g["n_users"].astype("int64")
-    return g.sort_values(["cohort", "offset"]).reset_index(drop=True)
+    return combine(pairs, ["cohort", "offset"], {"n_users": ("cohort", "size")}).to_pandas()
 
 
 def _interarrival_span(block: pa.Table, starts: np.ndarray) -> pa.Table:
@@ -1021,18 +965,8 @@ def q_events_funnel(sf_dir: str, window_hours: int = 72,
                               ["user_id"], functools.partial(_funnel_user, win_us=win_us),
                               order=("span_id",))
 
-    def count_cells(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby("cohort_day").agg(
-            n_users=("conv", "size"), n_converted=("conv", "sum")).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    partials = rows.map_batches(count_cells, batch_format="pyarrow").to_pandas()
-    g = partials.groupby("cohort_day").agg(
-        n_users=("n_users", "sum"), n_converted=("n_converted", "sum")).reset_index()
-    g["n_users"] = g["n_users"].astype("int64")
-    g["n_converted"] = g["n_converted"].astype("int64")
-    return g.sort_values("cohort_day").reset_index(drop=True)
+    return combine(rows, ["cohort_day"], {"n_users": ("conv", "size"),
+                                          "n_converted": ("conv", "sum")}).to_pandas()
 
 
 def q_events_value_var(sf_dir: str) -> pd.DataFrame:
@@ -1041,22 +975,17 @@ def q_events_value_var(sf_dir: str) -> pd.DataFrame:
     tier rollup uses, SQL-checkable via var_samp."""
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
-    def combiner(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "event_type": batch.column("event_type").to_pylist(),
-            "v": batch.column("value").to_numpy(),
-        })
-        df["v2"] = df["v"] * df["v"]
-        g = df.groupby("event_type").agg(n=("v", "size"), s1=("v", "sum"), s2=("v2", "sum")).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def squares(batch: pa.Table) -> pa.Table:
+        v = batch.column("value")
+        return batch.append_column("v2", pc.multiply(v, v))
 
-    partials = ds.map_batches(combiner, batch_format="pyarrow").to_pandas()
-    g = partials.groupby("event_type").agg(n=("n", "sum"), s1=("s1", "sum"), s2=("s2", "sum")).reset_index()
-    mean = g["s1"] / g["n"]
-    g["value_var"] = round_ha(((g["s2"] - g["n"] * mean**2) / (g["n"] - 1)).to_numpy())
-    g["value_count"] = g["n"].astype("int64")
-    out = g[["event_type", "value_count", "value_var"]]
-    return out.sort_values("event_type").reset_index(drop=True)
+    g = combine(ds, ["event_type"], {"value_count": ("value", "size"),
+                                     "s1": ("value", "sum"), "s2": ("v2", "sum")},
+                squares).to_pandas()
+    n = g["value_count"]
+    mean = g.pop("s1") / n
+    g["value_var"] = round_ha((g.pop("s2") - n * mean**2) / (n - 1))
+    return g
 
 
 # ------------------------------------------------- positional-window engine
@@ -1770,30 +1699,16 @@ def q_events_props_extract(sf_dir: str) -> pd.DataFrame:
 
     ds = _read(sf_dir, "events", ["event_type", "props"])
 
-    def combiner(batch: pa.Table) -> pa.Table:
-        ks = np.fromiter(
-            (json.loads(p)["k"] for p in batch.column("props").to_pylist()),
-            dtype=np.int64,
-        )
-        df = pd.DataFrame({"event_type": batch.column("event_type").to_pylist(), "k": ks})
-        g = df.groupby("event_type").agg(
-            n=("k", "size"), s=("k", "sum"), mn=("k", "min"), mx=("k", "max")
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def extract(batch: pa.Table) -> pa.Table:
+        ks = [json.loads(p)["k"] for p in batch.column("props").to_pylist()]
+        return pa.table({"event_type": batch.column("event_type"),
+                         "k": pa.array(ks, pa.int64())})
 
-    partials = ds.map_batches(combiner, batch_format="pyarrow").to_pandas()
-    g = partials.groupby("event_type").agg(
-        n=("n", "sum"), s=("s", "sum"), mn=("mn", "min"), mx=("mx", "max")
-    ).reset_index()
-    out = pd.DataFrame({
-        "event_type": g["event_type"],
-        "n_events": g["n"].astype("int64"),
-        "sum_k": g["s"].astype("int64"),
-        "min_k": g["mn"].astype("int64"),
-        "max_k": g["mx"].astype("int64"),
-        "mean_k": round_ha((g["s"] / g["n"]).to_numpy()),
-    })
-    return out.sort_values("event_type").reset_index(drop=True)
+    g = combine(ds, ["event_type"], {"n_events": ("k", "size"), "sum_k": ("k", "sum"),
+                                     "min_k": ("k", "min"), "max_k": ("k", "max")},
+                extract).to_pandas()
+    g["mean_k"] = round_ha(g["sum_k"] / g["n_events"])
+    return g
 
 
 # ------------------------------------------------- corpus curation operators
@@ -2017,23 +1932,15 @@ def q_documents_length_buckets(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "documents", ["source", "n_chars"])
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        t = np.array([lut[s] for s in df["source"]], dtype=np.int64)
-        n = df["n_chars"].to_numpy()
+        t = np.array([lut[s] for s in batch.column("source").to_pylist()],
+                     dtype=np.int64).reshape(-1, 3)
+        n = batch.column("n_chars").to_numpy()
         bucket = (n > t[:, 0]).astype(np.int64) + (n > t[:, 1]) + (n > t[:, 2])
-        df["bucket"] = bucket
-        g = df.groupby(["source", "bucket"], observed=True).agg(
-            n_docs=("n_chars", "size"), sum_chars=("n_chars", "sum")
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return batch.append_column("bucket", pa.array(bucket))
 
-    partials = ds.map_batches(bucketize, batch_format="pyarrow").to_pandas()
-    g = partials.groupby(["source", "bucket"]).agg(
-        n_docs=("n_docs", "sum"), sum_chars=("sum_chars", "sum")
-    ).reset_index()
-    g["n_docs"] = g["n_docs"].astype("int64")
-    g["sum_chars"] = g["sum_chars"].astype("int64")
-    return g.sort_values(["source", "bucket"]).reset_index(drop=True)
+    return combine(ds, ["source", "bucket"], {"n_docs": ("n_chars", "size"),
+                                              "sum_chars": ("n_chars", "sum")},
+                   bucketize).to_pandas()
 
 
 def q_documents_split_assign(sf_dir: str) -> pd.DataFrame:
@@ -2047,21 +1954,11 @@ def q_documents_split_assign(sf_dir: str) -> pd.DataFrame:
     def assign(batch: pa.Table) -> pa.Table:
         coin = _md5_mod100(batch.column("doc_id").to_numpy())
         split = np.where(coin < 80, "train", np.where(coin < 90, "val", "test"))
-        df = pd.DataFrame({"source": batch.column("source").to_pylist(),
-                           "split": split,
-                           "n_chars": batch.column("n_chars").to_numpy()})
-        g = df.groupby(["source", "split"], observed=True).agg(
-            n_docs=("n_chars", "size"), sum_chars=("n_chars", "sum")
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return batch.append_column("split", pa.array(split, pa.string()))
 
-    partials = ds.map_batches(assign, batch_format="pyarrow").to_pandas()
-    g = partials.groupby(["source", "split"]).agg(
-        n_docs=("n_docs", "sum"), sum_chars=("sum_chars", "sum")
-    ).reset_index()
-    g["n_docs"] = g["n_docs"].astype("int64")
-    g["sum_chars"] = g["sum_chars"].astype("int64")
-    return g.sort_values(["source", "split"]).reset_index(drop=True)
+    return combine(ds, ["source", "split"], {"n_docs": ("n_chars", "size"),
+                                             "sum_chars": ("n_chars", "sum")},
+                   assign).to_pandas()
 
 
 # ------------------------------------------------- embedding-space operators
@@ -2222,17 +2119,10 @@ def q_documents_mix_uniform(sf_dir: str) -> pd.DataFrame:
     with no float thresholds."""
     ds = _read(sf_dir, "documents", ["doc_id", "source", "n_chars"])
 
-    def count_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby("source", observed=True).size().rename("c").reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    counts = (
-        ds.map_batches(count_partial, batch_format="pyarrow")
-        .to_pandas().groupby("source")["c"].sum()
-    )
-    min_cnt = int(counts.min())
-    rate = {s: (1000 * min_cnt) // int(c) for s, c in counts.items()}
+    g = combine(ds, ["source"], {"c": ("source", "size")})
+    counts = dict(zip(g.column("source").to_pylist(), g.column("c").to_pylist()))
+    min_cnt = min(counts.values())
+    rate = {s: (1000 * min_cnt) // c for s, c in counts.items()}
 
     def keep_mixed(batch: pa.Table) -> pa.Table:
         from ts_pymfe_ray.functions.md5vec import md5_lower64_list

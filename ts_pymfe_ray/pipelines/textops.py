@@ -24,6 +24,7 @@ from ts_pymfe_ray.functions.md5vec import (
     md5_lower64, md5_lower64_list, word_windows,
 )
 from ts_pymfe_ray.functions.rounding import round_ha
+from ts_pymfe_ray.pipelines.combine import combine
 
 NUM_PERM = 64
 BANDS = 16  # 16 bands x 4 rows
@@ -869,70 +870,38 @@ def text_quality_features(texts: list[str]) -> pd.DataFrame:
     )
 
 
+def _quality_rows(batch: pa.Table) -> pa.Table:
+    """A documents batch as (source, per-doc quality signals) rows."""
+    q = text_quality_features(batch.column("text").to_pylist())
+    return pa.Table.from_pandas(q, preserve_index=False).append_column(
+        "source", batch.column("source"))
+
+
 def q_text_quality(sf_dir: str) -> pd.DataFrame:
     """Per-source quality scoring rollup (length / punctuation / stopword
-    signals), partial-aggregated per batch."""
+    signals), partial-aggregated per batch.  SQL-oracled subset: the
+    stopword/word-length signals have no clean ANSI-SQL twin and live in
+    q_text_quality_full (rows-only)."""
     ds = _read_docs(sf_dir, ["source", "text"])
-
-    def combiner(batch: pa.Table) -> pa.Table:
-        src = batch.column("source").to_pylist()
-        q = text_quality_features(batch.column("text").to_pylist())
-        q["source"] = src
-        g = q.groupby("source").agg(
-            n_docs=("n_words", "size"),
-            sum_words=("n_words", "sum"),
-            sum_stop=("stopword_ratio", "sum"),
-            sum_wlen=("mean_word_len", "sum"),
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    partials = ds.map_batches(combiner, batch_format="pyarrow").to_pandas()
-    g = partials.groupby("source").agg(
-        n_docs=("n_docs", "sum"), sum_words=("sum_words", "sum"),
-        sum_stop=("sum_stop", "sum"), sum_wlen=("sum_wlen", "sum"),
-    ).reset_index()
-    g["avg_words"] = round_ha((g["sum_words"] / g["n_docs"]).to_numpy())
-    g["avg_stopword_ratio"] = round_ha((g["sum_stop"] / g["n_docs"]).to_numpy())
-    g["avg_word_len"] = round_ha((g["sum_wlen"] / g["n_docs"]).to_numpy())
-    g["n_docs"] = g["n_docs"].astype("int64")
-    g["sum_words"] = g["sum_words"].astype("int64")
-    # SQL-oracled subset: the stopword/word-length signals have no clean
-    # ANSI-SQL twin and live in q_text_quality_full (rows-only).
-    out = g[["source", "n_docs", "sum_words", "avg_words"]]
-    return out.sort_values("source").reset_index(drop=True)
+    g = combine(ds, ["source"], {"n_docs": ("n_words", "size"),
+                                 "sum_words": ("n_words", "sum")},
+                _quality_rows).to_pandas()
+    g["avg_words"] = round_ha(g["sum_words"] / g["n_docs"])
+    return g
 
 
 def q_text_quality_full(sf_dir: str) -> pd.DataFrame:
     """Rows-only: full quality-signal rollup including stopword ratio and
     mean word length."""
     ds = _read_docs(sf_dir, ["source", "text"])
-
-    def combiner(batch: pa.Table) -> pa.Table:
-        src = batch.column("source").to_pylist()
-        q = text_quality_features(batch.column("text").to_pylist())
-        q["source"] = src
-        g = q.groupby("source").agg(
-            n_docs=("n_words", "size"),
-            sum_words=("n_words", "sum"),
-            sum_stop=("stopword_ratio", "sum"),
-            sum_punct=("punct_ratio", "sum"),
-            sum_wlen=("mean_word_len", "sum"),
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    partials = ds.map_batches(combiner, batch_format="pyarrow").to_pandas()
-    g = partials.groupby("source").agg(
-        n_docs=("n_docs", "sum"), sum_words=("sum_words", "sum"),
-        sum_stop=("sum_stop", "sum"), sum_punct=("sum_punct", "sum"),
-        sum_wlen=("sum_wlen", "sum"),
-    ).reset_index()
-    g["avg_words"] = round_ha((g["sum_words"] / g["n_docs"]).to_numpy())
-    g["avg_stopword_ratio"] = round_ha((g["sum_stop"] / g["n_docs"]).to_numpy())
-    g["avg_punct_ratio"] = round_ha((g["sum_punct"] / g["n_docs"]).to_numpy())
-    g["avg_word_len"] = round_ha((g["sum_wlen"] / g["n_docs"]).to_numpy())
-    g["n_docs"] = g["n_docs"].astype("int64")
-    out = g[["source", "n_docs", "avg_words", "avg_stopword_ratio", "avg_punct_ratio", "avg_word_len"]]
-    return out.sort_values("source").reset_index(drop=True)
+    signals = {"words": "n_words", "stopword_ratio": "stopword_ratio",
+               "punct_ratio": "punct_ratio", "word_len": "mean_word_len"}
+    g = combine(ds, ["source"], {"n_docs": ("n_words", "size"),
+                                 **{k: (c, "sum") for k, c in signals.items()}},
+                _quality_rows).to_pandas()
+    for k in signals:
+        g[f"avg_{k}"] = round_ha(g.pop(k) / g["n_docs"])
+    return g
 
 
 # BPE-ish subword pre-tokenization pattern (GPT-2-style word/number/
@@ -962,25 +931,16 @@ def q_bpe_token_count(sf_dir: str) -> pd.DataFrame:
     against the DuckDB twin running the same RE2 pattern."""
     ds = _read_docs(sf_dir, ["source", "text"])
 
-    def combiner(batch: pa.Table) -> pa.Table:
-        src = batch.column("source").to_pylist()
+    def counts(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
-        bpe = np.fromiter((bpe_token_count(t) for t in texts), dtype=np.int64,
-                          count=len(texts))
-        words = np.fromiter((t.count(" ") + 1 for t in texts), dtype=np.int64,
-                            count=len(texts))
-        df = pd.DataFrame({"source": src, "bpe": bpe, "w": words})
-        g = df.groupby("source").agg(n_docs=("bpe", "size"), bpe_tokens=("bpe", "sum"),
-                                     words=("w", "sum")).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.table({
+            "source": batch.column("source"),
+            "bpe": pa.array([bpe_token_count(t) for t in texts], pa.int64()),
+            "w": pa.array([t.count(" ") + 1 for t in texts], pa.int64()),
+        })
 
-    partials = ds.map_batches(combiner, batch_format="pyarrow").to_pandas()
-    g = partials.groupby("source").agg(
-        n_docs=("n_docs", "sum"), bpe_tokens=("bpe_tokens", "sum"), words=("words", "sum")
-    ).reset_index()
-    for c in ("n_docs", "bpe_tokens", "words"):
-        g[c] = g[c].astype("int64")
-    return g.sort_values("source").reset_index(drop=True)
+    return combine(ds, ["source"], {"n_docs": ("bpe", "size"), "bpe_tokens": ("bpe", "sum"),
+                                    "words": ("w", "sum")}, counts).to_pandas()
 
 
 def q_quality_filter(sf_dir: str, min_words: int = 30, max_words: int = 5000,
@@ -992,43 +952,32 @@ def q_quality_filter(sf_dir: str, min_words: int = 30, max_words: int = 5000,
     INTEGER comparisons (n_stop*100 >= n_words*pct etc.) so the SQL twin
     is exact with no float knife edges.  Output: per-source keep/drop
     counts, kept doc_id range and kept token volume (what the downstream
-    job would read)."""
+    job would read); -1 where a source keeps nothing, as in the twin."""
     ds = _read_docs(sf_dir, ["doc_id", "source", "text"])
 
-    def combiner(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy()
-        src = batch.column("source").to_pylist()
-        texts = batch.column("text").to_pylist()
-        nw, n_chars, n_stop, n_punct, _ = _quality_signals_batch(texts)
+    def gate(batch: pa.Table) -> pa.Table:
+        nw, n_chars, n_stop, n_punct, _ = _quality_signals_batch(
+            batch.column("text").to_pylist())
         keep = (
             (nw >= min_words) & (nw <= max_words)
             & (n_stop * 100 >= nw * min_stop_pct)
             & (n_punct * 100 <= n_chars * max_punct_pct)
         )
-        df = pd.DataFrame({"source": src, "keep": keep, "nw": nw,
-                           "doc_id": ids.astype(np.int64)})
-        g = df.groupby("source").agg(
-            n_total=("keep", "size"), n_kept=("keep", "sum")
-        ).reset_index()
-        kept = df[df["keep"]]
-        gk = kept.groupby("source").agg(
-            kw=("nw", "sum"), mn=("doc_id", "min"), mx=("doc_id", "max")
-        ).reset_index()
-        g = g.merge(gk, on="source", how="left")
-        return pa.Table.from_pandas(g, preserve_index=False)
+        # the kept-only aggregates read null-masked columns
+        return pa.table({
+            "source": batch.column("source"),
+            "keep": keep.astype(np.int64),
+            "kw": pa.array(nw, mask=~keep),
+            "kept_id": pa.array(batch.column("doc_id").to_numpy().astype(np.int64), mask=~keep),
+        })
 
-    partials = ds.map_batches(combiner, batch_format="pyarrow").to_pandas()
-    g = partials.groupby("source").agg(
-        n_total=("n_total", "sum"), n_kept=("n_kept", "sum"),
-        kept_words=("kw", "sum"), min_kept=("mn", "min"), max_kept=("mx", "max"),
-    ).reset_index()
-    for c in ("n_total", "n_kept", "kept_words", "min_kept", "max_kept"):
+    g = combine(ds, ["source"], {
+        "n_total": ("keep", "size"), "n_kept": ("keep", "sum"), "kept_words": ("kw", "sum"),
+        "min_kept": ("kept_id", "min"), "max_kept": ("kept_id", "max"),
+    }, gate).to_pandas()
+    for c in ("kept_words", "min_kept", "max_kept"):
         g[c] = g[c].fillna(-1).astype("int64")
-    # pandas sums of all-NaN partials give 0, not NaN: normalize the
-    # nothing-kept case to the twin's -1 sentinels
-    none = g["n_kept"] == 0
-    g.loc[none, ["kept_words", "min_kept", "max_kept"]] = -1
-    return g.sort_values("source").reset_index(drop=True)
+    return g
 
 
 def detect_lang(text: str) -> str:
@@ -1058,20 +1007,14 @@ def detect_lang(text: str) -> str:
 
 
 def q_lang_id(sf_dir: str) -> pd.DataFrame:
-    ds = _read_docs(sf_dir, ["doc_id", "text", "lang"])
+    ds = _read_docs(sf_dir, ["text", "lang"])
 
-    def combiner(batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").to_pylist()
-        langs = batch.column("lang").to_pylist()
-        pred = [detect_lang(t) for t in texts]
-        df = pd.DataFrame({"lang": langs, "pred_lang": pred})
-        g = df.groupby(["lang", "pred_lang"]).size().reset_index(name="n")
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def predict(batch: pa.Table) -> pa.Table:
+        pred = [detect_lang(t) for t in batch.column("text").to_pylist()]
+        return pa.table({"lang": batch.column("lang"), "pred_lang": pa.array(pred, pa.string())})
 
-    partials = ds.map_batches(combiner, batch_format="pyarrow").to_pandas()
-    g = partials.groupby(["lang", "pred_lang"])["n"].sum().reset_index(name="n_docs")
-    g["n_docs"] = g["n_docs"].astype("int64")
-    return g.sort_values(["lang", "pred_lang"]).reset_index(drop=True)
+    return combine(ds, ["lang", "pred_lang"], {"n_docs": ("lang", "size")},
+                   predict).to_pandas()
 
 
 def q_doc_repetition(sf_dir: str, gate: float = 0.2) -> pd.DataFrame:
@@ -1089,14 +1032,8 @@ def q_doc_repetition(sf_dir: str, gate: float = 0.2) -> pd.DataFrame:
     (rounded 6dp, the standard recipe)."""
     ds = _read_docs(sf_dir, ["source", "text"])
 
-    def combiner(batch: pa.Table) -> pa.Table:
+    def repetition(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
-        srcs = batch.column("source").to_pylist()
-        if not texts:
-            return pa.schema([
-                ("source", pa.string()), ("n", pa.int64()),
-                ("frac_sum", pa.float64()), ("n_rep", pa.int64()),
-            ]).empty_table()
         flat, offs, lens, doc_off = _doc_windows(texts, 3)
         h = md5_lower64(flat, offs, lens)
         total = np.diff(doc_off)
@@ -1104,24 +1041,13 @@ def q_doc_repetition(sf_dir: str, gate: float = 0.2) -> pd.DataFrame:
             (np.unique(h[doc_off[i]: doc_off[i + 1]]).size
              for i in range(len(texts))), np.int64, count=len(texts))
         frac = 1.0 - distinct / total
-        df = pd.DataFrame({"source": srcs, "frac": frac,
-                           "rep": (frac > gate).astype(np.int64)})
-        g = df.groupby("source").agg(
-            n=("frac", "size"), frac_sum=("frac", "sum"), n_rep=("rep", "sum")
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.table({"source": batch.column("source"), "frac": frac,
+                         "rep": (frac > gate).astype(np.int64)})
 
-    partials = ds.map_batches(combiner, batch_format="pyarrow").to_pandas()
-    g = partials.groupby("source").agg(
-        n=("n", "sum"), frac_sum=("frac_sum", "sum"), n_rep=("n_rep", "sum")
-    ).reset_index()
-    out = pd.DataFrame({
-        "source": g["source"],
-        "n_docs": g["n"].astype("int64"),
-        "avg_dup_frac": round_ha((g["frac_sum"] / g["n"].to_numpy()).to_numpy()),
-        "n_repetitive": g["n_rep"].astype("int64"),
-    })
-    return out.sort_values("source").reset_index(drop=True)
+    g = combine(ds, ["source"], {"n_docs": ("frac", "size"), "frac_sum": ("frac", "sum"),
+                                 "n_repetitive": ("rep", "sum")}, repetition).to_pandas()
+    g.insert(2, "avg_dup_frac", round_ha(g.pop("frac_sum") / g["n_docs"]))
+    return g
 
 
 def _md5_64(s: str) -> int:

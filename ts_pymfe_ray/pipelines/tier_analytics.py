@@ -31,6 +31,7 @@ import ray.data
 
 from ts_pymfe_ray.functions import gorilla
 from ts_pymfe_ray.functions.rounding import round_ha
+from ts_pymfe_ray.pipelines.combine import combine
 from ts_pymfe_ray.stages.rollup import STREAMS, TIER_SCHEMA
 
 # every tier column but the raw tier's token blob
@@ -141,34 +142,20 @@ def tier_diagnostics(out_dir: str, tier: str = "10x",
         ds = ds.filter(expr="n_gap == 0")
     diag = ds.map_batches(_decode_and_diagnose, batch_format="pyarrow", batch_size=512)
 
-    def combiner(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby("source").agg(
-            n_docs=("doc_id", "size"),
-            sum_drift=("window_mean_drift", "sum"),
-            n_drift=("window_mean_drift", "count"),
-            sum_volvol=("window_sd_volatility", "sum"),
-            n_volvol=("window_sd_volatility", "count"),
-            sum_acf1=("mean_window_acf1", "sum"),
-            n_acf1=("mean_window_acf1", "count"),
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    partials = diag.map_batches(combiner, batch_format="pyarrow").to_pandas()
-    if partials.empty:  # an aged-out tier, or no gap-free rows
+    avgs = {"avg_window_drift": "window_mean_drift",
+            "avg_sd_volatility": "window_sd_volatility",
+            "avg_window_acf1": "mean_window_acf1"}
+    g = combine(diag, ["source"], {
+        "n_docs": ("doc_id", "size"),
+        **{f"s_{a}": (c, "sum") for a, c in avgs.items()},
+        **{f"n_{a}": (c, "count") for a, c in avgs.items()},
+    })
+    if g.num_rows == 0:  # an aged-out tier, or no gap-free rows
         return pd.DataFrame({c: pd.Series(dtype=t) for c, t in _DIAG_DTYPES.items()})
-    g = partials.groupby("source").agg(
-        n_docs=("n_docs", "sum"), sum_drift=("sum_drift", "sum"),
-        n_drift=("n_drift", "sum"), sum_volvol=("sum_volvol", "sum"),
-        n_volvol=("n_volvol", "sum"), sum_acf1=("sum_acf1", "sum"),
-        n_acf1=("n_acf1", "sum"),
-    ).reset_index()
-    g["avg_window_drift"] = round_ha((g["sum_drift"] / g["n_drift"]).to_numpy())
-    g["avg_sd_volatility"] = round_ha((g["sum_volvol"] / g["n_volvol"]).to_numpy())
-    g["avg_window_acf1"] = round_ha((g["sum_acf1"] / g["n_acf1"]).to_numpy())
-    g["n_docs"] = g["n_docs"].astype("int64")
-    out = g[list(_DIAG_DTYPES)]
-    return out.sort_values("source").reset_index(drop=True)
+    g = g.to_pandas()
+    for a in avgs:
+        g[a] = round_ha(g.pop(f"s_{a}") / g.pop(f"n_{a}"))
+    return g
 
 
 def explode_tier(out_dir: str, tier: str = "10x") -> ray.data.Dataset:

@@ -15,6 +15,10 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from ts_pymfe_ray.functions.rounding import round_ha
+from ts_pymfe_ray.pipelines.combine import combine
 
 FEATURE_DIM = 8
 
@@ -149,13 +153,22 @@ def documents_as_media(sf_dir: str):
     return ds.map_batches(to_media, batch_format="pyarrow")
 
 
+def _f0_rollup(decoded, n_col: str):
+    """Per-kind row count (``n_col``), byte total and mean first feature
+    of decoded rows."""
+
+    def f0(batch: pa.Table) -> pa.Table:
+        return batch.append_column("f0", pc.list_element(batch.column("features"), 0))
+
+    g = combine(decoded, ["kind"], {n_col: ("f0", "size"), "sum_bytes": ("n_bytes", "sum"),
+                                    "sum_f0": ("f0", "sum")}, f0).to_pandas()
+    g["mean_f0"] = round_ha(g.pop("sum_f0") / g[n_col])
+    return g
+
+
 def q_multimodal_frames(sf_dir: str, n_frames: int = 4):
     """Frame-sample -> decode pipeline: payload -> n_frames char-aligned
     frame rows (actor pool) -> decode stub -> per-kind frame rollup."""
-    import pandas as pd
-
-    from ts_pymfe_ray.functions.rounding import round_ha
-
     ds = documents_as_media(sf_dir)
     # the frame stage ships as a plain TASK closure (stateless stub);
     # only the decode stage holds model state and runs as an actor pool.
@@ -170,37 +183,12 @@ def q_multimodal_frames(sf_dir: str, n_frames: int = 4):
     frames = ds.map_batches(frame_fn, batch_format="pyarrow", batch_size=64)
     decoded = frames.map_batches(MediaDecodeStage, batch_format="pyarrow",
                                  batch_size=128, concurrency=2)
-
-    def combiner(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "kind": batch.column("kind").to_pylist(),
-                "n_bytes": batch.column("n_bytes").to_numpy(),
-                "f0": [v[0] for v in batch.column("features").to_pylist()],
-            }
-        )
-        g = df.groupby("kind").agg(
-            n_frames=("n_bytes", "size"), sum_bytes=("n_bytes", "sum"), sum_f0=("f0", "sum")
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    partials = decoded.map_batches(combiner, batch_format="pyarrow").to_pandas()
-    g = partials.groupby("kind").agg(
-        n_frames=("n_frames", "sum"), sum_bytes=("sum_bytes", "sum"), sum_f0=("sum_f0", "sum")
-    ).reset_index()
-    g["mean_f0"] = round_ha((g["sum_f0"] / g["n_frames"]).to_numpy())
-    g["n_frames"] = g["n_frames"].astype("int64")
-    g["sum_bytes"] = g["sum_bytes"].astype("int64")
-    return g[["kind", "n_frames", "sum_bytes", "mean_f0"]].sort_values("kind").reset_index(drop=True)
+    return _f0_rollup(decoded, "n_frames")
 
 
 def q_multimodal_resize(sf_dir: str, target: int = 256):
     """Resize -> decode pipeline: payload -> stride-downsampled payload
     (actor pool) -> decode stub -> per-kind before/after rollup."""
-    import pandas as pd  # noqa: F401  (captured by the combiner closure)
-
-    from ts_pymfe_ray.functions.rounding import round_ha
-
     ds = documents_as_media(sf_dir)
     rstage = MediaResizeStage(target=target)
 
@@ -208,71 +196,30 @@ def q_multimodal_resize(sf_dir: str, target: int = 256):
         return rstage(batch)
 
     resized = ds.map_batches(resize_fn, batch_format="pyarrow", batch_size=64)
-    dec = MediaDecodeStage()  # tiny stub state; closed over by the combiner
+    dec = MediaDecodeStage()  # tiny stub state; closed over by the prep
 
-    def combiner(batch: pa.Table) -> pa.Table:
-        payloads = batch.column("payload").to_pylist()
-        df = pd.DataFrame(
-            {
-                "kind": batch.column("kind").to_pylist(),
-                "n_in": batch.column("n_bytes_in").to_numpy(),
-                "n_out": batch.column("n_bytes_out").to_numpy(),
-                "f0": [dec._decode_payload(p)[0] for p in payloads],
-            }
-        )
-        g = df.groupby("kind").agg(
-            n_media=("f0", "size"), bytes_in=("n_in", "sum"),
-            bytes_out=("n_out", "sum"), sum_f0=("f0", "sum"),
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def decode_f0(batch: pa.Table) -> pa.Table:
+        f0 = [dec._decode_payload(p)[0] for p in batch.column("payload").to_pylist()]
+        return batch.append_column("f0", pa.array(f0, pa.float64()))
 
-    partials = resized.map_batches(combiner, batch_format="pyarrow").to_pandas()
-    g = partials.groupby("kind").agg(
-        n_media=("n_media", "sum"), bytes_in=("bytes_in", "sum"),
-        bytes_out=("bytes_out", "sum"), sum_f0=("sum_f0", "sum"),
-    ).reset_index()
-    g["mean_f0"] = round_ha((g["sum_f0"] / g["n_media"]).to_numpy())
-    for c in ("n_media", "bytes_in", "bytes_out"):
-        g[c] = g[c].astype("int64")
-    return g[["kind", "n_media", "bytes_in", "bytes_out", "mean_f0"]].sort_values(
-        "kind").reset_index(drop=True)
+    g = combine(resized, ["kind"], {
+        "n_media": ("f0", "size"), "bytes_in": ("n_bytes_in", "sum"),
+        "bytes_out": ("n_bytes_out", "sum"), "sum_f0": ("f0", "sum"),
+    }, decode_f0).to_pandas()
+    g["mean_f0"] = round_ha(g.pop("sum_f0") / g["n_media"])
+    return g
 
 
 def q_multimodal_decode(sf_dir: str):
     """Decode-stub pipeline: binary payloads -> actor-pool decode ->
     per-kind feature rollup.  Batch size kept small (large-payload rule)."""
-    import pandas as pd
-
-    ds = documents_as_media(sf_dir)
-    decoded = ds.map_batches(
+    decoded = documents_as_media(sf_dir).map_batches(
         MediaDecodeStage,
         batch_format="pyarrow",
         batch_size=64,
         concurrency=2,
     )
-
-    def combiner(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "kind": batch.column("kind").to_pylist(),
-                "n_bytes": batch.column("n_bytes").to_numpy(),
-                "f0": [v[0] for v in batch.column("features").to_pylist()],
-            }
-        )
-        g = df.groupby("kind").agg(
-            n_media=("n_bytes", "size"), sum_bytes=("n_bytes", "sum"), sum_f0=("f0", "sum")
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    partials = decoded.map_batches(combiner, batch_format="pyarrow").to_pandas()
-    g = partials.groupby("kind").agg(
-        n_media=("n_media", "sum"), sum_bytes=("sum_bytes", "sum"), sum_f0=("sum_f0", "sum")
-    ).reset_index()
-    from ts_pymfe_ray.functions.rounding import round_ha
-    g["mean_f0"] = round_ha((g["sum_f0"] / g["n_media"]).to_numpy())
-    g["n_media"] = g["n_media"].astype("int64")
-    g["sum_bytes"] = g["sum_bytes"].astype("int64")
-    return g[["kind", "n_media", "sum_bytes", "mean_f0"]].sort_values("kind").reset_index(drop=True)
+    return _f0_rollup(decoded, "n_media")
 
 
 class ByteEntropyStage:
@@ -317,10 +264,6 @@ def q_multimodal_byte_entropy(sf_dir: str):
     entropies are rounded to 6dp on both sides (256-term log sums carry
     association ulps — the hist_entropy precedent), then averaged per
     kind."""
-    import pandas as pd
-    import pyarrow.compute as pc
-
-    from ts_pymfe_ray.functions.rounding import round_ha
 
     def non_empty(batch: pa.Table) -> pa.Table:
         # an empty payload has no byte to count: the twin's
@@ -331,19 +274,11 @@ def q_multimodal_byte_entropy(sf_dir: str):
     ent = ds.map_batches(ByteEntropyStage, batch_format="pyarrow",
                          batch_size=64, concurrency=2)
 
-    def combiner(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "kind": batch.column("kind").to_pylist(),
-            "ent": round_ha(batch.column("byte_entropy").to_numpy(), 6),
-        })
-        g = df.groupby("kind").agg(
-            n_media=("ent", "size"), sum_ent=("ent", "sum")).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def rounded(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            "ent", pa.array(round_ha(batch.column("byte_entropy").to_numpy(), 6)))
 
-    partials = ent.map_batches(combiner, batch_format="pyarrow").to_pandas()
-    g = partials.groupby("kind").agg(
-        n_media=("n_media", "sum"), sum_ent=("sum_ent", "sum")).reset_index()
-    g["avg_entropy"] = round_ha((g["sum_ent"] / g["n_media"]).to_numpy(), 4)
-    g["n_media"] = g["n_media"].astype("int64")
-    return g[["kind", "n_media", "avg_entropy"]].sort_values(
-        "kind").reset_index(drop=True)
+    g = combine(ent, ["kind"], {"n_media": ("ent", "size"), "sum_ent": ("ent", "sum")},
+                rounded).to_pandas()
+    g["avg_entropy"] = round_ha(g.pop("sum_ent") / g["n_media"], 4)
+    return g
