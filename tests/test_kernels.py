@@ -125,6 +125,32 @@ def test_gap_fill_policies():
     assert gap_fill(np.array([3, 7], dtype=np.int32)).dtype == np.float64
 
 
+def test_gap_fill_flat_bitwise_equal_per_row():
+    """gap_fill_flat over a flat buffer equals per-row gap_fill bitwise:
+    gaps at row starts and ends, a row ending in a gap right before one
+    starting with a gap, an all-gap row, empty, 1- and 2-token rows, a
+    gap-free row, values at both int32 extremes, a dirty output buffer
+    and offsets that start inside the buffer."""
+    from ts_pymfe_ray.functions.gapfill import gap_fill_flat
+
+    rng = np.random.default_rng(13)
+    rows = [
+        [-1, -1, 5, 9, 12], [3, 4, 8, -1, -1, -1], [-1, -1, 7, -1, 2],
+        [-1] * 70, [], [17], [-1], [-1, 40000], [6, -1], [9, 9, 9],
+        [2**31 - 1, -1, -1, -2**31 + 1, -1], list(range(300)),
+    ]
+    rows += [list(np.where(rng.random(n) < 0.3, -1, rng.integers(0, 65536, n)))
+             for n in rng.integers(0, 50, 200)]
+    toks = [np.array(r, dtype=np.int32) for r in rows]
+    flat = np.concatenate([np.full(3, 99, np.int32), *toks, np.full(2, -1, np.int32)])
+    off = 3 + np.concatenate([[0], np.cumsum([t.size for t in toks])])
+    out = np.full(flat.size, 1e300)
+    got = gap_fill_flat(flat, off, out)
+    assert got.tobytes() == np.concatenate([gap_fill(t) for t in toks]).tobytes()
+    assert np.shares_memory(got, out)
+    assert gap_fill_flat(flat, off[:1], out).size == 0
+
+
 def test_all_registered_kernels_run_clean(seasonal_ctx):
     ks = kernels_of()
     out = evaluate_row(seasonal_ctx.ts_all, "doc-web-00000001", ks)

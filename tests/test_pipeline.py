@@ -1129,15 +1129,16 @@ def test_span_partials_degenerate_inputs_match_twins(
     _assert_twin(check_oracle, name, got, f"{d}/events.parquet")
 
 
-def _assert_twin(check_oracle, name, got, events_files):
-    """``got`` equals the DuckDB twin of ``name`` over ``events_files``,
-    and the twin returns rows."""
+def _assert_twin(check_oracle, name, got, events_files, **tables):
+    """``got`` equals the DuckDB twin of ``name`` over ``events_files``
+    (and any other ``table=files`` views), and the twin returns rows."""
     import duckdb
 
     import __ray_entry__ as e
 
     con = duckdb.connect()
-    con.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{events_files}')")
+    for table, files in {"events": events_files, **tables}.items():
+        con.execute(f"CREATE VIEW {table} AS SELECT * FROM read_parquet('{files}')")
     exp = con.execute(e.oracle_sql()[name]).fetchdf()
     assert len(exp) > 0
     assert check_oracle.compare(name, got, exp) == "OK"
@@ -1257,6 +1258,33 @@ def test_null_value_grouped_stats_match_twins(ray_session, null_value_dir, check
 
     d = null_value_dir
     _assert_twin(check_oracle, name, e.queries()[name](d), f"{d}/events.parquet")
+
+
+def test_null_price_drops_out_of_revenue_by_nation(ray_session, tmp_path, check_oracle):
+    """On a copy of sf0.001 whose first lineitem price is NULL,
+    revenue_by_nation equals its DuckDB twin: the NULL row adds nothing to
+    its nation's revenue (it once became INT64_MIN 1e-4 units) and its
+    order still counts."""
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as e
+
+    src = "/root/testdata/sf0.001"
+    tables = ("lineitem", "orders", "customer", "nation")
+    for t in tables[1:]:
+        shutil.copy(f"{src}/{t}.parquet", tmp_path / f"{t}.parquet")
+    li = pq.read_table(f"{src}/lineitem.parquet")
+    price = li.column("l_extendedprice").to_pylist()
+    price[0] = None
+    i = li.schema.get_field_index("l_extendedprice")
+    pq.write_table(li.set_column(i, "l_extendedprice", pa.array(price, pa.float64())),
+                   tmp_path / "lineitem.parquet")
+    got = e.queries()["revenue_by_nation"](str(tmp_path))
+    _assert_twin(check_oracle, "revenue_by_nation", got, f"{src}/events.parquet",
+                 **{t: f"{tmp_path}/{t}.parquet" for t in tables})
 
 
 def test_out_root_follows_the_package_sources(tmp_path):

@@ -161,13 +161,13 @@ def test_global_at_bitwise_parity(lengths, bucket, seed):
 
 
 def test_buffer_reuse_bitwise_parity():
-    """The out=/scratch= buffer-reuse paths (gap_fill, window sketches,
-    merge_adjacent, RollupStage instance reuse across batches) are bitwise
-    identical to allocate-fresh computation — the reuse knobs must never
-    change a single ulp of tier output."""
+    """The out=/scratch= buffer-reuse paths (gap_fill_flat, window
+    sketches, merge_adjacent, RollupStage instance reuse across batches)
+    are bitwise identical to allocate-fresh computation — the reuse knobs
+    must never change a single ulp of tier output."""
     import pyarrow as pa
 
-    from ts_pymfe_ray.functions.gapfill import gap_fill
+    from ts_pymfe_ray.functions.gapfill import gap_fill, gap_fill_flat
     from ts_pymfe_ray.stages.rollup import RollupStage
 
     rng = np.random.default_rng(11)
@@ -177,7 +177,7 @@ def test_buffer_reuse_bitwise_parity():
         xbuf = np.full(4096, 1e300)
         scratch = np.full((2, 4096), -1e300)
         x_fresh = gap_fill(tok)
-        x_buf = gap_fill(tok, out=xbuf[:n])
+        x_buf = gap_fill_flat(tok, np.array([0, n]), xbuf)
         assert np.array_equal(x_fresh, x_buf)
         fresh = sk.compute_window_sketches(x_fresh, 64)
         outbuf = np.full((fresh.shape[0], sk.N_FIELDS), 7.7)
@@ -294,3 +294,54 @@ def test_fast_feature_stage_matches_per_row_loop(seed):
     assert empty["length"] == 0.0
     assert all(np.isnan(v) for k, v in empty.items()
                if k not in ("doc_id", "source", "part_id", "length"))
+
+
+def _tier_format_batch():
+    """A seeded batch over the tier format's edge cases: gaps at row
+    starts and ends, an all-gap row, an empty row, 1- and 2-token rows,
+    int32-extreme tokens (widest varints) and a hot row that
+    ``split_long_rows`` cuts into three chunks."""
+    import pyarrow as pa
+
+    rng = np.random.default_rng(2015)
+    toks = [
+        np.array([-1, -1, 5, 9, 12], dtype=np.int32),
+        np.array([3, 4, 8, -1, -1, -1], dtype=np.int32),
+        np.full(70, -1, dtype=np.int32),
+        np.array([], dtype=np.int32),
+        np.array([17], dtype=np.int32),
+        np.array([-1, 40000], dtype=np.int32),
+        np.tile(np.array([-2**31, 2**31 - 1, 0], dtype=np.int32), 50),
+        rng.integers(-1, 65536, size=15_000).astype(np.int32),
+        np.full(200, 42, dtype=np.int32),
+        rng.integers(0, 300, size=777).astype(np.int32),
+    ]
+    toks[7][:9] = -1
+    toks[7][6390:6410] = -1
+    toks[7][-4:] = -1
+    return pa.table({
+        "doc_id": [f"fmt-{i}" for i in range(len(toks))],
+        "tokens": pa.array(toks, pa.list_(pa.int32())),
+        "n_tok": pa.array([t.size for t in toks], pa.int32()),
+        "source": [("web", "code", "papers")[i % 3] for i in range(len(toks))],
+    })
+
+
+def test_rollup_stage_tier_format_digest():
+    """A blake2b digest of all 13 RollupStage output columns, with and
+    without stored tokens, pins the tier format byte for byte: any change
+    to a codec, the sketch ladder or the stage's row layout moves it."""
+    import hashlib
+
+    from ts_pymfe_ray.stages.rollup import TIER_SCHEMA, RollupStage, split_long_rows
+
+    batch = split_long_rows(_tier_format_batch(), max_chunk_tokens=6400)
+    assert batch.num_rows == 12
+    h = hashlib.blake2b(digest_size=16)
+    for store in (True, False):
+        out = RollupStage(store_tokens=store)(batch)
+        assert out.schema.equals(TIER_SCHEMA) and out.num_rows == 36
+        for name in out.column_names:
+            h.update(name.encode())
+            h.update(repr(out.column(name).to_pylist()).encode())
+    assert h.hexdigest() == "e706bfaaca282849a51a4fadd1ad79f3"

@@ -20,6 +20,19 @@ Two codecs, both following the Gorilla paper's ideas (Pelkonen et al.,
   Regular timestamps (constant stride) collapse to one header byte per
   point.
 
+Stream layouts (all multi-byte fixed fields little-endian):
+
+- ``GXF1``: ``b"GXF1"``, uint32 value count n, the first value's 8 bytes
+  (if n > 0), then n - 1 header bytes ``9 * lzb + nbytes`` (leading zero
+  bytes and meaningful bytes of each XOR with the previous value; a zero
+  XOR is header 0), then the meaningful bytes of every XOR, big-endian,
+  in value order.
+- ``GDD1``: ``b"GDD1"``, uint32 value count n, uint8 ``order``, the first
+  ``min(order, n)`` values as int64, then one header byte per value of
+  the ``order``-fold difference (int64 wrap-around): the byte width of
+  its zigzag value ``(d << 1) ^ (d >> 63)`` (0 for 0), then each zigzag
+  value's significant bytes, big-endian, in value order.
+
 Round-trip is bitwise exact (tested; the raw-tier token invariant of
 BASELINE.json rides on :func:`encode_ints_dod`).
 """
@@ -32,17 +45,9 @@ _MAGIC_F = b"GXF1"  # float XOR stream
 _MAGIC_I = b"GDD1"  # int delta-of-delta stream
 
 
-def _pack_selected_bytes(bm: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Select bytes ``lo[i]..hi[i]-1`` from each row of byte-matrix ``bm``
-    (shape (m, 8)), concatenated row-major.  Vectorized."""
-    cols = np.arange(8, dtype=np.int64)
-    mask = (cols >= lo[:, None]) & (cols < hi[:, None])
-    return bm[mask]
-
-
 def _unpack_selected_bytes(payload: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_pack_selected_bytes`: scatter payload bytes back
-    into a zeroed (m, 8) byte matrix."""
+    """Scatter payload bytes back into a zeroed (m, 8) byte matrix: row i
+    receives its bytes at columns ``lo[i]..hi[i]-1``, rows in order."""
     m = lo.shape[0]
     bm = np.zeros((m, 8), dtype=np.uint8)
     cols = np.arange(8, dtype=np.int64)
@@ -52,25 +57,10 @@ def _unpack_selected_bytes(payload: np.ndarray, lo: np.ndarray, hi: np.ndarray) 
 
 
 def encode_floats_xor(values: np.ndarray) -> bytes:
-    """Compress a float64 array with byte-aligned XOR-of-previous encoding."""
-    x = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    n = x.size
-    head = _MAGIC_F + np.uint32(n).tobytes()
-    if n == 0:
-        return head
-    first = x[:1].tobytes()
-    if n == 1:
-        return head + first
-    xor = x[1:] ^ x[:-1]
-    bm = xor.astype(">u8").view(np.uint8).reshape(n - 1, 8)
-    nz = bm != 0
-    any_nz = nz.any(axis=1)
-    lzb = np.where(any_nz, nz.argmax(axis=1), 0).astype(np.int64)
-    last = np.where(any_nz, 7 - nz[:, ::-1].argmax(axis=1), -1).astype(np.int64)
-    nbytes = np.where(any_nz, last - lzb + 1, 0)
-    headers = (lzb * 9 + nbytes).astype(np.uint8)
-    payload = _pack_selected_bytes(bm, lzb, lzb + nbytes)
-    return head + first + headers.tobytes() + payload.tobytes()
+    """Compress a float64 array with byte-aligned XOR-of-previous encoding
+    (a one-row call of :func:`encode_floats_xor_many`)."""
+    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    return encode_floats_xor_many(x, np.array([0, x.size]))[0].tobytes()
 
 
 def decode_floats_xor(buf: bytes) -> np.ndarray:
@@ -95,39 +85,27 @@ def decode_floats_xor(buf: bytes) -> np.ndarray:
 
 
 def _zigzag(d: np.ndarray) -> np.ndarray:
-    # .view not .astype: int64 -> uint64 conversion is mod-2^64, i.e. a bit
-    # reinterpret — the view skips one full-array copy
-    return ((d << 1) ^ (d >> 63)).view(np.uint64)
+    """Zigzag-map the int64 array ``d`` IN PLACE and return it as uint64
+    (a bit reinterpret: int64 -> uint64 is mod 2^64)."""
+    sign = d >> 63
+    d <<= 1
+    d ^= sign
+    return d.view(np.uint64)
 
 
 def _unzigzag(z: np.ndarray) -> np.ndarray:
-    zi = z.astype(np.int64)
-    return (zi >> 1) ^ -(zi & 1)
+    # the shift is a LOGICAL one on the uint64 (an int64 shift would drag
+    # the sign bit of a zigzag value >= 2^63 into the result)
+    return (z >> np.uint64(1)).view(np.int64) ^ -(z & np.uint64(1)).view(np.int64)
 
 
 def encode_ints_dod(values: np.ndarray, order: int = 2) -> bytes:
     """Delta-of-delta (``order`` differencing rounds) + zigzag + byte-aligned
     varint compression of an integer array.  ``order=2`` is the Gorilla
-    timestamp scheme; ``order=1`` (plain delta) suits token-value arrays."""
-    x = np.ascontiguousarray(values, dtype=np.int64)
-    n = x.size
-    k = min(order, n)
-    head = _MAGIC_I + np.uint32(n).tobytes() + np.uint8(order).tobytes()
-    raw = x[:k].tobytes()
-    if n <= k:
-        return head + raw
-    d = x
-    for _ in range(order):
-        d = np.diff(d)
-    z = _zigzag(d)
-    bm = z.astype(">u8").view(np.uint8).reshape(z.size, 8)
-    nz = bm != 0
-    any_nz = nz.any(axis=1)
-    lzb = np.where(any_nz, nz.argmax(axis=1), 8).astype(np.int64)
-    nbytes = 8 - lzb
-    headers = nbytes.astype(np.uint8)
-    payload = _pack_selected_bytes(bm, lzb, np.full(z.size, 8, dtype=np.int64))
-    return head + raw + headers.tobytes() + payload.tobytes()
+    timestamp scheme; ``order=1`` (plain delta) suits token-value arrays.
+    A one-row call of :func:`encode_ints_dod_many`."""
+    x = np.ascontiguousarray(values, dtype=np.int64).ravel()
+    return encode_ints_dod_many(x, np.array([0, x.size]), order=order)[0].tobytes()
 
 
 def decode_ints_dod(buf: bytes) -> np.ndarray:
@@ -162,34 +140,22 @@ def compression_ratio(raw_nbytes: int, encoded: bytes) -> float:
 
 # ------------------------------------------------------- batched codecs
 #
-# The rollup stage encodes ~3 streams per (row, tier) — tens of thousands
-# of TINY codec calls per batch, which turns the vectorized encoders above
-# into pure numpy-dispatch overhead (profiled at ~65% of RollupStage).
-# The *_many variants below encode EVERY row of a batch in one set of
-# vectorized passes and return a single (data, offsets) pair whose row
-# slices are BITWISE IDENTICAL to the per-row encoders (tested), so the
-# per-row decoders and every golden/oracle stay untouched.  The tier read
-# side has the same shape in reverse: decode_floats_xor_many.
-
-
-def _pack_suffix_reversed(bm_le: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
-    """Big-endian varint payload for every element: the low ``nbytes[i]``
-    little-endian bytes of row i, REVERSED, concatenated in element order.
-    Equals ``_pack_selected_bytes(bm_be, 8 - nbytes, 8)`` but groups
-    elements by width (almost all are 1-3 bytes) so the hot path is a few
-    small gathers instead of two (m, 8) boolean-mask passes."""
-    pay_cum = np.concatenate([[0], np.cumsum(nbytes)])
-    out = np.empty(int(pay_cum[-1]), dtype=np.uint8)
-    widths = np.bincount(nbytes, minlength=9)
-    for k in range(1, 9):
-        if widths[k] == 0:
-            continue
-        idx = np.flatnonzero(nbytes == k)
-        block = bm_le[idx[:, None], np.arange(k - 1, -1, -1)[None, :]]  # (g, k)
-        dest0 = pay_cum[idx]
-        for j in range(k):
-            out[dest0 + j] = block[:, j]
-    return out
+# The rollup stage encodes ~3 streams per (row, tier): tens of thousands
+# of tiny codec calls per batch if made one row at a time.  The *_many
+# encoders take EVERY row of a batch as one flat buffer plus row offsets
+# and return one (data, offsets) pair; there is no Python loop over rows
+# or elements, only over the <= 8 byte widths or <= ``order`` head slots.
+# Per element they compute the varint/XOR byte width with integer
+# compares, then every byte of every row lands in ``data`` through one
+# index scatter per stream section (headers, payload), the payload bytes
+# gathered straight out of the little-endian byte view of the values
+# (``_place``/``_payload``).  (One np.concatenate over per-row pieces
+# places the token stream ~15% faster, but only behind a Python loop that
+# lists five pieces per row.)  The one-row encoders above are calls of
+# these, so each codec has one implementation; tests/test_gorilla.py
+# checks it against a per-value reference encoder written from the format
+# description in the module docstring.  The tier read side has the same
+# shape in reverse: decode_floats_xor_many.
 
 
 def _scatter_fixed(data: np.ndarray, pos: np.ndarray, chunk: np.ndarray) -> None:
@@ -199,68 +165,89 @@ def _scatter_fixed(data: np.ndarray, pos: np.ndarray, chunk: np.ndarray) -> None
         data[pos + k] = chunk[:, k]
 
 
+def _place(data: np.ndarray, pieces: np.ndarray, dst: np.ndarray, lens: np.ndarray) -> None:
+    """One index scatter of the row-ordered concatenation ``pieces``: row
+    r's ``lens[r]`` elements go to ``data[dst[r]:]``."""
+    idx = np.repeat(dst - (np.cumsum(lens) - lens), lens)
+    idx += np.arange(pieces.size)
+    data[idx] = pieces
+
+
+def _payload(data: np.ndarray, vals: np.ndarray, last: np.ndarray, nbytes: np.ndarray,
+             pay_cum: np.ndarray, row_shift: np.ndarray, row_pay: np.ndarray) -> None:
+    """Write every element's big-endian payload into ``data`` with one
+    gather and one scatter.  Element e's payload is the ``nbytes[e]``
+    little-endian bytes ``last[e], last[e] - 1, ...`` of ``vals[e]``, and
+    lands at ``pay_cum[e] + row_shift[r]`` for its row r (``row_pay[r]``
+    payload bytes per row, rows in element order)."""
+    q = np.arange(int(pay_cum[-1]), dtype=np.int64)
+    src = np.arange(0, 8 * vals.size, 8, dtype=np.int64)
+    src += last
+    src += pay_cum[:-1]
+    src = np.repeat(src, nbytes)
+    src -= q
+    dst = np.repeat(row_shift, row_pay)
+    dst += q
+    data[dst] = vals.view(np.uint8)[src]
+
+
+def _prefix(magic: bytes, counts: np.ndarray) -> np.ndarray:
+    """(n_rows, 8) bytes: the stream magic then the uint32 value count."""
+    pre = np.empty((counts.size, 8), dtype=np.uint8)
+    pre[:, :4] = np.frombuffer(magic, dtype=np.uint8)
+    pre[:, 4:] = counts.astype("<u4")[:, None].view(np.uint8)
+    return pre
+
+
+def _row_payload_sizes(nbytes: np.ndarray, row_elems: np.ndarray):
+    """``(pay_cum, elem_cum, row_pay)``: payload byte offsets per element,
+    element offsets per row and payload bytes per row."""
+    pay_cum = np.zeros(nbytes.size + 1, dtype=np.int64)
+    np.cumsum(nbytes, out=pay_cum[1:])
+    elem_cum = np.concatenate([[0], np.cumsum(row_elems)])
+    return pay_cum, elem_cum, np.diff(pay_cum[elem_cum])
+
+
 def encode_floats_xor_many(flat: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched :func:`encode_floats_xor`: rows are
     ``flat[offsets[i]:offsets[i+1]]``; returns ``(data, out_offsets)``
-    where ``bytes(data[out_offsets[i]:out_offsets[i+1]])`` equals
-    ``encode_floats_xor(row_i)`` bitwise."""
+    where ``bytes(data[out_offsets[i]:out_offsets[i+1]])`` is row i's
+    stream."""
     x = np.ascontiguousarray(flat, dtype=np.float64).view(np.uint64)
     offsets = np.asarray(offsets, dtype=np.int64)
     counts = np.diff(offsets)
-    n_rows = counts.size
+    has = counts > 0
     m_cnt = np.maximum(counts - 1, 0)  # xor elements per row
 
-    # per-element xor stats (elements = all positions except row firsts)
-    total = x.size
-    keep = np.ones(total, dtype=bool)
-    keep[offsets[:-1][counts > 0]] = False
-    xor = np.empty(total, dtype=np.uint64)
-    if total:
-        xor[0] = 0
-        np.bitwise_xor(x[1:], x[:-1], out=xor[1:])
+    # xor elements: every position but a row's first, XORed with its
+    # predecessor
+    keep = np.ones(x.size, dtype=bool)
+    keep[offsets[:-1][has]] = False
+    xor = np.empty(x.size, dtype=np.uint64)
+    xor[:1] = 0
+    np.bitwise_xor(x[1:], x[:-1], out=xor[1:])
     xe = xor[keep]
-    # big-endian byte matrix as a REVERSED VIEW of the native little-endian
-    # bytes — no astype(">u8") byteswap copy (memory passes are the cost
-    # on this box); bm[i, j] equals the big-endian byte j exactly
-    bm = xe.view(np.uint8).reshape(xe.size, 8)[:, ::-1]
-    nz = bm != 0
-    any_nz = nz.any(axis=1)
-    lzb = np.where(any_nz, nz.argmax(axis=1), 0).astype(np.int64)
-    last = np.where(any_nz, 7 - nz[:, ::-1].argmax(axis=1), -1).astype(np.int64)
-    nbytes = np.where(any_nz, last - lzb + 1, 0)
-    headers = (lzb * 9 + nbytes).astype(np.uint8)
-    packed = _pack_selected_bytes(bm, lzb, lzb + nbytes)
+    # leading and trailing zero bytes by integer compares (7 each for a
+    # zero xor, which stores no bytes and a zero header)
+    lzb = np.zeros(xe.size, dtype=np.int64)
+    tzb = np.zeros(xe.size, dtype=np.int64)
+    for k in range(1, 8):
+        lzb += xe < np.uint64(1 << (64 - 8 * k))
+        tzb += (xe & np.uint64((1 << (8 * k)) - 1)) == 0
+    zero = xe == 0
+    lzb[zero] = 0
+    nbytes = np.where(zero, 0, 8 - lzb - tzb)
+    pay_cum, elem_cum, row_pay = _row_payload_sizes(nbytes, m_cnt)
 
-    # per-row payload sums: contiguous element ranges -> cumsum diffs
-    first_elem = np.concatenate([[0], np.cumsum(m_cnt)])
-    pay_cum = np.concatenate([[0], np.cumsum(nbytes)])
-    pay_per_row = pay_cum[first_elem[1:]] - pay_cum[first_elem[:-1]]
-    row_len = 8 + 8 * (counts > 0) + m_cnt + pay_per_row
-    out_off = np.concatenate([[0], np.cumsum(row_len)])
-    data = np.zeros(int(out_off[-1]), dtype=np.uint8)
-
+    out_off = np.concatenate([[0], np.cumsum(8 + 8 * has + m_cnt + row_pay)])
+    data = np.empty(int(out_off[-1]), dtype=np.uint8)
     pos = out_off[:-1]
-    head = np.frombuffer(_MAGIC_F, dtype=np.uint8)
-    for k in range(4):
-        data[pos + k] = head[k]
-    _scatter_fixed(data, pos + 4, counts.astype(np.uint32)[:, None].view(np.uint8))
-    nz_rows = counts > 0
-    firsts = x[offsets[:-1][nz_rows]]
-    _scatter_fixed(data, (pos + 8)[nz_rows], firsts[:, None].view(np.uint8))
-
-    # variable pieces: both source (headers/packed) and destination are
-    # CONTIGUOUS per row — per-row slice memcpys, never per-element scatter
+    _scatter_fixed(data, pos, _prefix(_MAGIC_F, counts))
+    _scatter_fixed(data, pos[has] + 8, x[offsets[:-1][has]][:, None].view(np.uint8))
     hdr_start = pos + 16
-    pay_start = hdr_start + m_cnt
-    for r in range(n_rows):
-        e0, e1 = first_elem[r], first_elem[r + 1]
-        if e0 == e1:
-            continue
-        hs = hdr_start[r]
-        data[hs : hs + (e1 - e0)] = headers[e0:e1]
-        p0, p1 = pay_cum[e0], pay_cum[e1]
-        ps = pay_start[r]
-        data[ps : ps + (p1 - p0)] = packed[p0:p1]
+    _place(data, (lzb * 9 + nbytes).astype(np.uint8), hdr_start, m_cnt)
+    _payload(data, xe, 7 - lzb, nbytes, pay_cum,
+             hdr_start + m_cnt - pay_cum[elem_cum[:-1]], row_pay)
     return data, out_off
 
 
@@ -327,69 +314,43 @@ def encode_ints_dod_many(flat: np.ndarray, offsets: np.ndarray,
     x = np.ascontiguousarray(flat, dtype=np.int64)
     offsets = np.asarray(offsets, dtype=np.int64)
     counts = np.diff(offsets)
-    n_rows = counts.size
     k_row = np.minimum(counts, order)  # raw head values per row
-    m_cnt = np.maximum(counts - order, 0)  # encoded elements per row
+    m_cnt = counts - k_row  # encoded elements per row
 
-    # per-element order-fold differences, computed on the flat buffer with
-    # row-boundary invalidation: after j rounds of differencing, element
-    # positions whose window crosses a row start are dropped per row
+    # order-fold differences of the flat buffer: row i's elements are
+    # d[offsets[i]:offsets[i] + m_cnt[i]] (their windows lie inside the
+    # row); the last k_row positions of each row reach into the next one
     d = x
     for _ in range(order):
-        d = np.diff(d) if d.size else d
-    # element e of row i is diff^order(row_i)[e] == d[offsets[i] + e]
-    # (np.diff of the flat array matches the per-row diff wherever the
-    # whole order-window lies inside the row); gather per row (contiguous)
-    first_elem = np.concatenate([[0], np.cumsum(m_cnt)])
-    de = np.empty(int(first_elem[-1]), dtype=np.int64)
-    for r in range(n_rows):
-        e0, e1 = first_elem[r], first_elem[r + 1]
-        if e0 != e1:
-            de[e0:e1] = d[offsets[r] : offsets[r] + (e1 - e0)]
-    z = _zigzag(de)
-    m = z.size
-    # native little-endian bytes, zero-copy: the last nonzero LE byte
-    # gives the varint width; payload is the big-endian (reversed) suffix
-    bm_le = z.view(np.uint8).reshape(m, 8)
+        d = np.diff(d)
+    keep = np.ones(d.size, dtype=bool)
+    for j in range(order):
+        drop = offsets[1:][k_row > j] - 1 - j
+        keep[drop[drop < d.size]] = False
+    z = _zigzag(d[keep])
     # varint width via a threshold ladder: one z.max() scan bounds the
     # loop, then each extra byte of width is a single compare-and-add pass
     # (values are overwhelmingly 1-3 bytes after delta+zigzag)
     nbytes = (z > 0).astype(np.int64)
-    if m:
+    if z.size:
         zmax = int(z.max())
         thr = 0xFF
         while zmax > thr:
             nbytes += z > np.uint64(thr)
             thr = (thr << 8) | 0xFF
-    headers = nbytes.astype(np.uint8)
-    packed = _pack_suffix_reversed(bm_le, nbytes)
+    pay_cum, elem_cum, row_pay = _row_payload_sizes(nbytes, m_cnt)
 
-    pay_cum = np.concatenate([[0], np.cumsum(nbytes)])
-    pay_per_row = pay_cum[first_elem[1:]] - pay_cum[first_elem[:-1]]
-    row_len = 9 + 8 * k_row + m_cnt + pay_per_row
-    out_off = np.concatenate([[0], np.cumsum(row_len)])
-    data = np.zeros(int(out_off[-1]), dtype=np.uint8)
-
+    out_off = np.concatenate([[0], np.cumsum(9 + 8 * k_row + m_cnt + row_pay)])
+    data = np.empty(int(out_off[-1]), dtype=np.uint8)
     pos = out_off[:-1]
-    head = np.frombuffer(_MAGIC_I, dtype=np.uint8)
-    for k in range(4):
-        data[pos + k] = head[k]
-    _scatter_fixed(data, pos + 4, counts.astype(np.uint32)[:, None].view(np.uint8))
-    data[pos + 8] = np.uint8(order)
-
-    xb = x.view(np.uint8)  # little-endian int64 bytes, 8 per value
+    _scatter_fixed(data, pos, _prefix(_MAGIC_I, counts))
+    data[pos + 8] = order
+    for j in range(order):
+        head = k_row > j
+        _scatter_fixed(data, pos[head] + 9 + 8 * j,
+                       x[offsets[:-1][head] + j][:, None].view(np.uint8))
     hdr_start = pos + 9 + 8 * k_row
-    pay_start = hdr_start + m_cnt
-    for r in range(n_rows):
-        k = k_row[r]
-        if k:
-            data[pos[r] + 9 : pos[r] + 9 + 8 * k] = xb[8 * offsets[r] : 8 * (offsets[r] + k)]
-        e0, e1 = first_elem[r], first_elem[r + 1]
-        if e0 == e1:
-            continue
-        hs = hdr_start[r]
-        data[hs : hs + (e1 - e0)] = headers[e0:e1]
-        p0, p1 = pay_cum[e0], pay_cum[e1]
-        ps = pay_start[r]
-        data[ps : ps + (p1 - p0)] = packed[p0:p1]
+    _place(data, nbytes.astype(np.uint8), hdr_start, m_cnt)
+    _payload(data, z, nbytes - 1, nbytes, pay_cum,
+             hdr_start + m_cnt - pay_cum[elem_cum[:-1]], row_pay)
     return data, out_off

@@ -311,16 +311,16 @@ def _partial_sketches(batch: pa.Table, tiers=("raw", "10x", "100x")) -> pa.Table
     window_id).  Output rows per batch are bounded by distinct keys, so the
     downstream groupby shuffles tiny pre-aggregated rows, not raw windows —
     the partial+final aggregation pattern that keeps the all-to-all cheap."""
-    from ts_pymfe_ray.stages.rollup import RAW_BUCKET, TIER_FACTORS, TIERS, sketch_ladder, tokens_views
+    from ts_pymfe_ray.stages.rollup import RAW_BUCKET, TIER_FACTORS, TIERS, sketch_ladder, tokens_flat
 
-    views, t_off, _ = tokens_views(batch)
+    t_off, t_flat = tokens_flat(batch)
     sources = batch.column("source").to_pylist()
     # hot-key-split chunk rows carry a window_offset; their windows must
     # land at GLOBAL positions (offset // bucket), not restart at 0
     offsets = (
         batch.column("window_offset").to_numpy()
         if "window_offset" in batch.column_names
-        else np.zeros(len(views), dtype=np.int64)
+        else np.zeros(t_off.size - 1, dtype=np.int64)
     )
     src_names = sorted(set(sources))
     src_id = {s: i for i, s in enumerate(src_names)}
@@ -331,7 +331,7 @@ def _partial_sketches(batch: pa.Table, tiers=("raw", "10x", "100x")) -> pa.Table
     # the rows in batch order, so inside every (source, tier, window) key
     # the stable sort below sees the windows in row order, as per-row
     # ladders appended row by row did
-    ladder, tier_off = sketch_ladder(views, t_off)
+    ladder, tier_off = sketch_ladder(t_flat, t_off)
     block = np.concatenate([[0], np.cumsum([o[-1] for o in tier_off])])
     take, rel_wid, row_key = [], [], []
     for t, tier in enumerate(tier_names):
@@ -416,9 +416,9 @@ def _filter_gapfree(batch: pa.Table) -> pa.Table:
     """Keep only rows whose token array has no -1 sentinel (used by the
     SQL-oracled gap-free twin: interpolated fill values are association-
     sensitive at the driver hash's rounding grid, integer sums are not)."""
-    from ts_pymfe_ray.stages.rollup import tokens_views
+    from ts_pymfe_ray.stages.rollup import tokens_flat
 
-    _, offsets, flat = tokens_views(batch)
+    offsets, flat = tokens_flat(batch)
     if len(offsets) <= 1:
         return batch
     # per-row min over the flat values in one reduceat — a row is gap-free

@@ -674,17 +674,17 @@ def q_revenue_by_nation(sf_dir: str) -> pd.DataFrame:
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
 
     def li_combiner(batch: pa.Table) -> pa.Table:
-        k = batch.column("l_orderkey").to_numpy()
         # exact 1e-4 units (the cents recipe): the discounted product is
         # 4dp-granular, so integer revenue sums are association-order-free
-        # and the final 2dp round can never straddle a half boundary
-        rev = np.round((batch.column("l_extendedprice").to_numpy()
-                        * (1 - batch.column("l_discount").to_numpy()))
-                       * 10000).astype(np.int64)
-        df = pd.DataFrame({"key": k, "rev": rev})
-        g = df.groupby("key")["rev"].sum().reset_index()
-        return pa.table({"key": pa.array(g["key"].to_numpy(), pa.int64()),
-                         "rev": pa.array(g["rev"].to_numpy(), pa.int64())})
+        # and the final 2dp round can never straddle a half boundary.  A
+        # NULL price or discount adds nothing, as in SQL SUM; its order
+        # still joins (and counts) with 0 units
+        rev = _units(pc.multiply(batch.column("l_extendedprice"),
+                                 pc.subtract(1, batch.column("l_discount"))), 10000)
+        g = (pa.table({"key": pc.cast(batch.column("l_orderkey"), pa.int64()),
+                       "rev": rev.fill_null(0)})
+             .group_by("key", use_threads=False).aggregate([("rev", "sum")]))
+        return pa.table({"key": g.column("key"), "rev": g.column("rev_sum")})
 
     def orders_build(batch: pa.Table) -> pa.Table:
         return pa.table({"key": pa.array(batch.column("o_orderkey").to_numpy(), pa.int64()),

@@ -16,8 +16,8 @@ import numpy as np
 import pyarrow as pa
 
 from ts_pymfe_ray.functions import sketch as sk
-from ts_pymfe_ray.functions.gapfill import gap_fill
-from ts_pymfe_ray.stages.rollup import tokens_views
+from ts_pymfe_ray.functions.gapfill import gap_fill_flat
+from ts_pymfe_ray.stages.rollup import tokens_flat
 from ts_pymfe_ray.synth import stable_hash64
 
 FAST_FEATURES = (
@@ -30,9 +30,10 @@ FAST_FEATURES = (
 class FastFeatureStage:
     """Whole-row and first-difference sketches of every row of a batch in
     two ``compute_window_sketches_at`` calls, the batch-wide shape of
-    ``rollup.sketch_ladder``: rows gap-fill into one flat buffer and each
-    row is one window, with row barriers zeroing the cross-row products —
-    bitwise identical to one sketch call per row.  The difference windows
+    ``rollup.sketch_ladder``: rows gap-fill into one flat buffer
+    (``gap_fill_flat``) and each row is one window, with row barriers
+    zeroing the cross-row products — bitwise identical to one sketch call
+    per row.  The difference windows
     run over the flat first differences with each row's first position
     dropped.  A zero-length row reads ``length`` 0 and NaN elsewhere; a
     one-token row has NaN difference features."""
@@ -41,23 +42,20 @@ class FastFeatureStage:
         self.num_parts = num_parts
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        views, t_off, _ = tokens_views(batch)
-        doc_ids = batch.column("doc_id").to_pylist()
-        n = len(views)
-        off = (t_off - t_off[0]).astype(np.int64) if n else np.zeros(1, np.int64)
+        t_off, t_flat = tokens_flat(batch)
+        n = t_off.size - 1
+        off = (t_off - t_off[0]).astype(np.int64)
         lens = np.diff(off)
-        x = np.empty(int(off[-1]))
-        for i, tok in enumerate(views):
-            gap_fill(tok, out=x[off[i] : off[i + 1]])
+        x = gap_fill_flat(t_flat, t_off, np.empty(int(off[-1])))
         whole = _row_sketches(x, off)
-        # first differences inside each row: every flat position but a
-        # row's first, minus its predecessor (np.diff's subtraction)
+        # first differences inside each row: the flat np.diff without the
+        # differences that cross into a row's first position
         keep = np.ones(x.size, dtype=bool)
         keep[off[:-1][lens > 0]] = False
-        pos = np.flatnonzero(keep)
         d_off = np.concatenate([[0], np.cumsum(np.maximum(lens - 1, 0))])
-        diffs = _row_sketches(x[pos] - x[pos - 1], d_off)
-        part_ids = np.fromiter((stable_hash64(d) % self.num_parts for d in doc_ids),
+        diffs = _row_sketches(np.diff(x)[keep[1:]], d_off)
+        part_ids = np.fromiter((stable_hash64(d) % self.num_parts
+                                for d in batch.column("doc_id").to_pylist()),
                                dtype=np.int32, count=n)
         fw = sk.derive_features(whole)
         fd = sk.derive_features(diffs)

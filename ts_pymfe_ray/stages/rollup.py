@@ -25,7 +25,7 @@ import pyarrow as pa
 
 from ts_pymfe_ray.functions import gorilla
 from ts_pymfe_ray.functions import sketch as sk
-from ts_pymfe_ray.functions.gapfill import SENTINEL, gap_fill
+from ts_pymfe_ray.functions.gapfill import SENTINEL, gap_fill_flat
 from ts_pymfe_ray.synth import stable_hash64
 
 RAW_BUCKET = 64
@@ -56,17 +56,19 @@ TIER_SCHEMA = pa.schema(
 )
 
 
-def tokens_views(batch: pa.Table) -> tuple[list, np.ndarray, np.ndarray]:
-    """Zero-copy views of the list<int32> tokens column: (per-row views,
-    offsets, flat values)."""
+def tokens_flat(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-copy ``(offsets, flat values)`` of the list<int32> tokens
+    column: row i is ``flat[offsets[i]:offsets[i+1]]``."""
     col = batch.column("tokens")
     arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    if isinstance(arr, pa.LargeListArray):
-        offsets = arr.offsets.to_numpy()
-    else:
-        offsets = arr.offsets.to_numpy()
-    flat = arr.values.to_numpy(zero_copy_only=False)
-    views = [flat[offsets[i] : offsets[i + 1]] for i in range(len(arr))]
+    return arr.offsets.to_numpy(), arr.values.to_numpy(zero_copy_only=False)
+
+
+def tokens_views(batch: pa.Table) -> tuple[list, np.ndarray, np.ndarray]:
+    """:func:`tokens_flat` plus one zero-copy view per row: (per-row
+    views, offsets, flat values)."""
+    offsets, flat = tokens_flat(batch)
+    views = [flat[offsets[i] : offsets[i + 1]] for i in range(len(offsets) - 1)]
     return views, offsets, flat
 
 
@@ -78,28 +80,28 @@ def _fresh_buffers(n_windows: int, total: int):
     return np.empty((n_windows, sk.N_FIELDS)), np.empty(total), None
 
 
-def sketch_ladder(views: list[np.ndarray], offsets: np.ndarray,
+def sketch_ladder(flat: np.ndarray, offsets: np.ndarray,
                   buffers=_fresh_buffers) -> tuple[np.ndarray, list[np.ndarray]]:
     """Raw, 10x and 100x window sketches of EVERY row of a batch in three
     global reduceat passes.
 
-    Rows gap-fill into one flat buffer; raw windows of every row tile that
-    buffer, so compute_window_sketches_at sketches all of them in ~10 numpy
-    kernels (row-barrier cross products zeroed — bitwise identical to
+    Rows gap-fill into one flat buffer (one :func:`gap_fill_flat` call);
+    raw windows of every row tile that buffer, so
+    compute_window_sketches_at sketches all of them in ~10 numpy kernels (row-barrier cross products zeroed — bitwise identical to
     per-row calls, parity gate in test_sketch.py).  The sketch matrix is
     laid out in tier BLOCKS (all raw | all 10x | all 100x) so each merge
     level is likewise ONE merge_adjacent_at call instead of a Python call
     per row — round-4 profile: the 768 per-row sketch/merge calls were
     ~1/3 of stage wall.
 
-    ``offsets`` are the token offsets of ``views`` (see :func:`tokens_views`);
+    Row i is ``flat[offsets[i]:offsets[i+1]]`` (see :func:`tokens_flat`);
     ``buffers(n_windows, n_tokens)`` hands out the ``(sketch matrix,
     gap-fill buffer, power-sum scratch)`` to write into (RollupStage passes
     its reusable ones; scratch may be None).  Returns ``(big, tier_off)``:
     ``tier_off[t]`` are the per-row window offsets inside tier block ``t``
     (TIERS order), the blocks stacked in that order in ``big``.
     """
-    rel_off = (offsets - offsets[0]).astype(np.int64) if len(views) else np.zeros(1, np.int64)
+    rel_off = (offsets - offsets[0]).astype(np.int64)
     nw_raw = -(-np.diff(rel_off) // RAW_BUCKET)
     nw10 = -(-nw_raw // 10)
     tier_off = [np.concatenate([[0], np.cumsum(w)]) for w in (nw_raw, nw10, -(-nw10 // 10))]
@@ -108,9 +110,7 @@ def sketch_ladder(views: list[np.ndarray], offsets: np.ndarray,
     W = Wr + W10 + int(t100_off[-1])
     total = int(rel_off[-1])
     bigbuf, gf, scratch = buffers(W, total)
-    big, gff = bigbuf[:W], gf[:total]
-    for i, tok in enumerate(views):
-        gap_fill(tok, out=gff[rel_off[i] : rel_off[i + 1]])
+    big, gff = bigbuf[:W], gap_fill_flat(flat, offsets, gf)
 
     def _tile(dst_off, src_off, unit):
         # source-coordinate (starts, ends) tiling every row's windows
@@ -180,10 +180,8 @@ class RollupStage:
         return self._big, self._gf, self._scratch, self._ws, self._tok, self._gap
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        views, t_off, t_flat = tokens_views(batch)
-        doc_ids = batch.column("doc_id").to_pylist()
-        sources = batch.column("source").to_pylist()
-        n_in = len(views)
+        t_off, t_flat = tokens_flat(batch)
+        n_in = t_off.size - 1
         chunk_ids = (
             batch.column("chunk_id").to_numpy()
             if "chunk_id" in batch.column_names
@@ -199,10 +197,10 @@ class RollupStage:
         # (the callback grows every scratch buffer of the stage)
         ns = len(STREAMS)
         big, tier_off = sketch_ladder(
-            views, t_off, lambda W, total: self._buffers(W, ns * W, total)[:3])
+            t_flat, t_off, lambda W, total: self._buffers(W, ns * W, total)[:3])
         wsbuf, tokbuf, gapbuf = self._ws, self._tok, self._gap
         raw_off, t10_off, t100_off = tier_off
-        rel_off = (t_off - t_off[0]).astype(np.int64) if n_in else np.zeros(1, np.int64)
+        rel_off = (t_off - t_off[0]).astype(np.int64)
         lens = np.diff(rel_off)
         total = int(rel_off[-1])
         # per-row order is (raw, 10x, 100x)
@@ -211,7 +209,8 @@ class RollupStage:
         W = int(sk_off[-1])
         Wr, W10 = int(raw_off[-1]), int(t10_off[-1])
         feats = sk.derive_features(big)
-        stream_mat = np.column_stack([feats[s] for s in STREAMS]) if W else np.empty((0, ns))
+        # (ns, W): stream j of block-layout window w at j * W + w
+        streams = np.stack([feats[s] for s in STREAMS])
         # source offset of each output tier row's windows in the block layout
         src_start = np.empty(3 * n_in, dtype=np.int64)
         src_start[0::3] = raw_off[:-1]
@@ -220,27 +219,23 @@ class RollupStage:
 
         # pass 2 is fully batched: every per-(row, tier) quantity is built
         # as one numpy array, and ALL Gorilla streams of the batch are
-        # encoded in one *_many call each (bitwise-identical per-row
-        # output; round 2 paid ~65% of stage time in tens of thousands of
-        # tiny per-row codec calls)
+        # encoded in one *_many call each
         R = 3 * n_in
         idxs = np.repeat(np.arange(n_in, dtype=np.int64), 3)
         factors = np.tile([1, 10, 100], n_in)
 
-        # win_streams blobs: streams concatenated column-major per tier row
-        # (direct strided copy into the staging buffer — no .T.ravel() temp)
-        ws_flat = wsbuf[: ns * W]
-        for r in range(R):
-            L = int(nws[r])
-            np.copyto(
-                ws_flat[ns * sk_off[r] : ns * sk_off[r + 1]].reshape(ns, L),
-                stream_mat[src_start[r] : src_start[r] + L].T,
-            )
+        # win_streams blobs: each tier row's windows, one stream after
+        # another (STREAMS order), gathered in one take into the staging
+        # buffer: blob element (row r, stream j, window w) reads
+        # streams[j, src_start[r] + w]
+        row = np.repeat(np.arange(R, dtype=np.int64), ns * nws)
+        j, w = np.divmod(np.arange(ns * W, dtype=np.int64) - ns * sk_off[:-1][row], nws[row])
+        ws_flat = np.take(streams.ravel(), j * W + src_start[row] + w, out=wsbuf[: ns * W])
         ws_data, ws_off = gorilla.encode_floats_xor_many(ws_flat, ns * sk_off)
 
         # win_id streams: base_wid + arange(nw) per tier row
         base_wid = window_offs[idxs] // (RAW_BUCKET * factors)
-        within = np.arange(int(sk_off[-1]), dtype=np.int64) - np.repeat(sk_off[:-1], nws)
+        within = np.arange(W, dtype=np.int64) - np.repeat(sk_off[:-1], nws)
         wid_flat = np.repeat(base_wid, nws) + within
         wid_data, wid_off = gorilla.encode_ints_dod_many(wid_flat, sk_off, order=2)
 
@@ -250,7 +245,7 @@ class RollupStage:
         # the reused staging buffer (row order == flat order by
         # construction) — no per-row astype/concatenate allocations.
         tok_valid = np.zeros(R, dtype=bool)
-        flat_slice = t_flat[t_off[0] : t_off[-1]] if n_in else t_flat[:0]
+        flat_slice = t_flat[t_off[0] : t_off[-1]]
         if self.store_tokens:
             tok_valid[0::3] = True  # per_row order is (raw, 10x, 100x)
             tok_flat = tokbuf[:total]
@@ -264,16 +259,18 @@ class RollupStage:
         tok_len[tok_valid] = np.diff(tok_off_raw)
         tok_off = np.concatenate([[0], np.cumsum(tok_len)])
 
-        n_tok_per = lens
         # gap counts: one vectorized pass over the flat tokens; the float
         # prefix sum is exact (counts < 2^53) and empty rows read 0
         gapbuf[0] = 0.0
         np.equal(flat_slice, SENTINEL, out=gapbuf[1 : total + 1], casting="unsafe")
         np.cumsum(gapbuf[: total + 1], out=gapbuf[: total + 1])
         n_gap_per = (gapbuf[rel_off[1:]] - gapbuf[rel_off[:-1]]).astype(np.int64)
+        # one blake2b per input row (the only per-row Python left: there is
+        # no vectorized blake2b in numpy)
         part_per = np.fromiter(
-            (stable_hash64(d) % self.num_parts for d in doc_ids), dtype=np.int64, count=n_in
-        )
+            (stable_hash64(d) % self.num_parts for d in batch.column("doc_id").to_pylist()),
+            dtype=np.int64, count=n_in)
+        take = pa.array(idxs)
 
         def _bin(data: np.ndarray, offsets: np.ndarray, valid: np.ndarray | None = None) -> pa.Array:
             # pa.binary() offsets are int32: a batch whose concatenated
@@ -287,22 +284,22 @@ class RollupStage:
                 None if valid is None else pa.py_buffer(
                     np.packbits(valid, bitorder="little").tobytes()),
                 pa.py_buffer(offsets.astype(np.int32).tobytes()),
-                pa.py_buffer(data.tobytes()),
+                pa.py_buffer(data),
             ]
             return pa.Array.from_buffers(pa.binary(), R, bufs,
                                          null_count=0 if valid is None else int((~valid).sum()))
 
         return pa.table(
             {
-                "doc_id": pa.array([doc_ids[i] for i in idxs], pa.string()),
-                "source": pa.array([sources[i] for i in idxs], pa.string()),
+                "doc_id": batch.column("doc_id").take(take),
+                "source": batch.column("source").take(take),
                 "part_id": pa.array(part_per[idxs], pa.int32()),
-                "tier": pa.array(np.tile(np.array(TIERS, dtype=object), n_in), pa.string()),
+                "tier": pa.array(TIERS).take(pa.array(np.tile(np.arange(3), n_in))),
                 "chunk_id": pa.array(chunk_ids[idxs], pa.int32()),
                 "window_offset": pa.array(window_offs[idxs], pa.int64()),
                 "bucket_size": pa.array(RAW_BUCKET * factors, pa.int32()),
                 "n_windows": pa.array(nws, pa.int32()),
-                "n_tok": pa.array(n_tok_per[idxs], pa.int64()),
+                "n_tok": pa.array(lens[idxs], pa.int64()),
                 "n_gap": pa.array(n_gap_per[idxs], pa.int64()),
                 "win_streams": _bin(ws_data, ws_off),
                 "win_id_dod": _bin(wid_data, wid_off),
