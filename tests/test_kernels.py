@@ -341,64 +341,31 @@ def test_lz78_trie_equals_substring_scan():
 
 
 def test_stacked_precompute_bitwise_parity():
-    """The batched same-length precompute stacks (SuperSmoother trend,
-    z-score, moving power prefixes) and the FeatureStage seeding path are
-    bitwise-identical to the lazy per-row computation — stacking must never
-    change a single ulp (the goldens pin the lazy values)."""
-    import pyarrow as pa
-
+    """The batch precomputes preseed_stacked seeds into every SeriesCtx
+    (z-scores, first differences, the ragged SuperSmoother trend) are
+    bitwise-identical to the lazy per-row computation — batching must
+    never change a single ulp (the goldens pin the lazy values)."""
     from ts_pymfe_ray.functions import decompose as dec
-    from ts_pymfe_ray.functions import stats as st
-    from ts_pymfe_ray.functions.kernels_local import _power_prefixes, _power_prefixes_stack
-    from ts_pymfe_ray.registry import DEFAULT_ANALYSIS_CAP, evaluate_row, kernels_of
-    from ts_pymfe_ray.functions.gapfill import gap_fill
-    from ts_pymfe_ray.stages.features import FeatureStage
+    from ts_pymfe_ray.registry import SeriesCtx, kernels_of
+    from ts_pymfe_ray.stages.features import preseed_stacked
 
     rng = np.random.default_rng(17)
-    for R, n in ((1, 5), (3, 7), (8, 64), (5, 511), (4, 512)):
-        Y = rng.normal(0, 4, (R, n)) + np.sin(np.arange(n) / 9.0)
-        Y[0, :] = Y[0, 0]  # one constant row (sd == 0 branch)
-        S = dec.supersmoother_stack(Y)
-        Z = st.standardize_stack(Y)
-        P = _power_prefixes_stack(Z)
-        for i in range(R):
-            assert np.array_equal(S[i], dec.supersmoother(Y[i]))
-            assert np.array_equal(Z[i], st.standardize_ts(Y[i]))
-            assert np.array_equal(P[i], _power_prefixes(Z[i]))
-
     # ragged (mixed-length padded stack with per-row window sizes) ==
-    # per-row SuperSmoother, bitwise — covers the singleton-length rows
-    # the same-length stacks can't batch, plus the n<5 mean-fill edge
+    # per-row SuperSmoother, bitwise, plus the n<5 mean-fill edge
     rows = [rng.normal(0, 3, size=n) for n in
             (0, 1, 2, 3, 4, 5, 6, 17, 64, 100, 101, 233, 511, 512, 512, 37)]
     rows[13] = np.full(512, 2.5)  # constant row (var<=1e-12 branch)
     for o, y in zip(dec.supersmoother_ragged(rows), rows):
         assert np.array_equal(o, dec.supersmoother(y))
 
-    # stage-level: seeded FeatureStage == per-row evaluate_row, mixed
-    # lengths (capped 512 group + ragged short rows), medium pack
-    toks = []
-    for i in range(14):
-        m = int(rng.integers(4, 2000))
-        t = rng.integers(0, 50000, size=m).astype(np.int32)
-        t[rng.random(m) < 0.03] = -1
-        toks.append(t)
-    batch = pa.table({
-        "doc_id": [f"sp{i}" for i in range(len(toks))],
-        "tokens": pa.array(list(toks), pa.list_(pa.int32())),
-        "n_tok": pa.array([t.size for t in toks], pa.int32()),
-        "source": ["web"] * len(toks),
-    })
-    ks = kernels_of(max_cost="medium")
-    out = FeatureStage(max_cost="medium")(batch)
-    for i, t in enumerate(toks):
-        vals = evaluate_row(gap_fill(t), f"sp{i}", ks, cap=DEFAULT_ANALYSIS_CAP)
-        for k, v in vals.items():
-            got = out.column(k)[i].as_py()
-            if np.isnan(v):
-                assert got is None or np.isnan(got), (i, k, v, got)
-            else:
-                assert got == v, (i, k, v, got)
+    ctxs = [SeriesCtx(y, doc_id=f"s{i}") for i, y in enumerate(rows)]
+    preseed_stacked(ctxs, kernels_of(max_cost="cheap"))
+    for c, y in zip(ctxs, rows):
+        lazy = SeriesCtx(y, doc_id=c.doc_id)
+        for key in ("ts_scaled", "ts_diff", "ssmoother_trend", "ts_detrended_ss"):
+            got, want = getattr(c, key), getattr(lazy, key)
+            assert got.shape == want.shape and np.array_equal(
+                got.view(np.int64), want.view(np.int64)), (y.size, key)
 
 
 def test_resample_vectorized_paths_match_per_row():

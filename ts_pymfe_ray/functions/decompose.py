@@ -127,57 +127,6 @@ def _rl_fit(cy: np.ndarray, cxy: np.ndarray, half: int, x: np.ndarray,
     return fit, cv
 
 
-def supersmoother_stack(Y: np.ndarray) -> np.ndarray:
-    """Batched Friedman Super Smoother: one call for R same-length rows.
-
-    Bitwise-identical per row to :func:`supersmoother` (parity-tested in
-    tests/test_kernels.py): every step is a per-row cumsum or elementwise
-    arithmetic on the (R, n) stack, so stacking changes no operation
-    order.  The feature stage groups capped same-length rows and seeds
-    each row's SeriesCtx with its slice — amortizing ~120 small numpy
-    dispatches per row into ~40 per batch."""
-    Y = np.asarray(Y, dtype=np.float64)
-    R, n = Y.shape
-    if n < 5:
-        if n == 0:
-            return Y.copy()
-        return np.repeat(Y.mean(axis=1, keepdims=True), n, axis=1)
-
-    spans = np.array([0.05, 0.2, 0.5])
-    halfs = [max(2, int(round(s * n / 2.0))) for s in spans]
-    mid_half = halfs[1]
-
-    x, cx, cxx = _x_prefixes(n)
-    cy, cxy = _y_prefixes(Y, x)  # shared by all 3 primary smooths
-    fits = np.empty((3, R, n))
-    cvs = np.empty((3, R, n))
-    for k, hf in enumerate(halfs):
-        fits[k], cvs[k] = _rl_fit(cy, cxy, hf, x, cx, cxx, Y=Y)
-    # smooth the |cv| curves with the midrange span — one batched pass
-    ccy, ccxy = _y_prefixes(cvs.reshape(3 * R, n), x)
-    cvs_s = _rl_fit(ccy, ccxy, mid_half, x, cx, cxx).reshape(3, R, n)
-
-    best = np.argmin(cvs_s, axis=0)  # (R, n)
-    span_opt = spans[best]
-    # smooth the selected spans with the midrange span
-    scy, scxy = _y_prefixes(span_opt, x)
-    span_smooth = _rl_fit(scy, scxy, mid_half, x, cx, cxx)
-    span_smooth = np.clip(span_smooth, spans[0], spans[-1])
-
-    # interpolate between the two bracketing primary smooths
-    idx_hi = np.searchsorted(spans, span_smooth.ravel(), side="left").reshape(R, n)
-    idx_hi = np.clip(idx_hi, 1, 2)
-    s_lo, s_hi = spans[idx_hi - 1], spans[idx_hi]
-    f = (span_smooth - s_lo) / (s_hi - s_lo)
-    rws = np.arange(R)[:, None]
-    cols = np.arange(n)[None, :]
-    res = (1 - f) * fits[idx_hi - 1, rws, cols] + f * fits[idx_hi, rws, cols]
-
-    # final smooth with the tweeter span
-    rcy, rcxy = _y_prefixes(res, x)
-    return _rl_fit(rcy, rcxy, halfs[0], x, cx, cxx)
-
-
 class _RaggedPlan:
     """Y-independent half of a per-row-window running-linear fit.
 
@@ -251,9 +200,8 @@ def supersmoother_ragged(rows: list[np.ndarray]) -> list[np.ndarray]:
     nmax ones (exact integer cumsums), y-prefixes at index <= n never read
     padding, and every windowed/elementwise op on a valid cell sees the
     same operands as the per-row call.  This is what lets the feature
-    stage batch the SuperSmoother for EVERY row of a batch — including
-    lengths that appear only once, which the same-length group stack
-    (:func:`supersmoother_stack`) cannot cover."""
+    stage batch the SuperSmoother for EVERY row of a batch, whatever the
+    mix of lengths."""
     out: list[np.ndarray | None] = [None] * len(rows)
     big_i: list[int] = []
     big: list[np.ndarray] = []

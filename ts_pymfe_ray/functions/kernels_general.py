@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ts_pymfe_ray.registry import FeatureKernel, SeriesCtx, register
+from ts_pymfe_ray.registry import FeatureKernel, SeriesBatch, SeriesCtx, register
 from ts_pymfe_ray.functions import stats as _st
 
 
@@ -83,6 +83,7 @@ def _walker(ts_scaled: np.ndarray, step_size: float = 0.1) -> np.ndarray:
 register(FeatureKernel(
     "length", "general",
     lambda c: float(c.ts_all.size),
+    many=lambda b: np.array([float(c.ts_all.size) for c in b.ctxs]),
     ref="general.py:336 (ft_length = ts.size; full series, not capped)",
 ))
 
@@ -90,6 +91,7 @@ register(FeatureKernel(
     "diff", "general",
     lambda c: c.ts_diff,
     returns_array=True,
+    many=lambda b: b.ts_diff,
     ref="general.py:358 (ft_diff, order=1)",
 ))
 
@@ -99,10 +101,23 @@ register(FeatureKernel(
     ref="general.py:377 -> _period.py:14-45",
 ))
 
+def _turning_points_many(b: SeriesBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Batch form of ``turning_points``: 1.0 where the two in-row steps
+    around a point have opposite signs, 0.0 at both row ends; rows of <= 2
+    points (where the per-row call raises) are empty."""
+    x, off = b.flat, b.off
+    rid, pos = _st.row_ids(off), _st.row_pos(off)
+    n = b.lens[rid]
+    j = np.flatnonzero((pos >= 1) & (pos <= n - 2))
+    t = np.zeros(x.size)
+    t[j] = (x[j + 1] - x[j]) * (x[j] - x[j - 1]) < 0
+    return _st.keep_rows(t, off, n > 2)
+
+
 register(FeatureKernel(
     "turning_points", "general",
     lambda c: _find_crit_pt(c.ts, "non-plateau").astype(float),
-    returns_array=True,
+    returns_array=True, many=_turning_points_many,
     ref="general.py:398, _utils.py:170-213",
 ))
 
@@ -131,10 +146,32 @@ def _step_changes(ts: np.ndarray, ddof: int = 1) -> np.ndarray:
     return (mean_abs_div[i - 1] > 2.0 * np.sqrt(var)).astype(float)
 
 
+def _step_changes_many(b: SeriesBatch, ddof: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_step_changes` of every row at once: the same prefix-sum
+    arithmetic along the rows of a right-padded stack (cumsums are per
+    row), keeping each row's cells i = 1+ddof .. n-1."""
+    X = b.pad(b.flat)
+    width = X.shape[1]
+    cs = np.cumsum(X, axis=1)
+    cs2 = np.cumsum(X * X, axis=1)
+    cnt = np.arange(1, width + 1, dtype=np.float64)
+    cmeans = cs / cnt
+    mean_abs_div = np.abs(X[:, 1:] - cmeans[:, :-1])
+    i = np.arange(1 + ddof, width)
+    pn = i.astype(np.float64)
+    var = (cs2[:, i - 1] - pn * cmeans[:, i - 1] ** 2) / (pn - ddof)
+    var = np.maximum(var, 0.0)
+    res = (mean_abs_div[:, i - 1] > 2.0 * np.sqrt(var)).astype(float)
+    m = np.maximum(b.lens - 1 - ddof, 0)
+    off = np.zeros(m.size + 1, dtype=np.int64)
+    np.cumsum(m, out=off[1:])
+    return res[_st.row_mask(m, res.shape[1])], off
+
+
 register(FeatureKernel(
     "step_changes", "general",
     lambda c: _step_changes(c.ts),
-    returns_array=True,
+    returns_array=True, many=_step_changes_many,
     ref="general.py:461 (O(n) rewrite of the O(n^2) prefix-std loop)",
 ))
 
@@ -153,12 +190,37 @@ def _frac_cp(c: SeriesCtx) -> float:
     return float(np.logical_xor(higher[1:], higher[:-1]).sum() / (s.size - 1))
 
 
-register(FeatureKernel("frac_cp", "general", _frac_cp, ref="general.py:702-768"))
+def _in_row_pairs(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row of each in-row pair (j, j+1) of a flat buffer, and which pairs
+    are in-row: (rows, mask over the flat pairs)."""
+    inrow = _st.row_pos(off)[1:] > 0
+    return _st.row_ids(off)[1:][inrow], inrow
+
+
+def _frac_cp_many(b: SeriesBatch) -> np.ndarray:
+    if not b.finite:
+        raise ValueError("batch median needs NaN-free rows")
+    s, lens = b.ts_scaled, b.lens
+    thr = _st.median_sorted(_st.sort_rows(s, b.off), lens)
+    higher = s <= np.repeat(thr, lens)
+    rows, inrow = _in_row_pairs(b.off)
+    flips = np.bincount(rows[(higher[1:] != higher[:-1])[inrow]], minlength=lens.size)
+    return flips / (lens - 1)
+
+
+register(FeatureKernel("frac_cp", "general", _frac_cp, many=_frac_cp_many,
+                       ref="general.py:702-768"))
+
+
+def _bin_mean_many(b: SeriesBatch) -> tuple[np.ndarray, np.ndarray]:
+    mean = _st.seg_sum(b.flat, b.off) / b.lens  # == row.mean(), bitwise
+    return (b.flat >= np.repeat(mean, b.lens)).astype(float), b.off
+
 
 register(FeatureKernel(
     "bin_mean", "general",
     lambda c: (c.ts >= c.ts.mean()).astype(float),
-    returns_array=True,
+    returns_array=True, many=_bin_mean_many,
     ref="general.py:769",
 ))
 
@@ -173,7 +235,36 @@ def _fs_len(c: SeriesCtx) -> np.ndarray:
     return lens
 
 
-register(FeatureKernel("fs_len", "general", _fs_len, returns_array=True,
+def _fs_len_many(b: SeriesBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Batch form of ``fs_len``: each row's 10-bin equal-width codes
+    (``np.digitize`` on increasing bins == the count of bins <= x) and the
+    lengths of all its runs but the last.  Empty rows (where the per-row
+    call raises) are empty."""
+    if not b.finite:
+        raise ValueError("batch histogram needs finite rows")
+    x, off, lens = b.flat, b.off, b.lens
+    ne = np.flatnonzero(lens > 0)
+    E = _st.hist_edges_many(np.minimum.reduceat(x, off[ne]), np.maximum.reduceat(x, off[ne]), 10) \
+        if ne.size else np.empty((0, 11))
+    erow = np.cumsum(lens > 0)[_st.row_ids(off)] - 1  # row of each element among ne
+    code = np.zeros(x.size, dtype=np.int64)
+    for j in range(10):
+        code += E[erow, j] <= x
+    _, inrow = _in_row_pairs(off)
+    change = np.flatnonzero(inrow & (code[1:] != code[:-1]))
+    crow = _st.row_ids(off)[change]
+    pos = _st.row_pos(off)[change]
+    prev = np.empty_like(pos)
+    prev[1:] = pos[:-1]
+    first = np.ones(change.size, dtype=bool)
+    first[1:] = crow[1:] != crow[:-1]
+    prev[first] = -1
+    coff = np.zeros(lens.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(crow, minlength=lens.size), out=coff[1:])
+    return (pos - prev).astype(float), coff
+
+
+register(FeatureKernel("fs_len", "general", _fs_len, returns_array=True, many=_fs_len_many,
                        ref="general.py:797 (vectorized run-length encode)"))
 
 
@@ -220,9 +311,52 @@ def _walker_cross_frac(c: SeriesCtx) -> float:
     return float(cross.sum() / (s.size - 1))
 
 
+def _walker_many(b: SeriesBatch, step_size: float = 0.1) -> np.ndarray:
+    """:func:`_walker` of every row, as the flat residuals walker - z.
+    The same chunked closed form runs on the right-padded z stack: within
+    a chunk every op is elementwise or a per-row cumsum, and each row
+    carries its own last walker value into the next chunk, so every valid
+    cell equals the per-row walker bitwise."""
+
+    def _build():
+        z = b.ts_scaled
+        Z = b.pad(z)
+        R, width = Z.shape
+        W = np.empty((R, width))
+        s = step_size
+        a = 1.0 - s
+        chunk = 256
+        rows = np.arange(R)
+        prev = None
+        for st in range(0, width, chunk):
+            en = min(width, st + chunk)
+            m = en - st
+            pow_a = a ** np.arange(m, dtype=np.float64)
+            if st == 0:
+                contrib = np.zeros((R, m))
+                contrib[:, 1:] = s * Z[:, : m - 1] / pow_a[1:]
+                W[:, :m] = np.cumsum(contrib, axis=1) * pow_a
+            else:
+                y = np.cumsum(Z[:, st - 1: en - 1] / pow_a, axis=1)
+                W[:, st:en] = pow_a * a * prev[:, None] + s * pow_a * y
+            prev = W[rows, np.clip(np.minimum(b.lens, en) - 1, 0, None)]
+        return W[_st.row_mask(b.lens, width)] - z
+
+    return b._get("walker_resid", _build)
+
+
+def _walker_cross_frac_many(b: SeriesBatch) -> np.ndarray:
+    e = _walker_many(b)
+    rows, inrow = _in_row_pairs(b.off)
+    cross = np.bincount(rows[(e[1:] * e[:-1] < 0)[inrow]], minlength=b.lens.size)
+    return cross / (b.lens - 1)
+
+
 register(FeatureKernel("walker_path", "general", _walker_path, returns_array=True,
+                       many=lambda b: (np.abs(_walker_many(b)), b.off),
                        ref="general.py:995, _ts_walker:299-333 (vectorized exp filter)"))
 register(FeatureKernel("walker_cross_frac", "general", _walker_cross_frac,
+                       many=_walker_cross_frac_many,
                        ref="general.py:1069"))
 
 
@@ -273,7 +407,27 @@ def _stick_angles(c: SeriesCtx) -> np.ndarray:
     return np.hstack([ang(np.flatnonzero(nonneg)), ang(np.flatnonzero(~nonneg))])
 
 
+def _stick_angles_many(b: SeriesBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Batch form of ``stick_angles``: the elements are regrouped by (row,
+    sign group) — non-negative first, as the per-row hstack — keeping
+    their order, and each angle comes from two consecutive members of one
+    group."""
+    s, off = b.ts_scaled, b.off
+    rid, pos = _st.row_ids(off), _st.row_pos(off)
+    key = 2 * rid + ~(s >= 0)
+    order = np.argsort(key, kind="stable")
+    so, po, ko = s[order], pos[order], key[order]
+    same = ko[1:] == ko[:-1]
+    tangent = (so[1:] - so[:-1])[same] / (po[1:] - po[:-1])[same]
+    prow = ko[1:][same] // 2
+    norm = b.lens[prow] - 1
+    aoff = np.zeros(b.lens.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(prow, minlength=b.lens.size), out=aoff[1:])
+    return np.arctan(norm * tangent), aoff
+
+
 register(FeatureKernel("stick_angles", "general", _stick_angles, returns_array=True,
+                       many=_stick_angles_many,
                        ref="general.py:1478"))
 
 

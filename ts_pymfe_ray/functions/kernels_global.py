@@ -53,16 +53,19 @@ register(FeatureKernel(
 register(FeatureKernel(
     "sd_diff", "global_stats",
     lambda c: float(np.std(c.ts_diff, ddof=1)),
+    many=lambda b: _st.mean_std_many(*b.ts_diff, ddof=1)[1],
     ref="global_stats.py:229",
 ))
 register(FeatureKernel(
     "skewness_diff", "global_stats",
     lambda c: _st.skewness(c.ts_diff),
+    many=lambda b: _st.skewness_many(*b.ts_diff),
     ref="global_stats.py:334",
 ))
 register(FeatureKernel(
     "kurtosis_diff", "global_stats",
     lambda c: _st.kurtosis(c.ts_diff),
+    many=lambda b: _st.kurtosis_many(*b.ts_diff),
     ref="global_stats.py:518",
 ))
 
@@ -171,9 +174,16 @@ register(FeatureKernel("ioe_tdelta_mean", "global_stats", _ioe_tdelta_mean,
                        returns_array=True, cost="medium",
                        ref="global_stats.py:44-116, _utils.py:248-350"))
 
+def _t_mean_many(b) -> np.ndarray:
+    if not b.finite:
+        raise ValueError("batch sort needs NaN-free rows")
+    return _st.trim_mean_many(b.flat, b.off, 0.02)
+
+
 register(FeatureKernel(
     "t_mean", "global_stats",
     lambda c: _st.trim_mean(c.ts, 0.02),
+    many=_t_mean_many,
     ref="global_stats.py:848",
 ))
 

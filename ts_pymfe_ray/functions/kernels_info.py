@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ts_pymfe_ray.registry import FeatureKernel, SeriesCtx, register
+from ts_pymfe_ray.registry import FeatureKernel, SeriesBatch, SeriesCtx, register
 from ts_pymfe_ray.functions import stats as _st
 from ts_pymfe_ray.functions.kernels_general import _discretize, _find_crit_pt
 
@@ -19,6 +19,32 @@ def shannon_entropy(pk: np.ndarray, base: float = 2.0) -> float:
     p = pk / s
     p = p[p > 0]
     return float(-(p * np.log(p)).sum() / np.log(base))
+
+
+def shannon_entropy_rows(pk: np.ndarray, base: float = 2.0) -> np.ndarray:
+    """:func:`shannon_entropy` of every row of an (R, k) stack, bitwise:
+    the row sums and the ragged sums over each row's positive terms are
+    :func:`stats.seg_sum` (numpy's own 1-D summation order)."""
+    R, k = pk.shape
+    off = np.arange(0, R * k + 1, k, dtype=np.int64)
+    s = _st.seg_sum(pk.ravel(), off)
+    p = (pk / s[:, None]).ravel()
+    pos, poff = _st.keep_rows(p, off, p > 0)
+    h = -_st.seg_sum(pos * np.log(pos), poff) / np.log(base)
+    h[s <= 0] = np.nan
+    return h
+
+
+def _hist10_entropy_rows(flat: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """:func:`_hist10_entropy` of every row of a ragged batch (finite
+    values); NaN for an empty row, where the per-row histogram raises."""
+    lens = np.diff(off)
+    ne = lens > 0
+    out = np.full(lens.size, np.nan)
+    if ne.any():
+        ne_off = np.concatenate([[0], np.cumsum(lens[ne])])
+        out[ne] = shannon_entropy_rows(_st.hist_density_many(flat, ne_off, 10)) / np.log2(10)
+    return out
 
 
 def kl_divergence(pk: np.ndarray, qk: np.ndarray) -> float:
@@ -82,8 +108,14 @@ def _hist10_entropy(c: SeriesCtx) -> float:
     )
 
 
+def _hist10_entropy_many(b: SeriesBatch) -> np.ndarray:
+    if not b.finite:
+        raise ValueError("batch histogram needs finite rows")
+    return b._get("hist10_ent", lambda: _hist10_entropy_rows(b.flat, b.off))
+
+
 register(FeatureKernel(
-    "hist_entropy", "info_theory", _hist10_entropy,
+    "hist_entropy", "info_theory", _hist10_entropy, many=_hist10_entropy_many,
     ref="info_theory.py:221 (normalized base-2 entropy of 10-bin density histogram)",
 ))
 
@@ -96,7 +128,21 @@ def _hist_ent_out_diff(c: SeriesCtx, num_bins: int = 10, pcut: float = 0.05) -> 
     return e_all - e_in
 
 
+def _hist_ent_out_diff_many(b: SeriesBatch, pcut: float = 0.05) -> np.ndarray:
+    """Batch form: quantiles from +inf-padded sorted rows, then the
+    10-bin entropy of each row's inliers (NaN where none are left, as the
+    per-row histogram raises)."""
+    e_all = _hist10_entropy_many(b)
+    x, off, lens = b.flat, b.off, b.lens
+    S = _st.sort_rows(x, off)
+    lo = np.repeat(_st.quantile_sorted(S, lens, pcut), lens)
+    hi = np.repeat(_st.quantile_sorted(S, lens, 1 - pcut), lens)
+    inl, ioff = _st.keep_rows(x, off, (x >= lo) & (x <= hi))
+    return e_all - _hist10_entropy_rows(inl, ioff)
+
+
 register(FeatureKernel("hist_ent_out_diff", "info_theory", _hist_ent_out_diff,
+                       many=_hist_ent_out_diff_many,
                        ref="info_theory.py:258"))
 
 register(FeatureKernel(

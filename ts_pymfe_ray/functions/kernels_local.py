@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from ts_pymfe_ray.registry import FeatureKernel, SeriesCtx, register
+from ts_pymfe_ray.registry import FeatureKernel, SeriesBatch, SeriesCtx, register
 from ts_pymfe_ray.functions import stats as _st
 
 
@@ -37,97 +37,159 @@ def process_window_size(n: int, window_size: float = 0.1) -> int:
     return int(w)
 
 
-def _sliding_sums(x: np.ndarray, w: int, power: int = 1) -> np.ndarray:
-    xp = x if power == 1 else x**power
-    c = np.concatenate([[0.0], np.cumsum(xp)])
-    return c[w:] - c[:-w]
-
-
 def _power_prefixes(x: np.ndarray) -> np.ndarray:
-    """(4, n+1) prefix sums of x^1..x^4 in ONE stacked cumsum — bitwise
-    identical to four separate cumsums (accumulate is per-row) and shared
-    by every moving-stat kernel of a row via the ctx cache.  Powers use
+    """(4, ..., n+1) prefix sums of x^1..x^4 in ONE stacked cumsum along
+    the last axis — bitwise identical to four separate cumsums (accumulate
+    is per-row), for one row or a right-padded (R, n) stack.  Powers use
     np.power (x**3/x**4 differ bitwise from repeated multiplication, and
     the committed goldens pin the np.power values)."""
-    P = np.zeros((4, x.size + 1))
-    np.cumsum(np.stack([x, x * x, x**3, x**4]), axis=1, out=P[:, 1:])
+    P = np.zeros((4,) + x.shape[:-1] + (x.shape[-1] + 1,))
+    np.cumsum(np.stack([x, x * x, x**3, x**4]), axis=-1, out=P[..., 1:])
     return P
-
-
-def _power_prefixes_stack(X: np.ndarray) -> np.ndarray:
-    """Batched :func:`_power_prefixes` for an (R, n) stack -> (R, 4, n+1);
-    bitwise identical per row (cumsum over the last axis is per-row)."""
-    R, n = X.shape
-    A = np.stack([X, X * X, X**3, X**4], axis=1)
-    P = np.zeros((R, 4, n + 1))
-    np.cumsum(A, axis=2, out=P[:, :, 1:])
-    return P
-
-
-def _psums(P: np.ndarray, w: int, power: int) -> np.ndarray:
-    # dimension-agnostic: P is (4, n+1) per row or (R, 4, n+1) stacked;
-    # slicing along the last axis keeps every op per-row (bitwise-equal)
-    c = P[..., power - 1, :]
-    return c[..., w:] - c[..., :-w]
 
 
 def _window_of(c: SeriesCtx) -> int:
     return process_window_size(c.ts.size, 0.1)
 
 
-def moving_mean(s: np.ndarray, w: int, P: np.ndarray | None = None) -> np.ndarray:
-    s1 = _psums(P, w, 1) if P is not None else _sliding_sums(s, w)
-    return s1 / w
+class _RowWindows:
+    """The n-w+1 full sliding windows of ONE row (the per-row reference):
+    window sums from the row's power prefixes ``P``."""
+
+    def __init__(self, s: np.ndarray, w: int, P: np.ndarray):
+        self.s, self.w, self.P = s, w, P
+
+    def sums(self, power: int) -> np.ndarray:
+        c = self.P[power - 1]
+        return c[self.w:] - c[: -self.w]
+
+    def pair_sums(self) -> np.ndarray:
+        """Sum of the w-1 in-window lag-1 products s[i] * s[i+1]."""
+        s, w = self.s, self.w
+        prod = s[:-1] * s[1:]
+        cp = np.zeros(prod.size + 1)
+        np.cumsum(prod, out=cp[1:])
+        return cp[w - 1:] - cp[: -(w - 1)]
+
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each window's first and last value."""
+        return self.s[: self.s.size - self.w + 1], self.s[self.w - 1:]
+
+    def log_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sum of the finite logs, count of the non-positive values) per
+        window."""
+        w = self.w
+        logs = np.where(self.s > 0, np.log(np.maximum(self.s, 1e-300)), np.nan)
+        c = np.zeros(logs.size + 1)
+        np.nancumsum(logs, out=c[1:])
+        bad = np.zeros(logs.size + 1)
+        np.cumsum(~np.isfinite(logs), out=bad[1:])
+        return c[w:] - c[:-w], bad[w:] - bad[:-w]
 
 
-def moving_var(s: np.ndarray, w: int, P: np.ndarray | None = None, ddof: int = 1) -> np.ndarray:
-    s1 = _psums(P, w, 1) if P is not None else _sliding_sums(s, w)
-    s2 = _psums(P, w, 2) if P is not None else _sliding_sums(s, w, 2)
-    v = (s2 - s1 * s1 / w) / (w - ddof)
+class _BatchWindows:
+    """Every full sliding window of every row of a SeriesBatch, in ONE flat
+    run (``off`` gives each row's windows; rows without a valid window —
+    w < 2 — get none).  Each row is a right-padded row of an (R, n_max)
+    stack, its prefix sums are the per-row cumsums (bitwise), and window
+    k of a row reads exactly the prefix cells the per-row slices read, so
+    every window value equals :class:`_RowWindows`' bitwise."""
+
+    def __init__(self, b: SeriesBatch):
+        lens = b.lens
+        wr = np.array([process_window_size(int(n), 0.1) for n in lens], dtype=np.int64)
+        nw = np.where((wr >= 2) & (lens >= wr), lens - wr + 1, 0)
+        self.off = np.zeros(lens.size + 1, dtype=np.int64)
+        np.cumsum(nw, out=self.off[1:])
+        wrow = _st.row_ids(self.off)
+        k = _st.row_pos(self.off)
+        wk = wr[wrow]
+        self.w = wk.astype(np.float64)
+        self.Z = b.pad(b.ts_scaled)
+        width = self.Z.shape[1]
+        self.lo = wrow * (width + 1) + k  # into (R, width+1) prefix stacks
+        self.hi = self.lo + wk
+        self.zlo = wrow * width + k  # into the (R, width) value stack
+        self.zhi = self.zlo + wk - 1
+        self._P = None
+        self._sums: dict[int, np.ndarray] = {}
+
+    def sums(self, power: int) -> np.ndarray:
+        if power not in self._sums:
+            if self._P is None:
+                self._P = _power_prefixes(self.Z)
+            c = self._P[power - 1].reshape(-1)
+            self._sums[power] = c[self.hi] - c[self.lo]
+        return self._sums[power]
+
+    def pair_sums(self) -> np.ndarray:
+        Z = self.Z
+        cp = np.zeros((Z.shape[0], Z.shape[1] + 1))
+        np.cumsum(Z[:, :-1] * Z[:, 1:], axis=1, out=cp[:, 1: Z.shape[1]])
+        cp = cp.reshape(-1)
+        return cp[self.hi - 1] - cp[self.lo]
+
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        z = self.Z.reshape(-1)
+        return z[self.zlo], z[self.zhi]
+
+    def log_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        Z = self.Z
+        logs = np.where(Z > 0, np.log(np.maximum(Z, 1e-300)), np.nan)
+        c = np.zeros((Z.shape[0], Z.shape[1] + 1))
+        np.nancumsum(logs, axis=1, out=c[:, 1:])
+        bad = np.zeros(c.shape)
+        np.cumsum(~np.isfinite(logs), axis=1, out=bad[:, 1:])
+        c, bad = c.reshape(-1), bad.reshape(-1)
+        return c[self.hi] - c[self.lo], bad[self.hi] - bad[self.lo]
+
+
+# The rolling statistics over a window source W (_RowWindows or
+# _BatchWindows); W.w is the row's window size or the per-window sizes.
+
+
+def moving_mean(W) -> np.ndarray:
+    return W.sums(1) / W.w
+
+
+def moving_var(W, ddof: int = 1) -> np.ndarray:
+    s1, s2 = W.sums(1), W.sums(2)
+    v = (s2 - s1 * s1 / W.w) / (W.w - ddof)
     return np.maximum(v, 0.0)
 
 
-def moving_skewness(s: np.ndarray, w: int, P: np.ndarray | None = None) -> np.ndarray:
+def moving_skewness(W) -> np.ndarray:
     """e1071 method-3, bias=True per window (local_stats.py:671)."""
-    if P is None:
-        P = _power_prefixes(s)
-    s1, s2, s3 = _psums(P, w, 1), _psums(P, w, 2), _psums(P, w, 3)
+    w = W.w
+    s1, s2, s3 = W.sums(1), W.sums(2), W.sums(3)
     mu = s1 / w
     m2 = s2 / w - mu**2
     m3 = s3 / w - 3 * mu * s2 / w + 2 * mu**3
     with np.errstate(all="ignore"):
         g1 = np.where(m2 > 0, m3 / np.power(np.maximum(m2, 0), 1.5), 0.0)
-    return g1 * ((w - 1.0) / w) ** 1.5
+    return g1 * _st.per_value(w, lambda w: ((w - 1.0) / w) ** 1.5)
 
 
-def moving_kurtosis(s: np.ndarray, w: int, P: np.ndarray | None = None) -> np.ndarray:
-    if P is None:
-        P = _power_prefixes(s)
-    s1, s2, s3, s4 = (_psums(P, w, k) for k in (1, 2, 3, 4))
+def moving_kurtosis(W) -> np.ndarray:
+    w = W.w
+    s1, s2, s3, s4 = (W.sums(k) for k in (1, 2, 3, 4))
     mu = s1 / w
     m2 = s2 / w - mu**2
     m4 = s4 / w - 4 * mu * s3 / w + 6 * mu**2 * s2 / w - 3 * mu**4
     with np.errstate(all="ignore"):
         g2 = np.where(m2 > 0, m4 / np.maximum(m2, 1e-300) ** 2 - 3.0, -3.0)
-    return (g2 + 3.0) * (1.0 - 1.0 / w) ** 2 - 3.0
+    return (g2 + 3.0) * _st.per_value(w, lambda w: (1.0 - 1.0 / w) ** 2) - 3.0
 
 
-def moving_acf1(s: np.ndarray, w: int, P: np.ndarray | None = None, adjusted: bool = True) -> np.ndarray:
+def moving_acf1(W, adjusted: bool = True) -> np.ndarray:
     """Rolling lag-1 ACF, statsmodels semantics per window
     (local_stats.py:1031: rolling apply of ft_acf(nlags=1, adjusted)):
-    acf1 = (sum_pairs/(w-1)) / (var_pop) with var_pop = ss/w.
-    Dimension-agnostic (1-D row or (R, n) stack), per-row bitwise."""
-    s1 = _psums(P, w, 1) if P is not None else _sliding_sums(s, w)
-    s2 = _psums(P, w, 2) if P is not None else _sliding_sums(s, w, 2)
-    prod = s[..., :-1] * s[..., 1:]
-    cp = np.zeros(prod.shape[:-1] + (prod.shape[-1] + 1,))
-    np.cumsum(prod, axis=-1, out=cp[..., 1:])
-    c1 = cp[..., w - 1 :] - cp[..., : -(w - 1)]  # sum of w-1 in-window pairs
-    nw = s1.shape[-1]
-    c1 = c1[..., :nw]
+    acf1 = (sum_pairs/(w-1)) / (var_pop) with var_pop = ss/w."""
+    w = W.w
+    s1, s2 = W.sums(1), W.sums(2)
+    c1 = W.pair_sums()
+    first, last = W.ends()
     mu = s1 / w
-    first = s[..., :nw]
-    last = s[..., w - 1 :]
     num = c1 - mu * (2 * s1 - first - last) + (w - 1) * mu**2
     den = s2 - w * mu**2
     with np.errstate(all="ignore"):
@@ -137,28 +199,13 @@ def moving_acf1(s: np.ndarray, w: int, P: np.ndarray | None = None, adjusted: bo
     return acf1
 
 
-def moving_gmean(s: np.ndarray, w: int, P: np.ndarray | None = None) -> np.ndarray:
+def moving_gmean(W) -> np.ndarray:
     """scipy.stats.gmean per window: NaN whenever the window holds a
     non-positive value (log-domain), matching scipy on z-scored input."""
-    with np.errstate(all="ignore"):
-        logs = np.where(s > 0, np.log(np.maximum(s, 1e-300)), np.nan)
-    c = np.zeros(logs.shape[:-1] + (logs.shape[-1] + 1,))
-    np.nancumsum(logs, axis=-1, out=c[..., 1:])
-    sums = c[..., w:] - c[..., :-w]
-    bad = np.zeros(logs.shape[:-1] + (logs.shape[-1] + 1,))
-    np.cumsum(~np.isfinite(logs) | np.isnan(logs), axis=-1, out=bad[..., 1:])
-    nbad = bad[..., w:] - bad[..., :-w]
-    out = np.exp(sums / w)
+    sums, nbad = W.log_sums()
+    out = np.exp(sums / W.w)
     out[nbad > 0] = np.nan
     return out
-
-
-def _postprocess(vals: np.ndarray, shift: bool) -> np.ndarray:
-    vals = vals[np.isfinite(vals) | np.isnan(vals)]
-    if shift:
-        v = vals[~np.isnan(vals)]
-        return np.abs(v[1:] - v[:-1])  # == np.diff, minus its dispatch cost
-    return vals
 
 
 def _mk_moving(name: str, stat_fn, shift: bool):
@@ -170,20 +217,29 @@ def _mk_moving(name: str, stat_fn, shift: bool):
         # non-shift computation, and all moving stats share ONE cached
         # power-prefix matrix instead of recomputing cumsums per kernel
         P = c._get("mvpow", lambda: _power_prefixes(c.ts_scaled))
-        vals = c._get(f"mv_{name}_{w}", lambda: stat_fn(c.ts_scaled, w, P))
-        vals = vals[~np.isnan(vals)] if not shift else vals
-        return _postprocess(vals, shift)
+        vals = c._get(f"mv_{name}_{w}", lambda: stat_fn(_RowWindows(c.ts_scaled, w, P)))
+        v = vals[np.isfinite(vals)]
+        if shift:
+            return np.abs(v[1:] - v[:-1])  # == np.diff, minus its dispatch cost
+        return v
 
-    return fn
+    def many(b: SeriesBatch) -> tuple[np.ndarray, np.ndarray]:
+        W = b._get("mv_windows", lambda: _BatchWindows(b))
+        vals = b._get(f"mv_{name}", lambda: stat_fn(W))
+        v, off = _st.keep_rows(vals, W.off, np.isfinite(vals))
+        if shift:
+            d, off = _st.ragged_diff(v, off)
+            return np.abs(d), off
+        return v, off
+
+    return fn, many
 
 
-# (registered name, stat fn, reference line); the stat fns are
-# dimension-agnostic so the feature stage can seed `mv_{name}_{w}` from an
-# (R, n) stack (stages/features.py::preseed_stacked)
+# (registered name, rolling stat over a window source, reference line)
 MOVING_BASE_STATS = (
     ("moving_avg", moving_mean, "local_stats.py:256"),
     ("moving_var", moving_var, "local_stats.py:388"),
-    ("moving_sd", lambda s, w, P=None: np.sqrt(moving_var(s, w, P)), "local_stats.py:543"),
+    ("moving_sd", lambda W: np.sqrt(moving_var(W)), "local_stats.py:543"),
     ("moving_skewness", moving_skewness, "local_stats.py:671"),
     ("moving_kurtosis", moving_kurtosis, "local_stats.py:849"),
     ("moving_acf", moving_acf1, "local_stats.py:1031"),
@@ -191,10 +247,11 @@ MOVING_BASE_STATS = (
 )
 
 for _name, _fn, _ref in MOVING_BASE_STATS:
-    register(FeatureKernel(_name, "local_stats", _mk_moving(_name, _fn, False),
-                           returns_array=True, ref=_ref + " (O(n) sliding sketch)"))
-    register(FeatureKernel(_name + "_shift", "local_stats", _mk_moving(_name, _fn, True),
-                           returns_array=True, ref=_ref + " shift variant"))
+    for _shift in (False, True):
+        _row, _many = _mk_moving(_name, _fn, _shift)
+        register(FeatureKernel(_name + ("_shift" if _shift else ""), "local_stats", _row,
+                               returns_array=True, many=_many,
+                               ref=_ref + (" shift variant" if _shift else " (O(n) sliding sketch)")))
 
 
 def _moving_kldiv(c: SeriesCtx, remove_inf: bool = True) -> np.ndarray:
@@ -310,6 +367,13 @@ register(FeatureKernel("moving_approx_ent", "local_stats", _moving_approx_ent,
 # ------------------------------------------------------------------ tiles
 
 
+def _tile_moments(s1, s2, mn, mx, cnt) -> dict[str, np.ndarray]:
+    mean = s1 / cnt
+    with np.errstate(all="ignore"):
+        var = (s2 - cnt * mean**2) / (cnt - 1)
+    return {"mean": mean, "var": np.maximum(var, 0.0), "min": mn, "max": mx}
+
+
 def _tile_stats(c: SeriesCtx, num_tiles: int = 16) -> dict[str, np.ndarray]:
     """Per-tile mean/var/min/max in one reduceat pass.  Tile boundaries =
     np.array_split semantics (reference _utils.py:11-33: first n%k tiles
@@ -324,43 +388,64 @@ def _tile_stats(c: SeriesCtx, num_tiles: int = 16) -> dict[str, np.ndarray]:
         sizes = np.full(num_tiles, base, dtype=np.int64)
         sizes[:extra] += 1
         starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        cnt = sizes.astype(np.float64)
-        s1 = np.add.reduceat(s, starts)
-        s2 = np.add.reduceat(s * s, starts)
-        mean = s1 / cnt
-        with np.errstate(all="ignore"):
-            var = (s2 - cnt * mean**2) / (cnt - 1)
-        return {
-            "mean": mean,
-            "var": np.maximum(var, 0.0),
-            "min": np.minimum.reduceat(s, starts),
-            "max": np.maximum.reduceat(s, starts),
-        }
+        return _tile_moments(np.add.reduceat(s, starts), np.add.reduceat(s * s, starts),
+                             np.minimum.reduceat(s, starts), np.maximum.reduceat(s, starts),
+                             sizes.astype(np.float64))
 
     return c._get(f"tiles{num_tiles}", _build)
 
 
-register(FeatureKernel(
-    "lumpiness", "local_stats",
-    lambda c: _tile_stats(c)["var"],
-    returns_array=True, ref="local_stats.py:1624",
-))
-register(FeatureKernel(
-    "stability", "local_stats",
-    lambda c: _tile_stats(c)["mean"],
-    returns_array=True, ref="local_stats.py:1684",
-))
+def _tile_stats_many(b: SeriesBatch, num_tiles: int = 16) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """:func:`_tile_stats` of every row with at least 2 * num_tiles points
+    (the rows whose per-row call does not raise) as (V, num_tiles) arrays,
+    plus per-row offsets into their raveled form.  ONE reduceat per
+    statistic runs over the flat z-scores with each row's tile starts and
+    its end, so every tile reduces exactly the elements (and in the same
+    order) the per-row reduceat does; the row-end segments are dropped."""
+
+    def _build():
+        ok = num_tiles <= 0.5 * b.lens
+        rows = np.flatnonzero(ok)
+        toff = np.zeros(b.lens.size + 1, dtype=np.int64)
+        np.cumsum(ok * num_tiles, out=toff[1:])
+        base, extra = np.divmod(b.lens[rows], num_tiles)
+        sizes = base[:, None] + (np.arange(num_tiles) < extra[:, None])
+        bounds = np.zeros((rows.size, num_tiles + 1), dtype=np.int64)
+        np.cumsum(sizes, axis=1, out=bounds[:, 1:])
+        bounds += b.off[rows][:, None]
+        idx = bounds.ravel()
+        s = np.append(b.ts_scaled, 0.0)  # a row may end at the buffer's end
+
+        def red(op, x):
+            if not idx.size:
+                return np.empty((0, num_tiles))
+            return op.reduceat(x, idx).reshape(-1, num_tiles + 1)[:, :num_tiles]
+
+        t = _tile_moments(red(np.add, s), red(np.add, s * s), red(np.minimum, s),
+                          red(np.maximum, s), sizes.astype(np.float64))
+        return t, toff
+
+    return b._get(f"tiles{num_tiles}", _build)
 
 
-def _local_extrema(c: SeriesCtx) -> np.ndarray:
-    t = _tile_stats(c)
-    return np.where(np.abs(t["min"]) <= t["max"], t["max"], t["min"])
+# (name, per-tile feature of the tile stats, reference line)
+_TILE_FEATURES = (
+    ("lumpiness", lambda t: t["var"], "local_stats.py:1624"),
+    ("stability", lambda t: t["mean"], "local_stats.py:1684"),
+    ("local_extrema", lambda t: np.where(np.abs(t["min"]) <= t["max"], t["max"], t["min"]),
+     "local_stats.py:1736"),
+    ("local_range", lambda t: t["max"] - t["min"], "local_stats.py:1791"),
+)
 
 
-register(FeatureKernel("local_extrema", "local_stats", _local_extrema,
-                       returns_array=True, ref="local_stats.py:1736"))
-register(FeatureKernel(
-    "local_range", "local_stats",
-    lambda c: _tile_stats(c)["max"] - _tile_stats(c)["min"],
-    returns_array=True, ref="local_stats.py:1791",
-))
+def _mk_tile(feat):
+    def many(b: SeriesBatch) -> tuple[np.ndarray, np.ndarray]:
+        t, toff = _tile_stats_many(b)
+        return feat(t).ravel(), toff
+
+    return (lambda c: feat(_tile_stats(c))), many
+
+
+for _name, _feat, _ref in _TILE_FEATURES:
+    _row, _many = _mk_tile(_feat)
+    register(FeatureKernel(_name, "local_stats", _row, returns_array=True, many=_many, ref=_ref))

@@ -20,21 +20,6 @@ def standardize_ts(ts: np.ndarray) -> np.ndarray:
     return (ts - ts.mean()) / sd
 
 
-def standardize_stack(Y: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`standardize_ts` for an (R, n) stack — bitwise
-    identical per row (axis-1 reductions and scalar broadcasts are
-    per-row; parity gate in tests/test_kernels.py)."""
-    Y = np.asarray(Y, dtype=np.float64)
-    mu = Y.mean(axis=1, keepdims=True)
-    sd = Y.std(axis=1, keepdims=True)
-    with np.errstate(all="ignore"):
-        out = (Y - mu) / sd
-    bad = (sd[:, 0] == 0) | ~np.isfinite(sd[:, 0])
-    if bad.any():
-        out[bad] = 0.0
-    return out
-
-
 def acf(ts: np.ndarray, nlags: int | None = None, adjusted: bool = True) -> np.ndarray:
     """Autocorrelation function via FFT, statsmodels-compatible.
 
@@ -368,3 +353,221 @@ def hist_density(x: np.ndarray, nbins: int) -> np.ndarray:
     counts, edges = hist_counts(x, nbins)
     db = np.diff(edges)
     return counts / db / counts.sum()
+
+
+# ------------------------------------------------------------ ragged batches
+# A batch of R rows of different lengths is one flat float64 buffer plus
+# R+1 int64 offsets starting at 0 (row i is flat[off[i]:off[i+1]]).  Each
+# helper below is bitwise equal, row by row, to the per-row numpy call it
+# names; the kernels' batch forms (registry.SeriesBatch) are built on them.
+
+
+def row_ids(off: np.ndarray) -> np.ndarray:
+    """Row index of every flat element."""
+    return np.repeat(np.arange(off.size - 1), np.diff(off))
+
+
+def row_pos(off: np.ndarray) -> np.ndarray:
+    """Index of every flat element within its row."""
+    return np.arange(off[-1]) - np.repeat(off[:-1], np.diff(off))
+
+
+def row_mask(lens: np.ndarray, width: int | None = None) -> np.ndarray:
+    """(R, width) bool: True on the cells of a right-padded stack that hold
+    a row element; ``M[row_mask(lens)]`` is the flat buffer again."""
+    if width is None:
+        width = int(lens.max()) if lens.size else 0
+    return np.arange(width) < lens[:, None]
+
+
+def pad_rows(flat: np.ndarray, off: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    """(R, max_len) stack of the rows, right-padded with ``fill``.  A prefix
+    op along a row (cumsum) or an elementwise op reads no padding at a
+    valid cell, so both stay bitwise equal per row."""
+    lens = np.diff(off)
+    mask = row_mask(lens)
+    M = np.full(mask.shape, fill)
+    M[mask] = flat
+    return M
+
+
+def keep_rows(flat: np.ndarray, off: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ``row[keep_row]``: the kept elements and their offsets."""
+    c = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=c[1:])
+    return flat[keep], c[off]
+
+
+def ragged_diff(flat: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ``row[1:] - row[:-1]`` (np.diff) and its offsets."""
+    d = flat[1:] - flat[:-1]
+    inrow = row_pos(off)[1:] > 0
+    lens = np.maximum(np.diff(off) - 1, 0)
+    return d[inrow], np.concatenate([[0], np.cumsum(lens)])
+
+
+def seg_sum(flat: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Per-row ``row.sum()``, bitwise (an empty row sums to 0.0).
+
+    numpy sums a 1-D array pairwise from a 0.0 seed.  A plain
+    ``np.add.reduceat`` seeds each segment with its first element instead,
+    and a padded ``axis=1`` sum changes the pairwise blocking; neither is
+    bitwise equal.  So ONE ``reduceat`` runs over a copy that holds one
+    leading 0.0 per row: each segment then sums exactly like the row."""
+    R = off.size - 1
+    if R == 0:
+        return np.zeros(0)
+    if R == 1:  # one row: numpy's own sum, no copy
+        return np.array([flat[off[0]: off[1]].sum()])
+    buf = np.insert(flat, off[:-1], 0.0)
+    return np.add.reduceat(buf, off[:-1] + np.arange(R))
+
+
+def mean_std_many(flat: np.ndarray, off: np.ndarray, ddof: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ``(np.mean(row), np.std(row, ddof=ddof))``, bitwise: numpy's
+    own two-pass arithmetic (sum / n, then the summed squared deviations
+    / max(n - ddof, 0)) with :func:`seg_sum` for both sums.  An empty
+    row gives NaN for both; a row with n <= ddof gives a NaN sd."""
+    lens = np.diff(off)
+    mean = seg_sum(flat, off) / lens
+    d = flat - np.repeat(mean, lens)
+    np.multiply(d, d, out=d)
+    var = seg_sum(d, off) / np.maximum(lens - ddof, 0)
+    return mean, np.sqrt(var)
+
+
+def sort_rows(flat: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Every row sorted ascending in a +inf-padded (R, max_len) stack; its
+    leading order statistics are the row's own (rows must be NaN-free)."""
+    S = pad_rows(flat, off, np.inf)
+    if S.shape[1] == 0:  # all rows empty: one padding column to index
+        S = np.full((S.shape[0], 1), np.inf)
+    return np.sort(S, axis=1)
+
+
+def quantile_sorted(S: np.ndarray, lens: np.ndarray, q: float) -> np.ndarray:
+    """``quantiles_part(row, (q,))`` of every non-empty row of a
+    :func:`sort_rows` stack: the same index and ``_lerp`` arithmetic."""
+    v = q * (lens - 1)
+    i0 = v.astype(np.int64)
+    i1 = np.minimum(i0 + 1, lens - 1)
+    t = v - i0
+    r = np.arange(lens.size)
+    a, b = S[r, i0], S[r, i1]
+    d = b - a
+    return np.where(t >= 0.5, b - d * (1 - t), a + d * t)
+
+
+def median_sorted(S: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``median_part(row)`` of every non-empty row of a :func:`sort_rows`
+    stack: the middle value, or (a + b) / 2.0 of the two middles."""
+    h = lens // 2
+    r = np.arange(lens.size)
+    hi = S[r, h]
+    lo = S[r, np.maximum(h - 1, 0)]
+    return np.where(lens % 2 == 1, hi, (lo + hi) / 2.0)
+
+
+def _central_moments(flat: np.ndarray, off: np.ndarray, powers: tuple[int, ...]):
+    """Per-row ``((x - x.mean()) ** p).mean()`` for each power, bitwise."""
+    lens = np.diff(off)
+    d = flat - np.repeat(seg_sum(flat, off) / lens, lens)
+    return lens, [seg_sum(d**p, off) / lens for p in powers]
+
+
+def per_value(v, f):
+    """``f(v)`` of a Python int, or of every element of an int array with
+    ``f`` run once per distinct value on Python ints.  The batch forms
+    keep scalar transcendentals scalar this way: ``((n - 1.0) / n) ** 1.5``
+    on Python floats is a libm call, while an array ``np.power`` is SIMD
+    and can differ from it by an ulp."""
+    if np.ndim(v) == 0:
+        return f(v)
+    u, inv = np.unique(v, return_inverse=True)
+    return np.array([f(int(x)) for x in u], dtype=np.float64)[inv]
+
+
+def skewness_many(flat: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Per-row :func:`skewness` (method 3, bias=True): batched moments; the
+    scalar powers stay scalar — ``m2 ** 1.5`` is the same numpy-scalar power
+    per row, and the n-factor one libm call per distinct n."""
+    lens, (m2, m3) = _central_moments(flat, off, (2, 3))
+    p = np.array([m ** 1.5 for m in m2], dtype=np.float64)
+    g1 = np.where(m2 > 0, m3 / p, 0.0)
+    out = g1 * per_value(lens, lambda n: ((n - 1.0) / n) ** 1.5 if n else np.nan)
+    out[lens == 0] = np.nan
+    return out
+
+
+def kurtosis_many(flat: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Per-row :func:`kurtosis` (method 3, bias=True), as :func:`skewness_many`."""
+    lens, (m2, m4) = _central_moments(flat, off, (2, 4))
+    p = np.array([m ** 2 for m in m2], dtype=np.float64)
+    g2 = np.where(m2 > 0, m4 / p - 3.0, -3.0)
+    out = (g2 + 3.0) * per_value(lens, lambda n: (1.0 - 1.0 / n) ** 2 if n else np.nan) - 3.0
+    out[lens == 0] = np.nan
+    return out
+
+
+def trim_mean_many(flat: np.ndarray, off: np.ndarray, proportiontocut: float) -> np.ndarray:
+    """Per-row :func:`trim_mean` (NaN-free rows)."""
+    lens = np.diff(off)
+    k = (lens * proportiontocut).astype(np.int64)
+    m = lens - 2 * k
+    S = sort_rows(flat, off)
+    cols = np.arange(S.shape[1])
+    keep = (cols >= k[:, None]) & (cols < (lens - k)[:, None])
+    kept = np.zeros(lens.size + 1, dtype=np.int64)
+    np.cumsum(np.maximum(m, 0), out=kept[1:])
+    out = seg_sum(S[keep], kept) / m
+    out[m <= 0] = np.nan
+    return out
+
+
+def hist_edges_many(lo: np.ndarray, hi: np.ndarray, nbins: int) -> np.ndarray:
+    """Row-wise :func:`hist_edges` from each row's (min, max): (R, nbins+1)."""
+    lo = lo.astype(np.float64)
+    hi = hi.astype(np.float64)
+    eq = lo == hi
+    lo[eq] -= 0.5
+    hi[eq] += 0.5
+    ar = np.arange(nbins + 1, dtype=np.float64)
+    delta = hi - lo
+    step = delta / nbins
+    E = ar * step[:, None]
+    tiny = step == 0
+    if tiny.any():
+        e = ar * delta[tiny][:, None]
+        e /= nbins
+        E[tiny] = e
+    E += lo[:, None]
+    E[:, -1] = hi
+    return E
+
+
+def hist_counts_many(flat: np.ndarray, off: np.ndarray, nbins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`hist_counts` of NON-EMPTY finite rows: (counts
+    (R, nbins), edges (R, nbins+1)) — the same scaled index and edge
+    corrections, with each row's own edges."""
+    R = off.size - 1
+    starts = off[:-1]
+    E = hist_edges_many(np.minimum.reduceat(flat, starts),
+                        np.maximum.reduceat(flat, starts), nbins)
+    rid = row_ids(off)
+    norm = nbins / (E[:, -1] - E[:, 0])
+    idx = ((flat - E[rid, 0]) * norm[rid]).astype(np.intp)
+    idx[idx == nbins] -= 1
+    Ef = E.ravel()
+    base = rid * (nbins + 1)
+    dec = flat < Ef[base + idx]
+    idx[dec] -= 1
+    inc = (flat >= Ef[base + idx + 1]) & (idx != nbins - 1)
+    idx[inc] += 1
+    counts = np.bincount(rid * nbins + idx, minlength=R * nbins).reshape(R, nbins)
+    return counts, E
+
+
+def hist_density_many(flat: np.ndarray, off: np.ndarray, nbins: int) -> np.ndarray:
+    """Row-wise :func:`hist_density` of non-empty finite rows: (R, nbins)."""
+    counts, E = hist_counts_many(flat, off, nbins)
+    return counts / np.diff(E, axis=1) / counts.sum(axis=1, keepdims=True)

@@ -1,4 +1,4 @@
-"""Static feature-kernel registry + lazy per-series context.
+"""Static feature-kernel registry + lazy per-series and per-batch contexts.
 
 The reference discovers features by reflecting over ``ft_``-prefixed
 classmethods and wires shared intermediates through a mutable precompute
@@ -7,13 +7,25 @@ replaces both with static structures chosen at plan time:
 
 - :class:`SeriesCtx` — one per row; every shared intermediate (scaled
   series, period, STL/SuperSmoother components, detrended ACF, ...) is a
-  lazily computed, cached property, so a fused ``map_batches`` kernel
-  computes each intermediate at most once per row no matter how many
-  features need it.
+  lazily computed, cached property, so each intermediate is computed at
+  most once per row no matter how many features need it.
 - :data:`REGISTRY` — ``{feature_name: FeatureKernel}``; a kernel is a pure
   function ``fn(ctx) -> float | np.ndarray``.  Array-valued kernels are
   reduced by summary functions into fixed columns ``name.summary`` exactly
   like the reference (tsmfe.py:525-549); defaults ("mean", "sd").
+- Batch forms: a kernel may also register ``many(batch)`` over a
+  :class:`SeriesBatch` (every row of a feature batch in one flat buffer
+  plus row offsets).  It returns an (R,) array for a scalar kernel or
+  ``(flat, offsets)`` for an array kernel, and must equal ``fn`` on every
+  row BITWISE — ``fn`` stays the reference (:func:`evaluate_row`) and the
+  fallback.  :func:`evaluate_batch` runs each kernel once per batch: its
+  ``many`` when it has one, else ``fn`` row by row; a ``many`` that raises
+  falls back to ``fn`` for that batch, so NaN-on-error stays per row.
+- Summaries: ``mean`` and ``sd`` of an array kernel are ``v.mean()`` and
+  ``v.std(ddof=1)`` over its finite values (reference _summary.py:276-447,
+  SURVEY.md §2.2), computed by :func:`summarize_many` with fixed-order
+  numpy sums — no BLAS call, so no value depends on the host's BLAS core.
+  :func:`summarize_array` is its one-row call.
 - NaN-on-error: any exception inside a kernel yields NaN for that feature
   only (reference policy, _internal.py:204-213, 594-614).
 
@@ -24,7 +36,6 @@ equivalent of adding an ``ft_`` method to a reference class.
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing as t
 
 import numpy as np
@@ -141,6 +152,74 @@ class SeriesCtx:
         return self._get("rng", _mk)
 
 
+class SeriesBatch:
+    """Every row of one feature batch, for the kernels' batch forms.
+
+    The rows' capped, gap-filled series (each ``SeriesCtx.ts``) sit in ONE
+    flat float64 buffer ``flat`` with int64 row offsets ``off``: row i is
+    ``flat[off[i]:off[i+1]]``.  Shared batch precomputes are lazy and
+    cached like :class:`SeriesCtx`'s (kernels cache their own through
+    ``_get``), and each is bitwise equal, row by row, to its per-row twin."""
+
+    def __init__(self, ctxs: list[SeriesCtx]):
+        self.ctxs = ctxs
+        self.lens = np.fromiter((c.ts.size for c in ctxs), dtype=np.int64, count=len(ctxs))
+        self.off = np.zeros(self.lens.size + 1, dtype=np.int64)
+        np.cumsum(self.lens, out=self.off[1:])
+        self.flat = np.concatenate([c.ts for c in ctxs]) if ctxs else np.empty(0)
+        self._cache: dict[str, t.Any] = {}
+
+    def _get(self, key: str, fn: t.Callable[[], t.Any]) -> t.Any:
+        if key not in self._cache:
+            self._cache[key] = fn()
+        return self._cache[key]
+
+    @property
+    def finite(self) -> bool:
+        """Every value finite — the sort-based batch forms need NaN-free
+        rows and raise (falling back per row) otherwise."""
+        return self._get("finite", lambda: bool(np.isfinite(self.flat).all()))
+
+    @property
+    def ts_scaled(self) -> np.ndarray:
+        """Flat z-scores: :func:`stats.standardize_ts` of every row."""
+
+        def _build():
+            with np.errstate(all="ignore"):
+                mean, sd = _st.mean_std_many(self.flat, self.off, ddof=0)
+                sd_e = np.repeat(sd, self.lens)
+                z = (self.flat - np.repeat(mean, self.lens)) / sd_e
+            z[(sd_e == 0) | ~np.isfinite(sd_e)] = 0.0
+            return z
+
+        return self._get("ts_scaled", _build)
+
+    @property
+    def ts_diff(self) -> tuple[np.ndarray, np.ndarray]:
+        """(flat, offsets) of every row's first difference."""
+        return self._get("ts_diff", lambda: _st.ragged_diff(self.flat, self.off))
+
+    def pad(self, flat: np.ndarray, fill: float = 0.0) -> np.ndarray:
+        """(R, max_len) right-padded stack of a buffer laid out like ``flat``."""
+        return _st.pad_rows(flat, self.off, fill)
+
+    def seed_ctxs(self, trend: bool) -> None:
+        """Seed every row's SeriesCtx cache with its slice of the batch
+        precomputes — the z-scores, first differences and (``trend``) the
+        SuperSmoother trend from ONE ragged stack, which is bitwise equal
+        per row to :func:`decompose.supersmoother`."""
+        z = self.ts_scaled
+        d, doff = self.ts_diff
+        trends = _dec.supersmoother_ragged([c.ts for c in self.ctxs]) if trend else None
+        for i, c in enumerate(self.ctxs):
+            cache = c._cache
+            cache["ts_scaled"] = z[self.off[i]: self.off[i + 1]]
+            cache["ts_diff"] = d[doff[i]: doff[i + 1]]
+            if trends is not None:
+                cache["ss_trend"] = trends[i]
+                cache["ts_detrended_ss"] = c.ts - trends[i]
+
+
 @dataclasses.dataclass(frozen=True)
 class FeatureKernel:
     name: str  # reference-compatible feature name (e.g. "trend_strenght")
@@ -149,6 +228,9 @@ class FeatureKernel:
     returns_array: bool = False  # arrays get summarized into name.summary cols
     cost: str = "cheap"  # cheap | medium | heavy — drives stage placement
     ref: str = ""  # file:line citation into /root/reference
+    # optional batch form over a SeriesBatch: (R,) values for a scalar
+    # kernel, (flat, offsets) for an array kernel; bitwise == fn per row
+    many: t.Optional[t.Callable[[SeriesBatch], t.Any]] = None
 
 
 REGISTRY: dict[str, FeatureKernel] = {}
@@ -184,25 +266,26 @@ def kernels_of(groups: t.Iterable[str] | None = None, max_cost: str = "heavy") -
 
 # --- summaries applied to array-valued kernels (reference default
 # ("mean", "sd"), tsmfe.py:48) ------------------------------------------
+def summarize_many(flat: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ``(mean, sd)`` of a ragged batch of kernel values: ``v.mean()``
+    and ``v.std(ddof=1)`` over each row's FINITE values, bitwise (NaN when
+    no finite value is left; sd NaN below two).  Both sums are numpy's
+    fixed-order pairwise sums (:func:`stats.seg_sum`), never a BLAS dot,
+    whose summation order depends on the host's BLAS core."""
+    v = np.asarray(flat, dtype=np.float64)
+    off = np.asarray(offsets, dtype=np.int64)
+    ok = np.isfinite(v)
+    if not ok.all():
+        v, off = _st.keep_rows(v, off, ok)
+    with np.errstate(all="ignore"):
+        return _st.mean_std_many(v, off, ddof=1)
+
+
 def summarize_array(vals: np.ndarray) -> dict[str, float]:
-    v = vals if type(vals) is np.ndarray and vals.dtype == np.float64 \
-        else np.asarray(vals, dtype=np.float64)
-    if v.size == 0:
-        return {"mean": np.nan, "sd": np.nan}
-    s1 = v.sum()
-    if not np.isfinite(s1):  # NaN/inf present -> pay for the mask
-        v = v[np.isfinite(v)]
-        if v.size == 0:
-            return {"mean": np.nan, "sd": np.nan}
-        s1 = v.sum()
-    n = v.size
-    mean = s1 / n
-    if n < 2:
-        return {"mean": float(mean), "sd": np.nan}
-    var = (v @ v - n * mean * mean) / (n - 1)
-    # math.sqrt == np.sqrt bitwise (both the IEEE-754 sqrt), ~10x cheaper
-    # on a scalar — this runs once per array kernel per row
-    return {"mean": float(mean), "sd": math.sqrt(var) if var > 0 else 0.0}
+    """:func:`summarize_many` of one row."""
+    v = np.asarray(vals, dtype=np.float64).ravel()
+    mean, sd = summarize_many(v, np.array([0, v.size], dtype=np.int64))
+    return {"mean": float(mean[0]), "sd": float(sd[0])}
 
 
 def feature_columns(kernels: list[FeatureKernel]) -> list[str]:
@@ -218,10 +301,10 @@ def feature_columns(kernels: list[FeatureKernel]) -> list[str]:
 
 
 def evaluate_row(ts: np.ndarray, doc_id: str, kernels: list[FeatureKernel], cap: int = DEFAULT_ANALYSIS_CAP, ctx: "SeriesCtx | None" = None) -> dict[str, float]:
-    """Run every kernel on one series; exceptions -> NaN (reference
-    _internal.py:204-213).  ``ctx`` lets the feature stage pass a
-    pre-seeded SeriesCtx (batched same-length precomputes); ``ts`` is
-    ignored when given."""
+    """Run every kernel's per-row ``fn`` on one series; exceptions -> NaN
+    (reference _internal.py:204-213).  The reference path that every batch
+    form is tested against.  ``ctx`` passes a pre-seeded SeriesCtx; ``ts``
+    is ignored when given."""
     if ctx is None:
         ctx = SeriesCtx(ts, doc_id=doc_id, cap=cap)
     out: dict[str, float] = {}
@@ -258,3 +341,76 @@ def _eval_kernels(ctx: "SeriesCtx", kernels: list[FeatureKernel]) -> dict[str, f
             except (TypeError, ValueError):
                 out[k.name] = np.nan
     return out
+
+
+def evaluate_batch(ctxs: list[SeriesCtx], kernels: list[FeatureKernel],
+                   batch: SeriesBatch | None = None) -> dict[str, np.ndarray]:
+    """Every kernel over every row of a batch -> ``{column: (R,) values}``,
+    bitwise equal to :func:`evaluate_row` row by row.
+
+    Each kernel runs once: its batch form ``many`` when it has one, else
+    its per-row ``fn`` over the rows; a ``many`` that raises falls back to
+    ``fn`` for the batch.  Array kernels are summarized by ONE
+    :func:`summarize_many` call.  POSTPROCESSORS still see one row's dict
+    and ctx at a time; what they write to an existing column is kept."""
+    b = batch if batch is not None else SeriesBatch(ctxs)
+    out: dict[str, np.ndarray] = {}
+    with np.errstate(all="ignore"):
+        for k in kernels:
+            res = None
+            if k.many is not None:
+                try:
+                    res = k.many(b)
+                except Exception:
+                    res = None
+            if k.returns_array:
+                flat, off = res if res is not None else _rows_array(k, ctxs)
+                out[f"{k.name}.mean"], out[f"{k.name}.sd"] = summarize_many(flat, off)
+            else:
+                out[k.name] = (np.asarray(res, dtype=np.float64) if res is not None
+                               else _rows_scalar(k, ctxs))
+    if POSTPROCESSORS:
+        for i, ctx in enumerate(ctxs):
+            row = {c: float(v[i]) for c, v in out.items()}
+            for post in POSTPROCESSORS:
+                try:
+                    post(row, ctx)
+                except Exception:
+                    pass  # hooks must never fail a row (reference error policy)
+            for c, v in row.items():
+                if c in out:
+                    out[c][i] = v
+    return out
+
+
+_EMPTY = np.empty(0)
+
+
+def _rows_scalar(k: FeatureKernel, ctxs: list[SeriesCtx]) -> np.ndarray:
+    out = np.empty(len(ctxs))
+    for i, c in enumerate(ctxs):
+        try:
+            val = k.fn(c)
+        except Exception:
+            val = np.nan
+        try:
+            out[i] = float(val)
+        except (TypeError, ValueError):
+            out[i] = np.nan
+    return out
+
+
+def _rows_array(k: FeatureKernel, ctxs: list[SeriesCtx]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ``fn`` of an array kernel as (flat, offsets); a row whose
+    ``fn`` raised or returned a non-array is empty (summaries NaN)."""
+    parts = []
+    for c in ctxs:
+        try:
+            val = k.fn(c)
+        except Exception:
+            val = None
+        parts.append(np.asarray(val, dtype=np.float64).ravel()
+                     if isinstance(val, np.ndarray) else _EMPTY)
+    off = np.zeros(len(parts) + 1, dtype=np.int64)
+    np.cumsum([p.size for p in parts], out=off[1:])
+    return (np.concatenate(parts) if parts else _EMPTY), off

@@ -1,6 +1,14 @@
 """Per-series feature extraction stage: the reference's fit+extract
 pipeline (tsmfe.py:632-980) fused into one map_batches pass.
 
+A batch is evaluated kernel by kernel, not row by row
+(:func:`registry.evaluate_batch`): the rows' capped, gap-filled series
+form one :class:`registry.SeriesBatch`, each kernel with a batch form runs
+ONCE over all rows, and only the kernels without one (``period``, ``acf``,
+``lz_complexity`` and the medium/heavy packs) run per row on SeriesCtx
+caches pre-seeded from the batch.  Outputs are bitwise equal to per-row
+:func:`registry.evaluate_row` (tests/test_batch_kernels.py).
+
 Stateless variant (cheap/medium kernels: pure numpy, no warm state) runs as
 Ray tasks; the heavy variant (GP fits, embedding NN searches, model fits)
 is the same callable used as an ACTOR POOL via
@@ -14,85 +22,30 @@ import numpy as np
 import pyarrow as pa
 
 import ts_pymfe_ray.features  # noqa: F401  (populates the registry)
-from ts_pymfe_ray.functions import decompose as _dec
-from ts_pymfe_ray.functions.gapfill import gap_fill
-from ts_pymfe_ray.functions.kernels_local import (
-    MOVING_BASE_STATS,
-    _power_prefixes_stack,
-    process_window_size,
-)
-from ts_pymfe_ray.functions.stats import standardize_stack
+from ts_pymfe_ray.functions.gapfill import gap_fill_flat
 from ts_pymfe_ray.registry import (
     DEFAULT_ANALYSIS_CAP,
+    SeriesBatch,
     SeriesCtx,
-    evaluate_row,
+    evaluate_batch,
     feature_columns,
     kernels_of,
 )
-from ts_pymfe_ray.stages.rollup import tokens_views
+from ts_pymfe_ray.stages.rollup import tokens_flat
 from ts_pymfe_ray.synth import stable_hash64
 
 
-def preseed_stacked(ctxs: list[SeriesCtx], kernels) -> None:
-    """Batch the shared SeriesCtx precomputes across same-length rows.
-
-    The analysis cap (DEFAULT_ANALYSIS_CAP) makes most rows exactly
-    cap-length, so the SuperSmoother trend, detrended series, z-scored
-    series and moving power prefixes can be computed as ONE (R, n) stack
-    per length group and each row's lazy cache seeded with its slice.
-    Every stacked step is a per-row cumsum or elementwise op, so seeded
-    values are bitwise-identical to the lazy per-row path (parity gate in
-    tests/test_kernels.py) — this only amortizes numpy dispatch overhead,
-    ~120 tiny kernel launches per row, across the batch.  (Per-row FFTs —
-    acf/period — stay per-row: pocketfft's stacked transforms are NOT
-    bitwise-stable vs single-row calls.)"""
-    want_mv = any(k.group == "local_stats" for k in kernels)
-    # which `mv_*` base stats the selected kernels actually pull (a
-    # moving_X_shift kernel reuses moving_X's cached base stat)
-    knames = {k.name for k in kernels}
-    mv_stats = [
-        (nm, fn) for nm, fn, _ in MOVING_BASE_STATS
-        if nm in knames or f"{nm}_shift" in knames
-    ]
-    groups: dict[int, list[int]] = {}
-    for idx, c in enumerate(ctxs):
-        if c.ts.size >= 5:
-            groups.setdefault(c.ts.size, []).append(idx)
-    # lengths that appear only once can't join a same-length stack, but the
-    # ragged batched SuperSmoother (per-row window sizes over one padded
-    # stack, bitwise-identical per row) still amortizes their dominant
-    # precompute — the ~0.5 ms/row trend fit — across the batch
-    singles = [idxs[0] for idxs in groups.values() if len(idxs) == 1]
-    if len(singles) >= 2:
-        trends = _dec.supersmoother_ragged([ctxs[i].ts for i in singles])
-        for i, tr in zip(singles, trends):
-            cache = ctxs[i]._cache
-            cache["ss_trend"] = tr
-            cache["ts_detrended_ss"] = ctxs[i].ts - tr
-    for n, idxs in groups.items():
-        if len(idxs) < 2:
-            continue
-        Y = np.empty((len(idxs), n))
-        for r, idx in enumerate(idxs):
-            Y[r] = ctxs[idx].ts
-        trend = _dec.supersmoother_stack(Y)
-        det = Y - trend
-        Z = standardize_stack(Y)
-        P = _power_prefixes_stack(Z) if want_mv else None
-        w = process_window_size(n, 0.1)
-        mv_vals = []
-        if P is not None and 2 <= w <= n:
-            with np.errstate(all="ignore"):
-                mv_vals = [(f"mv_{nm}_{w}", fn(Z, w, P)) for nm, fn in mv_stats]
-        for r, idx in enumerate(idxs):
-            cache = ctxs[idx]._cache
-            cache["ss_trend"] = trend[r]
-            cache["ts_detrended_ss"] = det[r]
-            cache["ts_scaled"] = Z[r]
-            if P is not None:
-                cache["mvpow"] = P[r]
-            for key, V in mv_vals:
-                cache[key] = V[r]
+def preseed_stacked(ctxs: list[SeriesCtx], kernels) -> SeriesBatch:
+    """Build the batch of ``ctxs`` and seed every row's SeriesCtx with its
+    slice of the batch precomputes (z-scores, first differences, and —
+    when some kernel runs per row — the SuperSmoother trend from ONE
+    ragged ``supersmoother_ragged`` call).  Every seeded value is bitwise
+    equal to the lazy per-row one.  (Per-row FFTs — acf/period — stay
+    per row: pocketfft's stacked transforms are NOT bitwise-stable vs
+    single-row calls.)"""
+    b = SeriesBatch(ctxs)
+    b.seed_ctxs(trend=any(k.many is None for k in kernels))
+    return b
 
 
 class FeatureStage:
@@ -121,21 +74,18 @@ class FeatureStage:
             from ts_pymfe_ray.functions.kernels_stat_tests import preseed_null_tables
 
             preseed_null_tables(self._null_tables)
-        views, _, _ = tokens_views(batch)
+        t_off, t_flat = tokens_flat(batch)
+        off = (t_off - t_off[0]).astype(np.int64)
+        x = gap_fill_flat(t_flat, t_off, np.empty(int(off[-1])))
         doc_ids = batch.column("doc_id").to_pylist()
         sources = batch.column("source").to_pylist()
-        n = len(views)
-        data = {c: np.full(n, np.nan) for c in self.columns}
+        n = off.size - 1
         part_ids = np.empty(n, dtype=np.int32)
         ctxs = []
-        for i, tok in enumerate(views):
+        for i in range(n):
             part_ids[i] = stable_hash64(doc_ids[i]) % self.num_parts
-            ctxs.append(SeriesCtx(gap_fill(tok), doc_id=doc_ids[i], cap=self.cap))
-        preseed_stacked(ctxs, self.kernels)
-        for i, ctx in enumerate(ctxs):
-            vals = evaluate_row(ctx.ts_all, doc_ids[i], self.kernels, cap=self.cap, ctx=ctx)
-            for k, v in vals.items():
-                data[k][i] = v
+            ctxs.append(SeriesCtx(x[off[i]: off[i + 1]], doc_id=doc_ids[i], cap=self.cap))
+        data = evaluate_batch(ctxs, self.kernels, preseed_stacked(ctxs, self.kernels))
         cols = {
             "doc_id": pa.array(doc_ids, pa.string()),
             "source": pa.array(sources, pa.string()),
