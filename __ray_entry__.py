@@ -585,6 +585,49 @@ def _q_seq_bootstrap_ci(sf_dir: str):
 
 
 
+def _seq_kernel_source_sums(sf_dir: str, knames: list[str],
+                            cols: dict[str, tuple[str, int | None]], pre=None,
+                            keep=None):
+    """Per source over the gap-free docs: ``n`` docs and ``{c}_sum`` of
+    every ``cols`` entry ``c -> (kernel value column, per-doc round_ha
+    digits or None)``.  Each batch runs every kernel once over all its docs
+    (``registry.evaluate_batch``, bitwise equal to ``evaluate_row`` per
+    doc); ``pre(batch)`` narrows the docs before the kernels run,
+    ``keep(values)`` masks docs after; :func:`combine` sums per source."""
+    import numpy as np
+    import pyarrow as pa
+
+    import ts_pymfe_ray.features  # noqa: F401
+    from ts_pymfe_ray.functions.rounding import round_ha
+    from ts_pymfe_ray.pipelines.combine import combine
+    from ts_pymfe_ray.pipelines.flagship import _filter_gapfree
+    from ts_pymfe_ray.registry import REGISTRY, SeriesCtx, evaluate_batch
+    from ts_pymfe_ray.sources.sequences import read_sequences
+    from ts_pymfe_ray.stages.rollup import tokens_views
+    from ts_pymfe_ray.synth import ensure_sequences_for_dir
+
+    kernels = [REGISTRY[n] for n in knames]
+
+    def per_doc(batch: pa.Table) -> pa.Table:
+        batch = _filter_gapfree(batch)
+        if pre is not None:
+            batch = pre(batch)
+        views, _, _ = tokens_views(batch)
+        vals = evaluate_batch([SeriesCtx(tok.astype(np.float64), doc_id=d) for tok, d
+                               in zip(views, batch.column("doc_id").to_pylist())], kernels)
+        m = keep(vals) if keep is not None else np.ones(batch.num_rows, dtype=bool)
+        out = {"source": batch.column("source").filter(pa.array(m))}
+        for c, (key, digits) in cols.items():
+            v = vals[key][m]
+            out[c] = pa.array(v if digits is None else round_ha(v, digits), pa.float64())
+        return pa.table(out)
+
+    ds = read_sequences(ensure_sequences_for_dir(sf_dir))
+    return combine(ds, ["source"], {"n": ("source", "size"),
+                                    **{f"{c}_sum": (c, "sum") for c in cols}},
+                   per_doc).to_pandas()
+
+
 def _q_seq_kernel_affine(sf_dir: str):
     """SQL-ORACLED twin of EIGHT real FEATURE KERNELS end-to-end:
     turning_points / frac_cp / length / diff / bin_mean / step_changes /
@@ -600,58 +643,23 @@ def _q_seq_kernel_affine(sf_dir: str):
     both sides."""
     import numpy as np
     import pandas as pd
-    import pyarrow as pa
 
-    import ts_pymfe_ray.features  # noqa: F401
     from ts_pymfe_ray.functions.rounding import round_ha
-    from ts_pymfe_ray.pipelines.flagship import _filter_gapfree
-    from ts_pymfe_ray.registry import REGISTRY, evaluate_row
-    from ts_pymfe_ray.sources.sequences import read_sequences
-    from ts_pymfe_ray.synth import ensure_sequences_for_dir
 
-    seq_dir = ensure_sequences_for_dir(sf_dir)
-    ds = read_sequences(seq_dir)
-    ds = ds.map_batches(_filter_gapfree, batch_format="pyarrow", zero_copy_batch=True)
-    knames = ["turning_points", "frac_cp", "length", "diff", "bin_mean",
-              "step_changes", "fs_len", "hist_entropy"]
-    kernels = [REGISTRY[n] for n in knames]
-    vkeys = ["turning_points.mean", "frac_cp", "length", "diff.mean",
-             "bin_mean.mean", "step_changes.mean", "fs_len.mean", "hist_entropy"]
-    cols = ["tp", "fc", "ln", "dm", "bm", "st", "fl", "he"]
-
-    def per_batch(batch: pa.Table) -> pa.Table:
-        from ts_pymfe_ray.stages.rollup import tokens_views
-
-        views, _, _ = tokens_views(batch)
-        doc_ids = batch.column("doc_id").to_pylist()
-        sources = batch.column("source").to_pylist()
-        rows = {c: [] for c in cols}
-        src_out = []
-        for i, tok in enumerate(views):
-            vals = evaluate_row(tok.astype(np.float64), doc_ids[i], kernels)
-            if not np.isfinite(vals["fs_len.mean"]):
-                continue  # SQL filter: n_changes >= 1
-            src_out.append(sources[i])
-            for c, k in zip(cols, vkeys):
-                v = vals[k]
-                if c == "he":  # 1-ulp summation-order noise -> 6dp per doc
-                    v = round_ha(v, 6)
-                rows[c].append(v)
-        df = pd.DataFrame({"source": src_out, **rows})
-        g = df.groupby("source").agg(
-            n=("tp", "size"), **{f"{c}_sum": (c, "sum") for c in cols}
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    partials = ds.map_batches(per_batch, batch_format="pyarrow").to_pandas()
-    g = partials.groupby("source").agg(
-        n=("n", "sum"), **{f"{c}_sum": (f"{c}_sum", "sum") for c in cols}
-    ).reset_index()
+    g = _seq_kernel_source_sums(
+        sf_dir, ["turning_points", "frac_cp", "length", "diff", "bin_mean",
+                 "step_changes", "fs_len", "hist_entropy"],
+        {"tp": ("turning_points.mean", None), "fc": ("frac_cp", None),
+         "ln": ("length", None), "dm": ("diff.mean", None), "bm": ("bin_mean.mean", None),
+         "st": ("step_changes.mean", None), "fl": ("fs_len.mean", None),
+         # 1-ulp summation-order noise -> 6dp per doc
+         "he": ("hist_entropy", 6)},
+        keep=lambda vals: np.isfinite(vals["fs_len.mean"]))  # SQL filter: n_changes >= 1
     nn = g["n"].to_numpy()
-    out = pd.DataFrame(
+    return pd.DataFrame(
         {
             "source": g["source"],
-            "n_docs": g["n"].astype("int64"),
+            "n_docs": g["n"],
             "avg_turning_frac": round_ha((g["tp_sum"] / nn).to_numpy()),
             "avg_cp_frac": round_ha((g["fc_sum"] / nn).to_numpy()),
             "avg_length": round_ha((g["ln_sum"] / nn).to_numpy()),
@@ -664,7 +672,6 @@ def _q_seq_kernel_affine(sf_dir: str):
             "avg_hist_ent": round_ha((g["he_sum"] / nn).to_numpy(), 4),
         }
     )
-    return out.sort_values("source").reset_index(drop=True)
 
 
 def _q_seq_kernel_affine2(sf_dir: str):
@@ -680,63 +687,24 @@ def _q_seq_kernel_affine2(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
 
-    import ts_pymfe_ray.features  # noqa: F401
     from ts_pymfe_ray.functions.rounding import round_ha
-    from ts_pymfe_ray.pipelines.flagship import _filter_gapfree
-    from ts_pymfe_ray.registry import REGISTRY, evaluate_row
-    from ts_pymfe_ray.sources.sequences import read_sequences
-    from ts_pymfe_ray.synth import ensure_sequences_for_dir
 
-    seq_dir = ensure_sequences_for_dir(sf_dir)
-    ds = read_sequences(seq_dir)
-    ds = ds.map_batches(_filter_gapfree, batch_format="pyarrow", zero_copy_batch=True)
-    knames = ["t_mean", "sd_diff", "skewness_diff", "kurtosis_diff",
-              "lz_complexity"]
-    kernels = [REGISTRY[n] for n in knames]
-    cols = ["tm", "sd", "sk", "kt", "lz"]
-
-    def per_batch(batch: pa.Table) -> pa.Table:
-        from ts_pymfe_ray.stages.rollup import tokens_views
-
+    def coin(batch: pa.Table) -> pa.Table:
         from ts_pymfe_ray.functions.md5vec import md5_lower64_list
 
         ids = batch.column("doc_id").to_pylist()
-        coin = md5_lower64_list([s.encode() for s in ids]) % np.uint64(100)
-        batch = batch.filter(pa.array(coin < 2))
-        # explicit empty schema: a 2% coin leaves most batches empty, and
-        # a pandas empty frame would emit null-typed columns that poison
-        # the downstream concat
-        empty_schema = pa.schema(
-            [("source", pa.string()), ("n", pa.int64())]
-            + [(f"{c}_sum", pa.float64()) for c in cols])
-        if batch.num_rows == 0:
-            return empty_schema.empty_table()
-        views, _, _ = tokens_views(batch)
-        doc_ids = batch.column("doc_id").to_pylist()
-        sources = batch.column("source").to_pylist()
-        rows = {c: [] for c in cols}
-        src_out = []
-        for i, tok in enumerate(views):
-            vals = evaluate_row(tok.astype(np.float64), doc_ids[i], kernels)
-            src_out.append(sources[i])
-            rows["tm"].append(vals["t_mean"])
-            for c, k in zip(cols[1:], knames[1:]):
-                rows[c].append(round_ha(vals[k], 6))
-        df = pd.DataFrame({"source": src_out, **rows})
-        g = df.groupby("source").agg(
-            n=("tm", "size"), **{f"{c}_sum": (c, "sum") for c in cols}
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return batch.filter(pa.array(
+            md5_lower64_list([s.encode() for s in ids]) % np.uint64(100) < 2))
 
-    partials = ds.map_batches(per_batch, batch_format="pyarrow").to_pandas()
-    g = partials.groupby("source").agg(
-        n=("n", "sum"), **{f"{c}_sum": (f"{c}_sum", "sum") for c in cols}
-    ).reset_index()
+    g = _seq_kernel_source_sums(
+        sf_dir, ["t_mean", "sd_diff", "skewness_diff", "kurtosis_diff", "lz_complexity"],
+        {"tm": ("t_mean", None), "sd": ("sd_diff", 6), "sk": ("skewness_diff", 6),
+         "kt": ("kurtosis_diff", 6), "lz": ("lz_complexity", 6)}, pre=coin)
     nn = g["n"].to_numpy()
-    out = pd.DataFrame(
+    return pd.DataFrame(
         {
             "source": g["source"],
-            "n_docs": g["n"].astype("int64"),
+            "n_docs": g["n"],
             "avg_t_mean": round_ha((g["tm_sum"] / nn).to_numpy()),
             # per-doc-rounded inputs still carry float noise in the sum:
             # 4dp on the averages keeps the boundary clear on both sides
@@ -746,7 +714,6 @@ def _q_seq_kernel_affine2(sf_dir: str):
             "avg_lz": round_ha((g["lz_sum"] / nn).to_numpy(), 4),
         }
     )
-    return out.sort_values("source").reset_index(drop=True)
 
 
 def _q_ann_ivf_full(sf_dir: str):
@@ -773,39 +740,30 @@ def _q_seq_gapfill_mean(sf_dir: str):
 
     from ts_pymfe_ray.functions.gapfill import gap_fill
     from ts_pymfe_ray.functions.rounding import round_ha
+    from ts_pymfe_ray.pipelines.combine import combine
     from ts_pymfe_ray.sources.sequences import read_sequences
     from ts_pymfe_ray.synth import ensure_sequences_for_dir
 
-    seq_dir = ensure_sequences_for_dir(sf_dir)
-    ds = read_sequences(seq_dir)
-
-    def per_batch(batch: pa.Table) -> pa.Table:
+    def per_doc(batch: pa.Table) -> pa.Table:
         from ts_pymfe_ray.stages.rollup import tokens_views
 
         views, _, _ = tokens_views(batch)
-        sources = batch.column("source").to_pylist()
-        src_out, m4_out = [], []
-        for i, tok in enumerate(views):
-            if not (tok == -1).any():
-                continue
-            x = gap_fill(tok)
-            # sequential accumulation == DuckDB's in-order list sum
-            m4_out.append(round_ha(float(np.cumsum(x)[-1]) / x.size, 4))
-            src_out.append(sources[i])
-        df = pd.DataFrame({"source": src_out, "m4": m4_out})
-        g = df.groupby("source").agg(n=("m4", "size"), s=("m4", "sum")).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        gappy = np.array([bool((tok == -1).any()) for tok in views], dtype=bool)
+        # sequential accumulation == DuckDB's in-order list sum
+        m4 = [round_ha(float(np.cumsum(x)[-1]) / x.size, 4)
+              for x in (gap_fill(views[i]) for i in np.flatnonzero(gappy))]
+        return pa.table({"source": batch.column("source").filter(pa.array(gappy)),
+                         "m4": pa.array(m4, pa.float64())})
 
-    partials = ds.map_batches(per_batch, batch_format="pyarrow").to_pandas()
-    g = partials.groupby("source").agg(n=("n", "sum"), s=("s", "sum")).reset_index()
-    out = pd.DataFrame(
+    g = combine(read_sequences(ensure_sequences_for_dir(sf_dir)), ["source"],
+                {"n": ("m4", "size"), "s": ("m4", "sum")}, per_doc).to_pandas()
+    return pd.DataFrame(
         {
             "source": g["source"],
-            "n_gap_docs": g["n"].astype("int64"),
+            "n_gap_docs": g["n"],
             "avg_fill_mean": round_ha((g["s"] / g["n"]).to_numpy(), 2),
         }
     )
-    return out.sort_values("source").reset_index(drop=True)
 
 
 def oracle_sql() -> dict[str, str]:

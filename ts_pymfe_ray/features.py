@@ -8,19 +8,12 @@ equivalent of the reference's reflection over VALID_MFECLASSES
 import ts_pymfe_ray.functions.kernels_general  # noqa: F401
 import ts_pymfe_ray.functions.kernels_global  # noqa: F401
 import ts_pymfe_ray.functions.kernels_autocorr  # noqa: F401
+import ts_pymfe_ray.functions.kernels_local  # noqa: F401
+import ts_pymfe_ray.functions.kernels_freq  # noqa: F401
+import ts_pymfe_ray.functions.kernels_info  # noqa: F401
+import ts_pymfe_ray.functions.kernels_stat_tests  # noqa: F401
+import ts_pymfe_ray.functions.kernels_model  # noqa: F401
+import ts_pymfe_ray.functions.kernels_landmark  # noqa: F401
+import ts_pymfe_ray.functions.kernels_randomize  # noqa: F401
 
-for _mod in (
-    "kernels_local",
-    "kernels_freq",
-    "kernels_info",
-    "kernels_stat_tests",
-    "kernels_model",
-    "kernels_landmark",
-    "kernels_randomize",
-):
-    try:  # groups land incrementally; missing modules are fine
-        __import__(f"ts_pymfe_ray.functions.{_mod}")
-    except ImportError:
-        pass
-
-from ts_pymfe_ray.registry import REGISTRY, kernels_of  # noqa: F401,E402
+from ts_pymfe_ray.registry import REGISTRY, kernels_of  # noqa: F401

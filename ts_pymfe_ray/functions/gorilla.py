@@ -134,10 +134,6 @@ def decode_ints_dod(buf: bytes) -> np.ndarray:
     return level
 
 
-def compression_ratio(raw_nbytes: int, encoded: bytes) -> float:
-    return raw_nbytes / max(1, len(encoded))
-
-
 # ------------------------------------------------------- batched codecs
 #
 # The rollup stage encodes ~3 streams per (row, tier): tens of thousands

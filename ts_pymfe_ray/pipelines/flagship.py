@@ -480,44 +480,35 @@ def token_histogram_by_source(input_dir: str, num_bins: int = 256) -> "pd.DataFr
     """Mergeable fixed-edge histogram rollup (SURVEY.md §2.2: histograms
     are mergeable when bin edges are fixed): per-source 256-bin counts over
     the bounded token domain [0, 65535], with exact-to-bin-resolution
-    quantile estimates.  Partial bincounts per batch, one tiny groupby."""
+    quantile estimates.  Each batch reduces to one (source, bin, count) row
+    per bin of each of its sources in one bincount; :func:`combine` sums
+    them per (source, bin)."""
     import pandas as pd
 
-    from ts_pymfe_ray.stages.rollup import tokens_views
+    from ts_pymfe_ray.pipelines.combine import combine
+    from ts_pymfe_ray.stages.rollup import tokens_flat
 
     width = 65536 // num_bins
 
-    def combiner(batch: pa.Table) -> pa.Table:
-        views, offsets, flat = tokens_views(batch)
-        sources = batch.column("source").to_pylist()
-        acc: dict[str, np.ndarray] = {}
-        for i, tok in enumerate(views):
-            valid = tok[tok >= 0]
-            h = np.bincount(np.minimum(valid // width, num_bins - 1), minlength=num_bins)
-            s = sources[i]
-            if s in acc:
-                acc[s] += h
-            else:
-                acc[s] = h.astype(np.int64)
-        return pa.table(
-            {
-                "source": list(acc.keys()),
-                "counts": pa.array([a.tolist() for a in acc.values()],
-                                   pa.list_(pa.int64(), num_bins)),
-            }
-        )
+    def bins(batch: pa.Table) -> pa.Table:
+        offsets, flat = tokens_flat(batch)
+        src = pc.dictionary_encode(batch.column("source").combine_chunks())
+        n_src = len(src.dictionary)
+        row_src = np.repeat(src.indices.to_numpy().astype(np.int64), np.diff(offsets))
+        ok = flat >= 0
+        code = row_src[ok] * num_bins + np.minimum(flat[ok] // width, num_bins - 1)
+        return pa.table({
+            "source": src.dictionary.take(pa.array(np.repeat(np.arange(n_src), num_bins))),
+            "bin": pa.array(np.tile(np.arange(num_bins), n_src), pa.int64()),
+            "c": pa.array(np.bincount(code, minlength=n_src * num_bins), pa.int64()),
+        })
 
-    partials = read_sequences(input_dir).map_batches(
-        combiner, batch_format="pyarrow", zero_copy_batch=True
-    ).to_pandas()
-    rows = []
-    for source, grp in partials.groupby("source"):
-        total = np.sum(np.stack(grp["counts"].to_numpy()), axis=0)
-        n = total.sum()
-        cum = np.cumsum(total)
-        qs = {}
-        for q in (0.25, 0.5, 0.75, 0.95):
-            b = int(np.searchsorted(cum, q * n))
-            qs[f"q{int(q*100)}_est"] = float((b + 0.5) * width)
-        rows.append({"source": source, "n_tokens": int(n), **qs})
-    return pd.DataFrame(rows).sort_values("source").reset_index(drop=True)
+    g = combine(read_sequences(input_dir), ["source", "bin"], {"c": ("c", "sum")}, bins)
+    cum = np.cumsum(g.column("c").to_numpy().reshape(-1, num_bins), axis=1)
+    n = cum[:, -1]
+    out = pd.DataFrame({"source": g.column("source").to_pylist()[::num_bins], "n_tokens": n})
+    for q in (0.25, 0.5, 0.75, 0.95):
+        # first bin whose cumulative count reaches q * n (searchsorted-left)
+        b = (cum < q * n[:, None]).sum(axis=1)
+        out[f"q{int(q * 100)}_est"] = (b + 0.5) * width
+    return out

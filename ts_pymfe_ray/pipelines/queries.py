@@ -4,7 +4,8 @@ Every query here has a DuckDB-checkable ANSI-SQL twin (__ray_entry__'s
 oracle_sql); column names match exactly.  Aggregates follow the engine's
 scale rules: grouped aggregates run on the one two-stage combiner of
 ``pipelines/combine.py`` (an Arrow partial aggregate per batch, one Arrow
-merge of the partial rows on the driver), broadcast lookups for small
+merge of the partial rows on the driver, or one Ray shuffle merge for
+unbounded keys; partial top-k the same way), broadcast lookups for small
 join sides, column-pruned reads.  Float aggregates are rounded (ROUND6)
 on both sides so the driver's value-hash is stable across summation
 orders.
@@ -24,7 +25,8 @@ import ray.data
 
 from ts_pymfe_ray.functions import sketch as sk
 from ts_pymfe_ray.functions.rounding import round_ha
-from ts_pymfe_ray.pipelines.combine import combine, nan_to_null
+from ts_pymfe_ray.pipelines.combine import (combine, group_rank, nan_to_null,
+                                            shuffle_combine, topk)
 
 ROUND = 6
 
@@ -269,38 +271,18 @@ def q_events_window_rollup(sf_dir: str) -> pd.DataFrame:
 
 
 def q_events_user_topk(sf_dir: str, k: int = 10) -> pd.DataFrame:
-    """Top-k users by event count: per-batch combiner -> DISTRIBUTED
-    per-user merge -> per-block partial top-k -> tiny driver merge.
+    """Top-k users by event count: per-batch partial counts -> DISTRIBUTED
+    per-user merge (:func:`shuffle_combine`) -> partial top-k per block ->
+    tiny driver merge (:func:`topk`).
 
     user_id is an unbounded key domain, so the cross-batch merge must be a
-    shuffle groupby, not a driver-side pandas merge (round 3 pulled one
+    shuffle groupby, not a driver-side merge (round 3 pulled one
     partial-count row per distinct user to the driver — the whole keyspace
     at 10^9 users).  Only k rows per output block reach the driver."""
-    from ray.data.aggregate import Sum
-
-    ds = _read(sf_dir, "events", ["user_id"])
-
-    def combiner(batch: pa.Table) -> pa.Table:
-        u, c = np.unique(batch.column("user_id").to_numpy(), return_counts=True)
-        return pa.table({"user_id": u, "c": c})
-
-    counts = (
-        ds.map_batches(combiner, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Sum("c"))
-    )
-
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df.sort_values(["sum(c)", "user_id"],
-                            ascending=[False, True]).head(k)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    partials = counts.map_batches(partial_topk, batch_format="pyarrow").to_pandas()
-    g = partials.rename(columns={"sum(c)": "num_events"})
-    g = g.sort_values(["num_events", "user_id"], ascending=[False, True]).head(k)
-    g["num_events"] = g["num_events"].astype("int64")
-    return g.reset_index(drop=True)
+    counts = shuffle_combine(_read(sf_dir, "events", ["user_id"]), ["user_id"],
+                             {"num_events": ("user_id", "size")})
+    return topk(counts, [("num_events", "descending"), ("user_id", "ascending")],
+                k).to_pandas()
 
 
 _PAIR_SUMS = ("sx", "sy", "sxy", "sx2", "sy2")
@@ -439,82 +421,71 @@ def q_documents_token_count(sf_dir: str) -> pd.DataFrame:
                                   "n_docs": ("ntok", "size")}, ntok).to_pandas()
 
 
+def _hash_keys(texts: pa.ChunkedArray) -> dict[str, pa.Array]:
+    """The full 128-bit md5 of each text as two int64 group keys.
+
+    A 64-bit key would silently merge two distinct texts on a collision at
+    1e9-doc scale.  The halves are int64 bit-pattern views: Ray 2.49
+    re-infers uint64 group keys above 2^63 as int64 in the aggregate path,
+    overflows, and degrades to pickled-object columns the shuffle sort
+    rejects.  Dedup semantics are order-free, so the reinterpretation is
+    safe."""
+    from ts_pymfe_ray.functions.md5vec import md5_pair64, pack_bytes
+
+    lo, hi = md5_pair64(*pack_bytes([t.encode() for t in texts.to_pylist()]))
+    return {"h_lo": pa.array(lo.view(np.int64), pa.int64()),
+            "h_hi": pa.array(hi.view(np.int64), pa.int64())}
+
+
 def q_dedup_exact(sf_dir: str) -> pd.DataFrame:
     """Exact dedup count report: per source, total rows vs distinct texts.
 
     Fully distributed two-level aggregate: stage 1 groups by (source,
-    128-bit content hash) so every distinct document collapses to ONE row
-    inside the cluster; stage 2 groups the (already distinct-sized) set by
-    source.  Nothing per-document reaches the driver — round 3 pulled one
-    hash row per doc into pandas, i.e. the corpus's hash column at 10^12
-    docs.  Full-md5 keys like q_dedup_exact_keep_first: a 64-bit key would
-    silently merge two distinct texts on a collision at 1e9-doc scale."""
-    from ray.data.aggregate import Count, Sum
+    128-bit content hash) in a shuffle, so every distinct document
+    collapses to ONE row inside the cluster; stage 2 counts the (already
+    distinct-sized) rows per source.  Nothing per-document reaches the
+    driver — round 3 pulled one hash row per doc into pandas, i.e. the
+    corpus's hash column at 10^12 docs."""
+    def hashed(batch: pa.Table) -> pa.Table:
+        return pa.table({"source": batch.column("source"), **_hash_keys(batch.column("text"))})
 
-    ds = _read(sf_dir, "documents", ["source", "text"])
-
-    def combiner(batch: pa.Table) -> pa.Table:
-        from ts_pymfe_ray.functions.md5vec import md5_pair64, pack_bytes
-
-        src = batch.column("source").to_pylist()
-        txt = batch.column("text").to_pylist()
-        lo, hi = md5_pair64(*pack_bytes([t.encode() for t in txt]))
-        # int64 bit-pattern views: Ray 2.49 re-infers uint64 group keys
-        # above 2^63 as int64 in the aggregate path, overflows, and
-        # degrades to pickled-object columns the shuffle sort rejects.
-        # Dedup semantics are order-free, so the reinterpretation is safe.
-        return pa.table({"source": pa.array(src, pa.string()),
-                         "h_lo": pa.array(lo.view(np.int64), pa.int64()),
-                         "h_hi": pa.array(hi.view(np.int64), pa.int64())})
-
-    distinct = (
-        ds.map_batches(combiner, batch_format="pyarrow")
-        .groupby(["source", "h_lo", "h_hi"])
-        .aggregate(Count())  # one row per distinct (source, text)
-    )
-    g = distinct.groupby("source").aggregate(Sum("count()"), Count()).to_pandas()
-    out = pd.DataFrame({
-        "source": g["source"],
-        "n_docs": g["sum(count())"].astype("int64"),
-        "uniq_docs": g["count()"].astype("int64"),
-    })
-    return out.sort_values("source").reset_index(drop=True)
+    distinct = shuffle_combine(_read(sf_dir, "documents", ["source", "text"]),
+                               ["source", "h_lo", "h_hi"], {"c": ("source", "size")}, hashed)
+    return combine(distinct, ["source"], {"n_docs": ("c", "sum"),
+                                          "uniq_docs": ("c", "size")}).to_pandas()
 
 
 def q_dedup_exact_keep_first(sf_dir: str) -> pd.DataFrame:
     """Exact dedup MATERIALIZATION: one surviving row per distinct text —
-    hash-partitioned keep-first (min doc_id) semantics via a vectorized
-    groupby aggregate over content hashes; shuffles only (hash, doc_id)
-    rows, never text.  Returns the kept doc_ids with their duplicate
-    counts (the downstream pipeline reads the kept rows by id)."""
-    from ray.data.aggregate import Count, Min
+    hash-partitioned keep-first (min doc_id) semantics via a shuffle
+    aggregate over content hashes; shuffles only (hash, doc_id) rows,
+    never text.  Returns the kept doc_ids with their duplicate counts
+    (the downstream pipeline reads the kept rows by id)."""
+    def hashed(batch: pa.Table) -> pa.Table:
+        return pa.table({**_hash_keys(batch.column("text")), "doc_id": batch.column("doc_id")})
 
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
+    g = shuffle_combine(_read(sf_dir, "documents", ["doc_id", "text"]), ["h_lo", "h_hi"],
+                        {"doc_id": ("doc_id", "min"), "n_copies": ("doc_id", "size")},
+                        hashed).to_pandas()
+    return g[["doc_id", "n_copies"]].sort_values("doc_id").reset_index(drop=True)
 
-    def hash_rows(batch: pa.Table) -> pa.Table:
-        # full 128-bit digest as two group keys: a 64-bit key would
-        # silently merge two distinct documents on a collision — negligible
-        # here but a real hazard at the 1e9-doc scale this targets.  Carried
-        # as int64 bit-pattern views (Ray 2.49 uint64 groupby-key overflow).
-        from ts_pymfe_ray.functions.md5vec import md5_pair64, pack_bytes
 
-        txt = batch.column("text").to_pylist()
-        lo, hi = md5_pair64(*pack_bytes([t.encode() for t in txt]))
-        return pa.table({"h_lo": pa.array(lo.view(np.int64), pa.int64()),
-                         "h_hi": pa.array(hi.view(np.int64), pa.int64()),
-                         "doc_id": batch.column("doc_id")})
+def _embeddings(batch: pa.Table, dim: int) -> np.ndarray:
+    """The batch's embedding column as a (rows, dim) float64 matrix."""
+    return np.array(batch.column("embedding").to_pylist(), dtype=np.float64).reshape(
+        batch.num_rows, dim)
 
-    g = (
-        ds.map_batches(hash_rows, batch_format="pyarrow")
-        .groupby(["h_lo", "h_hi"])
-        .aggregate(Min("doc_id"), Count())
-        .to_pandas()
-    )
-    out = pd.DataFrame({
-        "doc_id": g["min(doc_id)"].astype("int64"),
-        "n_copies": g["count()"].astype("int64"),
-    })
-    return out.sort_values("doc_id").reset_index(drop=True)
+
+def _cosines(mat: np.ndarray, qn: np.ndarray) -> np.ndarray:
+    """Cosine of every row of ``mat`` against the normalized query
+    column(s) ``qn``: dot against the normalized query, then divide by the
+    row norm (a zero row reads norm 1)."""
+    norms = np.linalg.norm(mat, axis=1)
+    norms[norms == 0] = 1.0
+    return (mat @ qn) / (norms[:, None] if qn.ndim == 2 else norms)
+
+
+_BY_COSINE = [("cosine", "descending"), ("vec_id", "ascending")]
 
 
 def q_embeddings_knn(sf_dir: str, k: int = 5, query_vec_id: int = 0) -> pd.DataFrame:
@@ -530,22 +501,13 @@ def q_embeddings_knn(sf_dir: str, k: int = 5, query_vec_id: int = 0) -> pd.DataF
     q = np.asarray(qtbl["embedding"].iloc[0], dtype=np.float64)
     qn = q / np.linalg.norm(q)
 
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
+    def scored(batch: pa.Table) -> pa.Table:
+        # ranked on the 6dp-rounded cosine, as the driver hash sees it
+        return pa.table({"vec_id": batch.column("vec_id"),
+                         "cosine": round_ha(_cosines(_embeddings(batch, qn.size), qn))})
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        ids = batch.column("vec_id").to_numpy()
-        mat = np.array(batch.column("embedding").to_pylist(), dtype=np.float64)
-        norms = np.linalg.norm(mat, axis=1)
-        norms[norms == 0] = 1.0
-        sims = (mat @ qn) / norms
-        top = np.argsort(-sims)[:k]
-        return pa.table({"vec_id": ids[top], "cosine": sims[top]})
-
-    partials = ds.map_batches(partial_topk, batch_format="pyarrow").to_pandas()
-    partials["cosine"] = round_ha(partials["cosine"].to_numpy())
-    out = partials.sort_values(["cosine", "vec_id"], ascending=[False, True]).head(k)
-    out["vec_id"] = out["vec_id"].astype("int64")
-    return out.reset_index(drop=True)
+    return topk(_read(sf_dir, "embeddings", ["vec_id", "embedding"]), _BY_COSINE, k,
+                prep=scored).to_pandas()
 
 
 def q_embeddings_knn_multi(sf_dir: str, k: int = 3,
@@ -561,46 +523,25 @@ def q_embeddings_knn_multi(sf_dir: str, k: int = 3,
     ).to_pandas().sort_values("vec_id")
     Q = np.asarray(qtbl["embedding"].to_list(), dtype=np.float64)
     Qn = Q / np.linalg.norm(Q, axis=1)[:, None]
-    qids = qtbl["vec_id"].to_numpy()
+    qids = qtbl["vec_id"].to_numpy().astype(np.int64)
 
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
+    def scored(batch: pa.Table) -> pa.Table:
+        sims = _cosines(_embeddings(batch, Qn.shape[1]), Qn.T)  # (batch, n_queries)
+        ids = batch.column("vec_id").to_numpy().astype(np.int64)
+        return pa.table({"query_id": np.repeat(qids, ids.size),
+                         "vec_id": np.tile(ids, qids.size),
+                         "cosine": sims.T.ravel()})
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        ids = batch.column("vec_id").to_numpy()
-        mat = np.array(batch.column("embedding").to_pylist(), dtype=np.float64)
-        norms = np.linalg.norm(mat, axis=1)
-        norms[norms == 0] = 1.0
-        # same float association as the hash-proven single-query path:
-        # dot against the normalized query, then divide by the row norm
-        sims = (mat @ Qn.T) / norms[:, None]  # (batch, n_queries)
-        out_q, out_v, out_c = [], [], []
-        for j in range(Qn.shape[0]):
-            top = np.argsort(-sims[:, j])[:k]
-            out_q.append(np.full(top.size, qids[j], dtype=np.int64))
-            out_v.append(ids[top].astype(np.int64))
-            out_c.append(sims[top, j])
-        return pa.table({"query_id": np.concatenate(out_q),
-                         "vec_id": np.concatenate(out_v),
-                         "cosine": np.concatenate(out_c)})
-
-    partials = ds.map_batches(partial_topk, batch_format="pyarrow").to_pandas()
     # rank on the UNROUNDED cosine with vec_id tiebreak — mirrors the SQL
     # twin's row_number over the raw similarity (ranking on the rounded
     # value could keep a different vec_id on a 4dp tie at the k boundary)
-    out = (
-        partials.sort_values(["query_id", "cosine", "vec_id"],
-                             ascending=[True, False, True])
-        .groupby("query_id", group_keys=False)
-        .head(k)
-    )
+    out = topk(_read(sf_dir, "embeddings", ["vec_id", "embedding"]), _BY_COSINE, k,
+               by=["query_id"], prep=scored).to_pandas()
     # 4dp on the EMITTED value only: DuckDB's list_cosine_similarity
     # accumulates in FLOAT32 (~5e-8 error vs the engine's float64 path),
     # so 6dp equality sits on a rounding knife edge
-    out = out.copy()
     out["cosine"] = round_ha(out["cosine"].to_numpy(), 4)
-    out["query_id"] = out["query_id"].astype("int64")
-    out["vec_id"] = out["vec_id"].astype("int64")
-    return out.reset_index(drop=True)
+    return out
 
 
 def q_events_hopping_window(sf_dir: str, width_hours: int = 2,
@@ -897,14 +838,11 @@ def q_events_wau(sf_dir: str, window_days: int = 7) -> pd.DataFrame:
     Exact: per-batch distinct (user, day) combiner, one sort by user, and
     per user its active days merged into runs of covered windows
     (:func:`_wau_runs`); each block emits per-window-day counts over its
-    bounded day range, summed per window day on the driver.  Cost is
+    bounded day range, summed per window day by :func:`combine`.  Cost is
     proportional to active user-days, not ``window_days`` times that."""
-    partials = _map_sorted_groups(_user_day_rows(sf_dir), ["user_id"],
-                                  _wau_runs(window_days), order=("day",)).to_pandas()
-    out = partials.groupby("window_day", as_index=False)["n"].sum()
-    out = out.rename(columns={"n": "wau"})
-    out["wau"] = out["wau"].astype("int64")
-    return out.sort_values("window_day").reset_index(drop=True)
+    runs = _map_sorted_groups(_user_day_rows(sf_dir), ["user_id"],
+                              _wau_runs(window_days), order=("day",))
+    return combine(runs, ["window_day"], {"wau": ("n", "sum")}).to_pandas()
 
 
 def _funnel_span(block: pa.Table, starts: np.ndarray) -> pa.Table:
@@ -1769,99 +1707,43 @@ def q_documents_sample_stratified(sf_dir: str) -> pd.DataFrame:
     )
 
 
+def _word_rows(batch: pa.Table, *keep: str) -> pa.Table:
+    """One row per space-separated word of the batch's texts, with the
+    ``keep`` columns of its document repeated."""
+    words = pc.split_pattern(batch.column("text"), " ")
+    doc = pc.list_parent_indices(words)
+    return pa.table({**{c: batch.column(c).take(doc) for c in keep},
+                     "word": pc.list_flatten(words)})
+
+
 def q_documents_heavy_hitters(sf_dir: str, k: int = 20) -> pd.DataFrame:
     """Exact corpus-level heavy hitters: top-k words by frequency.
 
-    Per-batch np.unique collapses each batch to its distinct words before
-    the shuffle (the combiner bounds shuffle rows by vocabulary, not corpus
+    The per-batch partial count collapses each batch to its distinct words
+    before the shuffle (shuffle rows bounded by vocabulary, not corpus
     size), the per-word merge is a distributed groupby, and only k rows per
     output block reach the driver — the q_events_user_topk shape over text."""
-    from ray.data.aggregate import Sum
-
-    ds = _read(sf_dir, "documents", ["text"])
-
-    def combiner(batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").to_pylist()
-        if not texts:  # empty block: keep the (string, int64) schema
-            return pa.table({"word": pa.array([], pa.string()),
-                             "c": pa.array([], pa.int64())})
-        words = np.concatenate([np.array(t.split(" ")) for t in texts])
-        w, c = np.unique(words, return_counts=True)
-        return pa.table({"word": pa.array(w.tolist(), pa.string()),
-                         "c": pa.array(c, pa.int64())})
-
-    counts = (
-        ds.map_batches(combiner, batch_format="pyarrow")
-        .groupby("word")
-        .aggregate(Sum("c"))
-    )
-
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df.sort_values(["sum(c)", "word"], ascending=[False, True]).head(k)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    partials = counts.map_batches(partial_topk, batch_format="pyarrow").to_pandas()
-    g = partials.rename(columns={"sum(c)": "cnt"})
-    g = g.sort_values(["cnt", "word"], ascending=[False, True]).head(k)
-    g["cnt"] = g["cnt"].astype("int64")
-    return g[["word", "cnt"]].reset_index(drop=True)
+    counts = shuffle_combine(_read(sf_dir, "documents", ["text"]), ["word"],
+                             {"cnt": ("word", "size")}, _word_rows)
+    return topk(counts, [("cnt", "descending"), ("word", "ascending")], k).to_pandas()
 
 
 def q_source_top_terms(sf_dir: str, k: int = 5) -> pd.DataFrame:
     """Per-source top-k vocabulary terms (the corpus-profiling report a
     curation run uses to spot boilerplate and domain drift).
 
-    Same distributed shape as the global heavy hitters: per-batch
-    np.unique collapses to (source, word) count rows (shuffle bounded by
-    vocabulary x sources, never corpus size), a groupby merges counts,
-    and each output block keeps only its per-source top-k candidates —
-    the union of per-block top-ks provably contains the true per-source
-    top-k, so the driver merge sees <= k x blocks x sources tiny rows."""
-    from ray.data.aggregate import Sum
-
-    ds = _read(sf_dir, "documents", ["source", "text"])
-
-    def combiner(batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").to_pylist()
-        if not texts:
-            return pa.table({"source": pa.array([], pa.string()),
-                             "word": pa.array([], pa.string()),
-                             "c": pa.array([], pa.int64())})
-        srcs = batch.column("source").to_pylist()
-        words = [t.split(" ") for t in texts]
-        src_rep = np.repeat(np.array(srcs, dtype=object),
-                            [len(w) for w in words])
-        df = pd.DataFrame({"source": src_rep,
-                           "word": np.concatenate([np.array(w, dtype=object)
-                                                   for w in words])})
-        g = df.groupby(["source", "word"], observed=True).size() \
-              .reset_index(name="c")
-        return pa.table({"source": pa.array(g["source"].tolist(), pa.string()),
-                         "word": pa.array(g["word"].tolist(), pa.string()),
-                         "c": pa.array(g["c"].to_numpy(), pa.int64())})
-
-    counts = (
-        ds.map_batches(combiner, batch_format="pyarrow")
-        .groupby(["source", "word"])
-        .aggregate(Sum("c"))
-    )
-
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df.sort_values(["source", "sum(c)", "word"],
-                            ascending=[True, False, True])
-        df = df.groupby("source", group_keys=False).head(k)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    partials = counts.map_batches(partial_topk, batch_format="pyarrow").to_pandas()
-    g = partials.rename(columns={"sum(c)": "cnt"})
-    g = g.sort_values(["source", "cnt", "word"], ascending=[True, False, True])
-    g = g.groupby("source", group_keys=False).head(k).reset_index(drop=True)
-    g["rank"] = g.groupby("source").cumcount() + 1
-    g["cnt"] = g["cnt"].astype("int64")
-    g["rank"] = g["rank"].astype("int64")
-    return g[["source", "rank", "word", "cnt"]].reset_index(drop=True)
+    Same distributed shape as the global heavy hitters: per-batch partial
+    (source, word) counts (shuffle bounded by vocabulary x sources, never
+    corpus size), a shuffle groupby merges them, and each output block
+    keeps only its per-source top-k candidates — the union of per-block
+    top-ks provably contains the true per-source top-k, so the driver
+    merge sees <= k x blocks x sources tiny rows."""
+    counts = shuffle_combine(_read(sf_dir, "documents", ["source", "text"]),
+                             ["source", "word"], {"cnt": ("word", "size")},
+                             lambda b: _word_rows(b, "source"))
+    top = topk(counts, [("cnt", "descending"), ("word", "ascending")], k, by=["source"])
+    return top.append_column("rank", pa.array(group_rank(top, ["source"]) + 1)).select(
+        ["source", "rank", "word", "cnt"]).to_pandas()
 
 
 def _length_histogram(sf_dir: str) -> pd.DataFrame:
@@ -1870,22 +1752,8 @@ def _length_histogram(sf_dir: str) -> pd.DataFrame:
     Shuffle rows are bounded by (sources x distinct integer lengths) — the
     value DOMAIN, not the corpus — which is what makes exact distributed
     order statistics tractable for integer-valued metrics at any scale."""
-    from ray.data.aggregate import Sum
-
-    ds = _read(sf_dir, "documents", ["source", "n_chars"])
-
-    def combiner(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby(["source", "n_chars"], observed=True).size().rename("c")
-        return pa.Table.from_pandas(g.reset_index(), preserve_index=False)
-
-    return (
-        ds.map_batches(combiner, batch_format="pyarrow")
-        .groupby(["source", "n_chars"])
-        .aggregate(Sum("c"))
-        .to_pandas()
-        .rename(columns={"sum(c)": "c"})
-    )
+    return shuffle_combine(_read(sf_dir, "documents", ["source", "n_chars"]),
+                           ["source", "n_chars"], {"c": ("n_chars", "size")}).to_pandas()
 
 
 def _disc_quantiles(hist: pd.DataFrame, qs: tuple[float, ...]) -> pd.DataFrame:
@@ -1974,39 +1842,41 @@ def _load_centroids(sf_dir: str, k: int) -> np.ndarray:
     return np.array(tbl["embedding"].tolist(), dtype=np.float64)
 
 
-def _kmeans_pass(sf_dir: str, cents: np.ndarray, want_sums: bool):
+def _kmeans_pass(sf_dir: str, cents: np.ndarray, want_sums: bool) -> pd.DataFrame:
     """One streaming Lloyd pass: cosine assignment via a single GEMM per
-    batch against the broadcast centroid matrix; emits per-cluster partial
-    (count, inertia[, vector sums]) — K rows (x dim) per batch, never the
-    corpus.  Ties pick the lowest centroid id (argmax-first == SQL
-    ORDER BY sim DESC, cid)."""
+    batch against the broadcast centroid matrix; each batch reduces to
+    per-cluster partial (count, inertia[, vector sums]) rows — K rows per
+    batch, never the corpus — merged per cluster by :func:`combine`.
+    Ties pick the lowest centroid id (argmax-first == SQL ORDER BY sim
+    DESC, cid)."""
     K, dim = cents.shape
     cn = cents / np.maximum(np.linalg.norm(cents, axis=1, keepdims=True), 1e-12)
+    scols = [f"s{j}" for j in range(dim)] if want_sums else []
 
     def partial(batch: pa.Table) -> pa.Table:
-        mat = np.array(batch.column("embedding").to_pylist(), dtype=np.float64)
-        if mat.size == 0:  # empty block: (0,) would break the GEMM
-            mat = mat.reshape(0, dim)
-        norms = np.linalg.norm(mat, axis=1)
-        norms[norms == 0] = 1.0
-        sims = (mat @ cn.T) / norms[:, None]
+        mat = _embeddings(batch, dim)
+        sims = _cosines(mat, cn.T)
         assign = np.argmax(sims, axis=1)
-        cnt = np.bincount(assign, minlength=K)
-        inert = np.bincount(
-            assign, weights=1.0 - sims[np.arange(mat.shape[0]), assign], minlength=K
-        )
         cols = {"cluster": pa.array(np.arange(K), pa.int64()),
-                "n": pa.array(cnt, pa.int64()),
-                "inertia": pa.array(inert, pa.float64())}
+                "n": pa.array(np.bincount(assign, minlength=K), pa.int64()),
+                "inertia": pa.array(np.bincount(
+                    assign, weights=1.0 - sims[np.arange(batch.num_rows), assign],
+                    minlength=K), pa.float64())}
         if want_sums:
             sums = np.zeros((K, dim))
             np.add.at(sums, assign, mat)
-            for j in range(dim):
-                cols[f"s{j}"] = pa.array(sums[:, j], pa.float64())
+            cols.update({c: pa.array(sums[:, j], pa.float64()) for j, c in enumerate(scols)})
         return pa.table(cols)
 
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return ds.map_batches(partial, batch_format="pyarrow").to_pandas()
+    return combine(_read(sf_dir, "embeddings", ["vec_id", "embedding"]), ["cluster"],
+                   {c: (c, "sum") for c in ["n", "inertia", *scols]}, partial).to_pandas()
+
+
+def _kmeans_report(g: pd.DataFrame) -> pd.DataFrame:
+    """The non-empty clusters' (cluster, n_vecs, inertia) rows."""
+    g = g[g["n"] > 0]
+    return pd.DataFrame({"cluster": g["cluster"], "n_vecs": g["n"],
+                         "inertia": round_ha(g["inertia"].to_numpy())}).reset_index(drop=True)
 
 
 def q_embeddings_kmeans_step(sf_dir: str, k: int = 8) -> pd.DataFrame:
@@ -2014,13 +1884,7 @@ def q_embeddings_kmeans_step(sf_dir: str, k: int = 8) -> pd.DataFrame:
     first k embeddings: per-cluster member count and inertia (sum of
     1 - cosine).  SQL-oracled — the iterative variant shares this exact
     machinery per pass."""
-    cents = _load_centroids(sf_dir, k)
-    p = _kmeans_pass(sf_dir, cents, want_sums=False)
-    g = p.groupby("cluster").agg(n_vecs=("n", "sum"), inertia=("inertia", "sum")).reset_index()
-    g = g[g["n_vecs"] > 0]
-    g["n_vecs"] = g["n_vecs"].astype("int64")
-    g["inertia"] = round_ha(g["inertia"].to_numpy())
-    return g.sort_values("cluster").reset_index(drop=True)
+    return _kmeans_report(_kmeans_pass(sf_dir, _load_centroids(sf_dir, k), want_sums=False))
 
 
 def q_embeddings_kmeans(sf_dir: str, k: int = 8, iters: int = 5) -> pd.DataFrame:
@@ -2030,58 +1894,39 @@ def q_embeddings_kmeans(sf_dir: str, k: int = 8, iters: int = 5) -> pd.DataFrame
     their previous centroid).  Hash-exact against a chained step-CTE DuckDB
     twin (five a->m->c CTE rounds in __ray_entry__.oracle_sql)."""
     cents = _load_centroids(sf_dir, k)
-    dim = cents.shape[1]
-    scols = [f"s{j}" for j in range(dim)]
+    scols = [f"s{j}" for j in range(cents.shape[1])]
     for _ in range(iters):
-        p = _kmeans_pass(sf_dir, cents, want_sums=True)
-        g = p.groupby("cluster")[["n"] + scols].sum()
+        g = _kmeans_pass(sf_dir, cents, want_sums=True)
         cnt = g["n"].to_numpy()
         sums = g[scols].to_numpy()
         nz = cnt > 0
         cents = cents.copy()
         cents[nz] = sums[nz] / cnt[nz, None]
-    p = _kmeans_pass(sf_dir, cents, want_sums=False)
-    g = p.groupby("cluster").agg(n_vecs=("n", "sum"), inertia=("inertia", "sum")).reset_index()
-    g = g[g["n_vecs"] > 0]
-    g["n_vecs"] = g["n_vecs"].astype("int64")
-    g["inertia"] = round_ha(g["inertia"].to_numpy())
-    return g.sort_values("cluster").reset_index(drop=True)
+    return _kmeans_report(_kmeans_pass(sf_dir, cents, want_sums=False))
 
 
 def q_embeddings_label_centroids(sf_dir: str) -> pd.DataFrame:
     """Element-wise per-label centroid (class prototype) in long format
     (label, pos, mean_val): per-batch partial sums collapse each batch to
     one (labels x dim) block, so the merge is label-domain-sized."""
-    ds = _read(sf_dir, "embeddings", ["label", "embedding"])
-
     def partial(batch: pa.Table) -> pa.Table:
         labels = batch.column("label").to_numpy()
-        if labels.size == 0:  # empty block: keep the typed schema
-            return pa.table({"label": pa.array([], pa.int64()),
-                             "pos": pa.array([], pa.int64()),
-                             "s": pa.array([], pa.float64()),
-                             "n": pa.array([], pa.int64())})
         mat = np.array(batch.column("embedding").to_pylist(), dtype=np.float64)
+        dim = mat.shape[1] if mat.ndim == 2 else 0
         u, inv = np.unique(labels, return_inverse=True)
-        sums = np.zeros((u.size, mat.shape[1]))
-        np.add.at(sums, inv, mat)
-        cnt = np.bincount(inv)
-        dim = mat.shape[1]
+        sums = np.zeros((u.size, dim))
+        np.add.at(sums, inv, mat.reshape(-1, dim))
         return pa.table({
-            "label": pa.array(np.repeat(u, dim).astype(np.int64), pa.int64()),
+            "label": pa.array(np.repeat(u, dim), pa.int64()),
             "pos": pa.array(np.tile(np.arange(1, dim + 1), u.size), pa.int64()),
             "s": pa.array(sums.ravel(), pa.float64()),
-            "n": pa.array(np.repeat(cnt, dim), pa.int64()),
+            "n": pa.array(np.repeat(np.bincount(inv, minlength=u.size), dim), pa.int64()),
         })
 
-    partials = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    g = partials.groupby(["label", "pos"]).agg(s=("s", "sum"), n=("n", "sum")).reset_index()
-    out = pd.DataFrame({
-        "label": g["label"].astype("int64"),
-        "pos": g["pos"].astype("int64"),
-        "mean_val": round_ha((g["s"] / g["n"]).to_numpy()),
-    })
-    return out.sort_values(["label", "pos"]).reset_index(drop=True)
+    g = combine(_read(sf_dir, "embeddings", ["label", "embedding"]), ["label", "pos"],
+                {"s": ("s", "sum"), "n": ("n", "sum")}, partial).to_pandas()
+    return pd.DataFrame({"label": g["label"], "pos": g["pos"],
+                         "mean_val": round_ha((g["s"] / g["n"]).to_numpy())})
 
 
 def q_documents_longest_per_source(sf_dir: str, k: int = 3) -> pd.DataFrame:
@@ -2089,24 +1934,10 @@ def q_documents_longest_per_source(sf_dir: str, k: int = 3) -> pd.DataFrame:
     idiom): the k longest docs per source, ties broken by doc_id.  Partial
     top-k inside every batch bounds the merge at k rows per (batch,
     source) — the corpus never co-locates per group."""
-    ds = _read(sf_dir, "documents", ["doc_id", "source", "n_chars"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df.sort_values(["source", "n_chars", "doc_id"],
-                            ascending=[True, False, True])
-        return pa.Table.from_pandas(df.groupby("source", observed=True).head(k),
-                                    preserve_index=False)
-
-    p = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    p = p.sort_values(["source", "n_chars", "doc_id"],
-                      ascending=[True, False, True])
-    out = p.groupby("source", observed=True).head(k).copy()
-    out["rank"] = out.groupby("source").cumcount() + 1
-    out = out[["source", "rank", "doc_id", "n_chars"]]
-    for c in ("rank", "doc_id", "n_chars"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values(["source", "rank"]).reset_index(drop=True)
+    top = topk(_read(sf_dir, "documents", ["doc_id", "source", "n_chars"]),
+               [("n_chars", "descending"), ("doc_id", "ascending")], k, by=["source"])
+    top = top.append_column("rank", pa.array(group_rank(top, ["source"]) + 1))
+    return top.select(["source", "rank", "doc_id", "n_chars"]).to_pandas()
 
 
 def q_documents_mix_uniform(sf_dir: str) -> pd.DataFrame:

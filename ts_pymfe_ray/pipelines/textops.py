@@ -17,6 +17,7 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
@@ -24,7 +25,9 @@ from ts_pymfe_ray.functions.md5vec import (
     md5_lower64, md5_lower64_list, word_windows,
 )
 from ts_pymfe_ray.functions.rounding import round_ha
-from ts_pymfe_ray.pipelines.combine import combine
+from ts_pymfe_ray.pipelines.combine import combine, shuffle_combine, topk
+from ts_pymfe_ray.pipelines.queries import (_BY_COSINE, _cosines, _embeddings, _hash_keys,
+                                            _md5_mod100)
 
 NUM_PERM = 64
 BANDS = 16  # 16 bands x 4 rows
@@ -33,15 +36,6 @@ ROWS_PER_BAND = NUM_PERM // BANDS
 # 31-bit Mersenne prime: products a*x fit exactly in uint64, so the
 # MinHash permutation (a*x + b) mod p vectorizes with no overflow.
 _MERSENNE = (1 << 31) - 1
-
-
-def _as_task(obj):
-    """Wrap a callable instance in a plain function so Ray Data ships it
-    as a TASK — passing the instance directly still triggers the
-    actor-pool path (callable-class detection) in Ray 2.49."""
-    def fn(batch):
-        return obj(batch)
-    return fn
 
 
 def _read_docs(sf_dir: str, columns=None) -> ray.data.Dataset:
@@ -365,7 +359,7 @@ def q_dedup_minhash(sf_dir: str, threshold: float = 0.6,
         .groupby(["doc_a", "doc_b"])
         .aggregate(Count())  # distributed pair dedup across bands
         .drop_columns(["count()"])
-        .map_batches(_as_task(_MinhashVerify(path, threshold)), batch_format="pyarrow")
+        .map_batches(_MinhashVerify(path, threshold), batch_format="pyarrow")
         .to_pandas()
     )
     if len(pairs):
@@ -665,7 +659,7 @@ def q_embeddings_neardup(sf_dir: str, threshold: float = 0.95,
         .groupby(["vec_a", "vec_b"])
         .aggregate(Count())  # distributed pair dedup across buckets
         .drop_columns(["count()"])
-        .map_batches(_as_task(_GatherVerifyCosine(path, threshold)), batch_format="pyarrow")
+        .map_batches(_GatherVerifyCosine(path, threshold), batch_format="pyarrow")
         .to_pandas()
     )
     if len(pairs):
@@ -1065,36 +1059,23 @@ def rolling_fingerprint(text: str, window: int = 8) -> int:
 
 def q_doc_fingerprints(sf_dir: str) -> pd.DataFrame:
     """Per-source distinct rolling-fingerprint report — fully distributed
-    two-level aggregate (groupby (source, fp) collapses duplicates inside
-    the cluster; the per-source rollup then counts distinct rows).  Round 3
-    pulled one fingerprint row per doc to the driver for a pandas nunique —
-    the corpus's fp column at scale."""
-    from ray.data.aggregate import Count, Sum
-
-    ds = _read_docs(sf_dir, ["source", "text"])
-
-    def combiner(batch: pa.Table) -> pa.Table:
-        src = batch.column("source").to_pylist()
+    two-level aggregate (a shuffle groupby on (source, fp) collapses
+    duplicates inside the cluster; the per-source rollup then counts
+    distinct rows).  Round 3 pulled one fingerprint row per doc to the
+    driver for a pandas nunique — the corpus's fp column at scale."""
+    def fingerprinted(batch: pa.Table) -> pa.Table:
         fps = rolling_fingerprints_batch(batch.column("text").to_pylist())
         # int64 bit-pattern view: Ray 2.49 uint64 groupby keys above 2^63
         # overflow in the aggregate path (CLAUDE.md invariant); distinct
         # counting is order-free so the reinterpretation is harmless.
-        return pa.table({"source": pa.array(src, pa.string()),
+        return pa.table({"source": batch.column("source"),
                          "fp": pa.array(np.asarray(fps, np.uint64).view(np.int64),
                                         pa.int64())})
 
-    distinct = (
-        ds.map_batches(combiner, batch_format="pyarrow")
-        .groupby(["source", "fp"])
-        .aggregate(Count())
-    )
-    g = distinct.groupby("source").aggregate(Sum("count()"), Count()).to_pandas()
-    out = pd.DataFrame({
-        "source": g["source"],
-        "n_docs": g["sum(count())"].astype("int64"),
-        "uniq_fingerprints": g["count()"].astype("int64"),
-    })
-    return out.sort_values("source").reset_index(drop=True)
+    distinct = shuffle_combine(_read_docs(sf_dir, ["source", "text"]), ["source", "fp"],
+                               {"c": ("fp", "size")}, fingerprinted)
+    return combine(distinct, ["source"], {"n_docs": ("c", "sum"),
+                                          "uniq_fingerprints": ("c", "size")}).to_pandas()
 
 
 # ------------------------------------------------------------ ANN: IVF path
@@ -1200,8 +1181,6 @@ def q_embeddings_ann_ivf(sf_dir: str, k: int = 5, query_vec_id: int = 0,
     pull."""
     index_dir, centroids = build_ivf_index(sf_dir, n_cells=n_cells)
 
-    import pyarrow.compute as pc
-
     qtbl = ray.data.read_parquet(
         os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"],
         filter=pc.field("vec_id") == query_vec_id,
@@ -1216,22 +1195,13 @@ def q_embeddings_ann_ivf(sf_dir: str, k: int = 5, query_vec_id: int = 0,
 
     paths = [f for c in probe
              for f in sorted(_glob.glob(os.path.join(index_dir, f"cell={int(c)}", "*.parquet")))]
-    ds = ray.data.read_parquet(paths, columns=["vec_id", "embedding"])
+    def scored(batch: pa.Table) -> pa.Table:
+        # ranked on the 6dp-rounded cosine, as the driver hash sees it
+        return pa.table({"vec_id": batch.column("vec_id"),
+                         "cosine": round_ha(_cosines(_embeddings(batch, qn.size), qn))})
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        ids = batch.column("vec_id").to_numpy()
-        mat = np.asarray(batch.column("embedding").to_pylist(), dtype=np.float64)
-        norms = np.linalg.norm(mat, axis=1)
-        norms[norms == 0] = 1.0
-        sims = (mat @ qn) / norms
-        top = np.argsort(-sims)[:k]
-        return pa.table({"vec_id": pa.array(ids[top], pa.int64()),
-                         "cosine": pa.array(round_ha(sims[top]), pa.float64())})
-
-    partials = ds.map_batches(partial_topk, batch_format="pyarrow").to_pandas()
-    out = partials.sort_values(["cosine", "vec_id"], ascending=[False, True]).head(k)
-    out["vec_id"] = out["vec_id"].astype("int64")
-    return out.reset_index(drop=True)
+    return topk(ray.data.read_parquet(paths, columns=["vec_id", "embedding"]),
+                _BY_COSINE, k, prep=scored).to_pandas()
 
 
 def q_source_overlap_matrix(sf_dir: str) -> pd.DataFrame:
@@ -1240,23 +1210,17 @@ def q_source_overlap_matrix(sf_dir: str) -> pd.DataFrame:
     contamination / corpus-overlap check a curation pipeline runs before
     mixing sources (set-intersection cardinalities, exact).
 
-    Shape: (1) per-batch distinct (shingle-hash, source) rows via the
-    vectorized md5 shingler; (2) global distinct via groupby(h, source);
+    Shape: (1) per-batch (shingle-hash, source) rows via the vectorized
+    md5 shingler; (2) global distinct via a shuffle groupby(h, source);
     (3) each source becomes one BIT in a per-h mask — after global
-    distinct every bit occurs at most once per h, so the builtin Sum
-    aggregate IS the bitwise OR; (4) one 64x64 GEMM per batch turns bit
-    matrices into pair co-occurrence counts, so only 64x64 partials reach
-    the driver.  Shuffles carry distinct-(h, source) rows, never the
-    corpus; >64 sources would shard the mask into multiple words."""
-    from ray.data.aggregate import Count, Sum
-
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["source", "text"]
-    )
-
+    distinct every bit occurs at most once per h, so a shuffle sum IS the
+    bitwise OR; (4) one 64x64 GEMM per batch turns bit matrices into pair
+    co-occurrence counts, so only 64x64 partials reach the driver.
+    Shuffles carry distinct-(h, source) rows, never the corpus; >64
+    sources would shard the mask into multiple words."""
     def shingle_rows(batch: pa.Table) -> pa.Table:
         # explicit Arrow types end to end: an empty batch must still emit
-        # the (uint64, int64) schema or block unification degrades to
+        # the (int64, int64) schema or block unification degrades to
         # pickled-object columns that the shuffle sort rejects
         srcs = batch.column("source").to_pylist()
         per_doc = _md5_shingles_batch(batch.column("text").to_pylist())
@@ -1267,35 +1231,19 @@ def q_source_overlap_matrix(sf_dir: str) -> pd.DataFrame:
         )
         if idx.size and idx.max() > 62:
             raise ValueError("source index exceeds single-word bitmask")
-        order = np.lexsort((idx, h))
-        hs, ix = h[order], idx[order]
-        keep = np.ones(hs.size, bool)
-        keep[1:] = (hs[1:] != hs[:-1]) | (ix[1:] != ix[:-1])
         # int64 bit-pattern view: Ray 2.49's aggregate path re-infers key
         # columns as int64 and mangles uint64 values above 2^63 into
         # pickled objects that the shuffle sort rejects
-        return pa.table({"h": pa.array(hs[keep].view(np.int64), pa.int64()),
-                         "src_idx": pa.array(ix[keep], pa.int64())})
-
-    distinct = (
-        ds.map_batches(shingle_rows, batch_format="pyarrow")
-        .groupby(["h", "src_idx"])
-        .aggregate(Count())
-    )
+        return pa.table({"h": pa.array(h.view(np.int64), pa.int64()),
+                         "src_idx": pa.array(idx, pa.int64())})
 
     def to_mask(batch: pa.Table) -> pa.Table:
         idx = batch.column("src_idx").to_numpy()
         return pa.table({"h": batch.column("h"),
                          "mask": pa.array(np.int64(1) << idx, pa.int64())})
 
-    masks = (
-        distinct.map_batches(to_mask, batch_format="pyarrow")
-        .groupby("h")
-        .aggregate(Sum("mask"))  # Sum == OR: each bit set at most once per h
-    )
-
     def pair_counts(batch: pa.Table) -> pa.Table:
-        m = batch.column("sum(mask)").to_numpy().astype(np.uint64)
+        m = batch.column("mask").to_numpy().astype(np.uint64)
         bits = np.unpackbits(m.view(np.uint8).reshape(-1, 8), axis=1,
                              bitorder="little").astype(np.int64)
         co = bits.T @ bits  # (64, 64) pair co-occurrence over this batch
@@ -1303,15 +1251,17 @@ def q_source_overlap_matrix(sf_dir: str) -> pd.DataFrame:
         return pa.table({"i": pa.array(i, pa.int64()), "j": pa.array(j, pa.int64()),
                          "c": pa.array(co[i, j], pa.int64())})
 
-    partials = masks.map_batches(pair_counts, batch_format="pyarrow").to_pandas()
-    g = partials.groupby(["i", "j"])["c"].sum().reset_index()
+    distinct = shuffle_combine(_read_docs(sf_dir, ["source", "text"]), ["h", "src_idx"],
+                               {"n": ("h", "size")}, shingle_rows)
+    # mask sum == OR: each bit set at most once per h
+    masks = shuffle_combine(distinct, ["h"], {"mask": ("mask", "sum")}, to_mask)
+    g = combine(masks, ["i", "j"], {"c": ("c", "sum")}, pair_counts).to_pandas()
     names_a = [f"src{i}" for i in g["i"]]
     names_b = [f"src{j}" for j in g["j"]]
     # SQL twin orders pairs by STRING comparison; bit indices are numeric
     src_a = [min(a, b) for a, b in zip(names_a, names_b)]
     src_b = [max(a, b) for a, b in zip(names_a, names_b)]
-    out = pd.DataFrame({"src_a": src_a, "src_b": src_b,
-                        "shared_shingles": g["c"].astype("int64")})
+    out = pd.DataFrame({"src_a": src_a, "src_b": src_b, "shared_shingles": g["c"]})
     return out.sort_values(["src_a", "src_b"]).reset_index(drop=True)
 
 
@@ -1333,13 +1283,6 @@ def q_curation_pipeline(sf_dir: str, sample_pct: int = 50) -> pd.DataFrame:
 
     The DuckDB twin mirrors all five stages as CTEs — the whole pipeline
     is hash-exact, not just its pieces."""
-    from ray.data.aggregate import Min
-
-    from ts_pymfe_ray.functions.md5vec import md5_lower64_list, md5_pair64, pack_bytes
-    from ts_pymfe_ray.pipelines.queries import _md5_mod100
-
-    ds = _read_docs(sf_dir, ["doc_id", "source", "text"])
-
     def gate_and_hash(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy().astype(np.int64)
         src = batch.column("source").to_pylist()
@@ -1351,55 +1294,34 @@ def q_curation_pipeline(sf_dir: str, sample_pct: int = 50) -> pd.DataFrame:
             & (n_punct * 100 <= n_chars * 5)
         )
         kept = np.flatnonzero(keep)
-        lo, hi = md5_pair64(*pack_bytes([texts[i].encode() for i in kept]))
         sidx = np.array([int(src[i][3:]) for i in kept], dtype=np.int64)
         return pa.table({
-            "h_lo": pa.array(lo.view(np.int64), pa.int64()),
-            "h_hi": pa.array(hi.view(np.int64), pa.int64()),
+            **_hash_keys(batch.column("text").take(kept)),
             "packed": pa.array(ids[kept] * 64 + sidx, pa.int64()),
             "nc": pa.array(n_chars[kept].astype(np.int64), pa.int64()),
         })
 
-    winners = (
-        ds.map_batches(gate_and_hash, batch_format="pyarrow")
-        .groupby(["h_lo", "h_hi"])
-        .aggregate(Min("packed"), Min("nc"))  # nc constant per text hash
-    )
-
-    def sample_split_report(batch: pa.Table) -> pa.Table:
-        packed = batch.column("min(packed)").to_numpy()
-        nc = batch.column("min(nc)").to_numpy()
-        doc_id = packed // 64
-        sidx = packed % 64
-        coin = _md5_mod100(doc_id)
-        m = coin < sample_pct
-        doc_id, sidx, nc = doc_id[m], sidx[m], nc[m]
+    def sample_split(batch: pa.Table) -> pa.Table:
+        packed = batch.column("packed").to_numpy()
+        doc_id, sidx = packed // 64, packed % 64
+        m = _md5_mod100(doc_id) < sample_pct
+        doc_id, sidx = doc_id[m], sidx[m]
         salted = md5_lower64_list(
             [f"{int(i)}:split".encode() for i in doc_id]
         ) % np.uint64(100)
         split = np.where(salted < 80, "train", np.where(salted < 90, "val", "test"))
-        df = pd.DataFrame({"source": [f"src{i}" for i in sidx],
-                           "split": split, "nc": nc})
-        g = df.groupby(["source", "split"], observed=True).agg(
-            n_docs=("nc", "size"), sum_chars=("nc", "sum")
-        ).reset_index()
-        # explicit schema: an empty partial must not degrade to null types
-        return pa.table({
-            "source": pa.array(g["source"].tolist(), pa.string()),
-            "split": pa.array(g["split"].tolist(), pa.string()),
-            "n_docs": pa.array(g["n_docs"].to_numpy(), pa.int64()),
-            "sum_chars": pa.array(g["sum_chars"].to_numpy(), pa.int64()),
-        })
+        # explicit types: an empty batch must not degrade to null columns
+        return pa.table({"source": pa.array([f"src{i}" for i in sidx], pa.string()),
+                         "split": pa.array(split.tolist(), pa.string()),
+                         "nc": batch.column("nc").filter(pa.array(m))})
 
-    partials = winners.map_batches(
-        sample_split_report, batch_format="pyarrow"
-    ).to_pandas()
-    g = partials.groupby(["source", "split"]).agg(
-        n_docs=("n_docs", "sum"), sum_chars=("sum_chars", "sum")
-    ).reset_index()
-    g["n_docs"] = g["n_docs"].astype("int64")
-    g["sum_chars"] = g["sum_chars"].astype("int64")
-    return g.sort_values(["source", "split"]).reset_index(drop=True)
+    # nc is constant per text hash
+    winners = shuffle_combine(_read_docs(sf_dir, ["doc_id", "source", "text"]),
+                              ["h_lo", "h_hi"], {"packed": ("packed", "min"),
+                                                 "nc": ("nc", "min")}, gate_and_hash)
+    return combine(winners, ["source", "split"], {"n_docs": ("nc", "size"),
+                                                  "sum_chars": ("nc", "sum")},
+                   sample_split).to_pandas()
 
 
 def q_decontaminate(sf_dir: str, benchmark_source: str = "src0") -> pd.DataFrame:
@@ -1415,8 +1337,6 @@ def q_decontaminate(sf_dir: str, benchmark_source: str = "src0") -> pd.DataFrame
     array) + bounded per-source count partials.  No shuffle at all."""
     path = os.path.join(sf_dir, "documents.parquet")
 
-    import pyarrow.compute as pc
-
     bench_tbl = ray.data.read_parquet(
         path, columns=["source", "text"],
         filter=pc.field("source") == benchmark_source,
@@ -1426,30 +1346,12 @@ def q_decontaminate(sf_dir: str, benchmark_source: str = "src0") -> pd.DataFrame
         [np.empty(0, np.uint64)]
     ))
 
-    ds = ray.data.read_parquet(path, columns=["source", "text"])
-
     def probe(batch: pa.Table) -> pa.Table:
-        srcs = batch.column("source").to_pylist()
-        texts = batch.column("text").to_pylist()
-        keep = [i for i, s in enumerate(srcs) if s != benchmark_source]
-        per_doc = _md5_shingles_batch([texts[i] for i in keep])
-        hit = np.array(
-            [np.isin(hs, bench, assume_unique=True).any() for hs in per_doc]
-        ) if keep else np.empty(0, bool)
-        df = pd.DataFrame({"source": [srcs[i] for i in keep], "hit": hit})
-        g = df.groupby("source").agg(
-            n_docs=("hit", "size"), n_dropped=("hit", "sum")
-        ).reset_index()
-        return pa.table({
-            "source": pa.array(g["source"].tolist(), pa.string()),
-            "n_docs": pa.array(g["n_docs"].to_numpy(), pa.int64()),
-            "n_dropped": pa.array(g["n_dropped"].to_numpy(), pa.int64()),
-        })
+        batch = batch.filter(pc.not_equal(batch.column("source"), benchmark_source))
+        per_doc = _md5_shingles_batch(batch.column("text").to_pylist())
+        hit = [np.isin(hs, bench, assume_unique=True).any() for hs in per_doc]
+        return pa.table({"source": batch.column("source"),
+                         "hit": pa.array(hit, pa.bool_()).cast(pa.int64())})
 
-    partials = ds.map_batches(probe, batch_format="pyarrow").to_pandas()
-    g = partials.groupby("source").agg(
-        n_docs=("n_docs", "sum"), n_dropped=("n_dropped", "sum")
-    ).reset_index()
-    g["n_docs"] = g["n_docs"].astype("int64")
-    g["n_dropped"] = g["n_dropped"].astype("int64")
-    return g.sort_values("source").reset_index(drop=True)
+    return combine(ray.data.read_parquet(path, columns=["source", "text"]), ["source"],
+                   {"n_docs": ("hit", "size"), "n_dropped": ("hit", "sum")}, probe).to_pandas()

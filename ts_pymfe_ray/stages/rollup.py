@@ -72,10 +72,6 @@ def tokens_views(batch: pa.Table) -> tuple[list, np.ndarray, np.ndarray]:
     return views, offsets, flat
 
 
-def num_partitions_default() -> int:
-    return 64
-
-
 def _fresh_buffers(n_windows: int, total: int):
     return np.empty((n_windows, sk.N_FIELDS)), np.empty(total), None
 
