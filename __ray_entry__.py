@@ -227,29 +227,24 @@ def entry() -> Any:
 def _q_seq_tier_rollup(sf_dir: str):
     """Rows-only: tier-ladder rollup over the synthesized sequences table
     at the matching scale; returns per-(source, tier) aggregate stats."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow.dataset as pads
+    import ray.data
 
     from ts_pymfe_ray.pipelines import flagship
+    from ts_pymfe_ray.pipelines.combine import combine
     from ts_pymfe_ray.synth import ensure_sequences_for_dir
 
     seq_dir = ensure_sequences_for_dir(sf_dir)
     tag = os.path.basename(os.path.normpath(seq_dir))
     out = _out(f"tiers_{tag}")
     flagship.run_rollup(seq_dir, out, num_shards=8)
-    ds = pads.dataset(out, format="parquet", partitioning="hive",
-                      ignore_prefixes=[".", "_", "manifest"])
-    tbl = ds.to_table(columns=["source", "tier", "n_windows", "n_tok", "n_gap"]).to_pandas()
-    g = tbl.groupby(["source", "tier"]).agg(
-        n_rows=("n_windows", "size"),
-        total_windows=("n_windows", "sum"),
-        total_tokens=("n_tok", "sum"),
-        total_gaps=("n_gap", "sum"),
-    ).reset_index()
-    for c in ("n_rows", "total_windows", "total_tokens", "total_gaps"):
-        g[c] = g[c].astype("int64")
-    return g.sort_values(["source", "tier"]).reset_index(drop=True)
+    ds = ray.data.read_parquet(out, columns=["source", "tier", "n_windows", "n_tok", "n_gap"],
+                               file_extensions=["parquet"])  # hive: ``tier`` from the path
+    return combine(ds, ["source", "tier"], {
+        "n_rows": ("n_windows", "size"),
+        "total_windows": ("n_windows", "sum"),
+        "total_tokens": ("n_tok", "sum"),
+        "total_gaps": ("n_gap", "sum"),
+    }).to_pandas()
 
 
 def _q_seq_features(sf_dir: str):
@@ -280,10 +275,14 @@ def _q_seq_features_heavy(sf_dir: str):
     capped deterministic sample (sf0.001 sequences = 1000 docs) — driver
     coverage for the code paths a max_cost='heavy' user runs."""
     import pyarrow as pa
+    import pyarrow.compute as pc
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
+    import ray.data
 
     from ts_pymfe_ray.pipelines import flagship
+    from ts_pymfe_ray.pipelines.combine import combine, topk
+    from ts_pymfe_ray.sources.sequences import read_sequences
     from ts_pymfe_ray.synth import ensure_sequences, sf_from_dir
 
     sf = min(sf_from_dir(sf_dir), 0.001)
@@ -293,12 +292,8 @@ def _q_seq_features_heavy(sf_dir: str):
     sub_dir = _out(f"seq_heavy_input_sf{sf:g}")
     if not os.path.exists(os.path.join(sub_dir, "_SUCCESS")):
         os.makedirs(sub_dir, exist_ok=True)
-        df = pads.dataset(seq_dir, format="parquet",
-                          ignore_prefixes=[".", "_"]).to_table().to_pandas()
-        df = df.sort_values("doc_id").groupby("source").head(16)
-        pq.write_table(pa.Table.from_pandas(df.reset_index(drop=True),
-                                            preserve_index=False),
-                       os.path.join(sub_dir, "part-00000.parquet"))
+        first = topk(read_sequences(seq_dir), [("doc_id", "ascending")], 16, by=["source"])
+        pq.write_table(first.sort_by("doc_id"), os.path.join(sub_dir, "part-00000.parquet"))
         with open(os.path.join(sub_dir, "_SUCCESS"), "w") as f:
             f.write("ok")
     out = _out(f"features_heavy_sf{sf:g}")
@@ -306,11 +301,15 @@ def _q_seq_features_heavy(sf_dir: str):
         sub_dir, out, groups=("landmarking", "model_based", "stat_tests"),
         max_cost="heavy", num_shards=2, batch_size=4,
     )
-    ds = pads.dataset(out, format="parquet", ignore_prefixes=[".", "_", "manifest"])
-    df = ds.to_table().to_pandas()
-    num_cols = [c for c in df.columns if c not in ("doc_id", "source", "part_id")]
-    g = df.groupby("source")[num_cols].mean().round(6).reset_index()
-    return g.sort_values("source").reset_index(drop=True)
+    names = pads.dataset(out, format="parquet", ignore_prefixes=[".", "_", "manifest"]).schema.names
+    cols = [c for c in names if c not in ("doc_id", "source", "part_id")]
+    ds = ray.data.read_parquet(out, columns=["source", *cols], file_extensions=["parquet"])
+    # per-source means: sums over non-missing counts (NaN skipped, as in pandas)
+    g = combine(ds, ["source"], {**{f"s_{c}": (c, "sum") for c in cols},
+                                 **{f"n_{c}": (c, "count") for c in cols}})
+    return pa.table({"source": g.column("source"), **{
+        c: pc.divide(g.column(f"s_{c}").cast(pa.float64()), g.column(f"n_{c}").cast(pa.float64()))
+        for c in cols}}).to_pandas().round(6)
 
 
 def _q_seq_source_rollup(sf_dir: str):

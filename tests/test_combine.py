@@ -225,13 +225,12 @@ _ALLOWED = {
     "textops:q_dedup_ngram_jaccard": "map_groups self-merge per shingle bucket",
     "textops:q_embeddings_neardup": "map_groups candidate pairs per bucket",
     "textops:q_dedup_clusters_lp": "map_groups hash-to-min rounds",
-    # per-source float means over a written feature table: pandas'
-    # compensated mean is what the rows and the oracle hash were pinned on
-    "__ray_entry__:_q_seq_tier_rollup": "mean over the written tier table",
-    "__ray_entry__:_q_seq_features": "mean over the written feature table",
-    "__ray_entry__:_q_seq_features_heavy": "mean over the written feature table",
-    "__ray_entry__:_q_seq_fast_features_nogap": "mean over the written fast-feature table",
-    "__ray_entry__:_q_seq_fast_features": "mean over the written fast-feature table",
+    # per-source means of 1e4-1e9-magnitude features rounded to 6 places:
+    # a sequential sum in partial-arrival order moves the 6th place from
+    # run to run, pandas' compensated mean over the whole table does not
+    "__ray_entry__:_q_seq_features": "6dp mean of 1e9-magnitude written features",
+    "__ray_entry__:_q_seq_fast_features_nogap": "6dp mean of 1e4-magnitude fast features",
+    "__ray_entry__:_q_seq_fast_features": "6dp mean of 1e8-magnitude fast features",
 }
 
 

@@ -222,12 +222,14 @@ def test_conformance_map_covers_full_registry():
     """The conformance tool maps EVERY registry kernel to its reference
     twin with a tolerance class, and the engine side of the map runs
     cleanly in-container (the reference side needs scipy and SKIPs here)."""
+    import os
     import subprocess
     import sys
 
     res = subprocess.run(
         [sys.executable, "tools/conformance_vs_reference.py", "--engine-only", "2"],
-        capture_output=True, text=True, cwd="/root/repo", timeout=600,
+        capture_output=True, text=True, timeout=600,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     )
     assert res.returncode == 0, res.stdout + res.stderr
     assert "mapped kernels: 149" in res.stdout

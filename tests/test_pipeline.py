@@ -1,7 +1,9 @@
 """End-to-end pipeline tests over a tiny deterministic sequences table:
 rollup ladder correctness, token round-trip, resume, cross-series rollup."""
 
+import logging
 import os
+import re
 
 import numpy as np
 import pyarrow.dataset as pads
@@ -306,6 +308,130 @@ def test_commit_as_complete_bookkeeping():
                 {0: 5}, lambda *a: None)
 
 
+def _random_partials(rng, n_tables: int, rows: int) -> list:
+    """Hand-made partial-sketch tables over a few (source, tier, window)
+    keys, with values spread over nine decades so that float sums of the
+    same terms in another order give other bits."""
+    import pyarrow as pa
+
+    out = []
+    for _ in range(n_tables):
+        n = int(rng.integers(0, rows + 1))
+        cols = {"source": rng.choice(["books", "code", "web"], n).tolist(),
+                "tier": rng.choice(["10x", "100x"], n).tolist(),
+                "window_id": rng.integers(0, 4, n)}
+        for f in flagship._PARTIAL_SCHEMA.names[3:]:
+            cols[f] = rng.normal(size=n) * 10.0 ** rng.integers(0, 9, n)
+        out.append(pa.table(cols, schema=flagship._PARTIAL_SCHEMA))
+    return out
+
+
+def test_merge_partials_is_invariant_to_partial_order():
+    """The driver merge gives the same bits whatever order the partial
+    tables arrive in and however their rows are spread over tables:
+    random permutations, empty partials, a single partial, and one key
+    (one row) per partial."""
+    import pyarrow as pa
+
+    rng = np.random.default_rng(7)
+    tables = _random_partials(rng, 12, 30)
+    ref = flagship.merge_partials(tables)
+    assert ref.num_rows and ref.schema == flagship._PARTIAL_SCHEMA
+    keys = ref.select(["source", "tier", "window_id"]).to_pylist()
+    assert keys == sorted(keys, key=lambda k: (k["source"], k["tier"], k["window_id"]))
+
+    whole = pa.concat_tables(tables)
+    empty = flagship._PARTIAL_SCHEMA.empty_table()
+    for _ in range(20):
+        order = rng.permutation(len(tables))
+        assert flagship.merge_partials([tables[i] for i in order]).equals(ref)
+        rows = whole.take(pa.array(rng.permutation(whole.num_rows)))
+        cuts = np.sort(rng.integers(0, rows.num_rows + 1, 5))
+        regrouped = [rows.slice(a, b - a) for a, b in zip([0, *cuts], [*cuts, rows.num_rows])]
+        assert flagship.merge_partials([empty, *regrouped, empty]).equals(ref)
+        # one row, hence one key, per partial
+        assert flagship.merge_partials([rows.slice(i, 1) for i in range(rows.num_rows)]).equals(ref)
+    assert flagship.merge_partials([rows]).equals(ref)
+    assert flagship.merge_partials([]).equals(empty)
+    assert flagship.merge_partials([empty, empty]).equals(empty)
+    one = tables[0].slice(0, 1)
+    assert flagship.merge_partials([one]).equals(one)
+
+
+def test_merge_partials_matches_fsum():
+    """Each merged sum is within a few roundings of the exactly rounded
+    sum of its terms (``math.fsum``): |err| <= 2 * k * eps * sum(|x|) for
+    k terms; ``vmin``/``vmax`` are the exact min and max."""
+    import math
+
+    import pyarrow as pa
+
+    rng = np.random.default_rng(11)
+    whole = pa.concat_tables(_random_partials(rng, 8, 40))
+    merged = flagship.merge_partials([whole]).to_pylist()
+    rows = whole.to_pylist()
+    eps = np.finfo(np.float64).eps
+    for m in merged:
+        grp = [r for r in rows if (r["source"], r["tier"], r["window_id"])
+               == (m["source"], m["tier"], m["window_id"])]
+        for f in set(flagship._PARTIAL_SCHEMA.names[3:]) - {"vmin", "vmax"}:
+            x = [r[f] for r in grp]
+            bound = 2 * len(x) * eps * math.fsum(abs(v) for v in x)
+            assert abs(m[f] - math.fsum(x)) <= bound, (m, f)
+        assert m["vmin"] == min(r["vmin"] for r in grp)
+        assert m["vmax"] == max(r["vmax"] for r in grp)
+    assert len(merged) == len({(r["source"], r["tier"], r["window_id"]) for r in rows})
+
+
+def test_row_group_read_tasks_cover_the_files(tmp_path):
+    """The sequence read makes one task per row group (per range of at
+    most ``rows_per_task`` rows with it set) whatever the CPU count, and
+    its tasks' blocks, in order, are the files' rows, each with its
+    file's path; a zero-row file still gives one (empty) block."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from ts_pymfe_ray.sources.sequences import SEQ_COLUMNS, ParquetRowGroupDatasource
+
+    t = pa.table({"doc_id": [f"d{i:02d}" for i in range(13)],
+                  "tokens": [[i, -1, i + 1] for i in range(13)],
+                  "n_tok": pa.array([3] * 13, pa.int32()), "source": ["web"] * 13,
+                  "extra": list(range(13))})
+    a, e = str(tmp_path / "a.parquet"), str(tmp_path / "e.parquet")
+    pq.write_table(t, a, row_group_size=5)  # row groups of 5, 5 and 3 rows
+    pq.write_table(t.slice(0, 0), e)
+    for rows_per_task, sizes in ((None, [5, 5, 3, 0]), (2, [2, 2, 1, 2, 2, 1, 2, 1, 0]),
+                                 (5, [5, 5, 3, 0]), (100, [5, 5, 3, 0])):
+        tasks = ParquetRowGroupDatasource([a, e], SEQ_COLUMNS, True,
+                                          rows_per_task).get_read_tasks(1)
+        assert [task.metadata.num_rows for task in tasks] == sizes
+        blocks = [b for task in tasks for b in task()]
+        assert [b.num_rows for b in blocks] == sizes
+        got = pa.concat_tables(blocks)
+        assert got.drop_columns(["path"]).equals(t.select(SEQ_COLUMNS))
+        assert got.column("path").to_pylist() == [a] * 13
+
+
+def test_in_slices_matches_one_call_and_keeps_empty_schemas(seq_dir_small):
+    """``in_slices`` over a batch equals one stage call over it for
+    row-wise stages, and an empty batch (e.g. a gap-free filter that kept
+    nothing) gives an empty table with the stage's own schema."""
+    import pyarrow as pa
+
+    from ts_pymfe_ray.stages.fast_features import FastFeatureStage
+    from ts_pymfe_ray.stages.rollup import in_slices, split_long_rows
+
+    batch = pads.dataset(seq_dir_small, format="parquet").to_table().slice(0, 40)
+    stage = FastFeatureStage()
+    assert in_slices(batch, stage, 7).equals(stage(batch))
+    for stage in (stage, lambda b: flagship._partial_sketches(split_long_rows(b))):
+        full = stage(batch)
+        empty = in_slices(batch.slice(0, 0), stage, 7)
+        assert empty.num_rows == 0 and empty.schema == full.schema
+    rows = in_slices(batch, lambda b: pa.table({"n": [b.num_rows]}), 16).column("n")
+    assert rows.to_pylist() == [16, 16, 8]
+
+
 def test_tier_analytics_from_compressed_streams(ray_session, seq_dir_small, tmp_path_factory):
     """Consumption side of the ladder: per-source diagnostics computed
     purely from compressed 10x tier rows — works even after the raw tier
@@ -365,7 +491,7 @@ def test_source_rollup_consistent_under_splitting(ray_session, seq_dir_small):
 
     from ts_pymfe_ray.sources.sequences import read_sequences
     from ts_pymfe_ray.stages.rollup import split_long_rows
-    from ts_pymfe_ray.pipelines.flagship import _partial_sketches
+    from ts_pymfe_ray.pipelines.flagship import _partial_sketches, merge_partials
 
     def run(max_chunk):
         ds = read_sequences(seq_dir_small)
@@ -373,13 +499,110 @@ def test_source_rollup_consistent_under_splitting(ray_session, seq_dir_small):
                             fn_kwargs={"max_chunk_tokens": max_chunk})
         ds = ds.map_batches(_partial_sketches, batch_format="pyarrow",
                             fn_kwargs={"tiers": ("100x",)})
-        df = (ds.groupby(["source", "tier", "window_id"])
-                .sum(["n", "s1", "s2"]).to_pandas())
-        return df.sort_values(["source", "window_id"]).reset_index(drop=True)
+        parts = list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+        return merge_partials(parts).select(
+            ["source", "tier", "window_id", "n", "s1", "s2"]).to_pandas()
 
     whole = run(1_048_576)
     split = run(6400)  # force splitting of every row > 6400 tokens
     pd.testing.assert_frame_equal(whole, split, check_exact=False, rtol=1e-9)
+
+
+class _PlanLog(logging.Handler):
+    """Collects, from Ray Data's own log lines, the plan of every Dataset
+    execution and every read whose blocks are split after the read."""
+
+    _LOGGERS = {"ray.data._internal.execution.streaming_executor": logging.INFO,
+                "ray.data._internal.logical.rules.set_read_parallelism": logging.DEBUG}
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.plans: list[tuple[str, str]] = []  # (dataset id, plan)
+        self.splits: list[str] = []
+
+    def emit(self, record):
+        msg = record.getMessage()
+        m = re.match(r"Execution plan of Dataset (\S+): (.*)", msg)
+        if m:
+            self.plans.append((m.group(1), m.group(2)))
+        elif "each read task output is split into" in msg:
+            self.splits.append(msg)
+
+    def __enter__(self):
+        self._levels = {}
+        for name, level in self._LOGGERS.items():
+            lg = logging.getLogger(name)
+            self._levels[name] = lg.level
+            lg.setLevel(level)
+            lg.addHandler(self)
+        return self
+
+    def __exit__(self, *exc):
+        for name, level in self._levels.items():
+            lg = logging.getLogger(name)
+            lg.removeHandler(self)
+            lg.setLevel(level)
+
+    def faults(self) -> list[str]:
+        """Every SplitBlocks, Sort, Aggregate or shuffle operator seen, and
+        every Dataset executed more than once."""
+        out = [f"SplitBlocks: {s}" for s in self.splits]
+        for ds_id, plan in self.plans:
+            if not ds_id.endswith("_0"):
+                out.append(f"{ds_id} executed again: {plan}")
+            for cls, name in re.findall(r"(\w+)\[([^\]]*)\]", plan):
+                parts = name.split("->")
+                if (cls == "AllToAllOperator" or "Hash" in cls or "Shuffle" in cls
+                        or {"Sort", "Aggregate"} & set(parts)
+                        or any(p.startswith("SplitBlocks") for p in parts)):
+                    out.append(f"{ds_id}: {cls}[{name}]")
+        return out
+
+
+def test_sequence_jobs_are_fused_map_only_plans(ray_session, seq_dir_small, tmp_path_factory):
+    """Every sequence job runs map-only plans with one read task per row group:
+    no SplitBlocks after the read, no Sort, Aggregate or shuffle operator,
+    and no Dataset executed twice."""
+    import shutil
+
+    import ray.data
+
+    from ts_pymfe_ray.pipelines.tier_analytics import tier_diagnostics
+    from ts_pymfe_ray.sources.sequences import list_parquet_files
+    from ts_pymfe_ray.stages.fast_features import run_fast_features
+
+    out = str(tmp_path_factory.mktemp("plans"))
+    tiers = os.path.join(out, "tiers")
+    assert len(list_parquet_files(seq_dir_small)) == 8  # four 2-file shards
+    jobs = {
+        "run_rollup": lambda: flagship.run_rollup(seq_dir_small, tiers, num_shards=4),
+        "run_features": lambda: flagship.run_features(
+            seq_dir_small, os.path.join(out, "feat"), max_cost="cheap", num_shards=4),
+        "run_fast_features": lambda: run_fast_features(seq_dir_small, os.path.join(out, "fast")),
+        "resume": lambda: (shutil.rmtree(mf.shard_dir(tiers, 1)),
+                           flagship.run_rollup(seq_dir_small, tiers, num_shards=4)),
+        "rollup_by_source": lambda: flagship.rollup_by_source(seq_dir_small).to_pandas(),
+        "rollup_by_source_gap_free": lambda: flagship.rollup_by_source(
+            seq_dir_small, gap_free=True).to_pandas(),
+        "tier_diagnostics": lambda: tier_diagnostics(tiers, tier="10x"),
+    }
+    for name, job in jobs.items():
+        with _PlanLog() as log:
+            job()
+        assert log.plans, f"{name}: no execution plan captured"
+        assert log.faults() == [], name
+
+    # the capture sees what it is meant to reject
+    files = list_parquet_files(seq_dir_small)[:2]
+    with _PlanLog() as log:
+        ray.data.read_parquet(files, override_num_blocks=6).materialize()
+        ds = ray.data.range(8).sort("id")
+        for _ in range(2):
+            list(ds.iter_batches())
+    faults = log.faults()
+    assert any(f.startswith("SplitBlocks") for f in faults), faults
+    assert any("Sort" in f for f in faults), faults
+    assert any("executed again" in f for f in faults), faults
 
 
 def test_fast_features_match_full_kernels(ray_session, seq_dir_small, tmp_path_factory):

@@ -47,21 +47,6 @@ def _hist10_entropy_rows(flat: np.ndarray, off: np.ndarray) -> np.ndarray:
     return out
 
 
-def kl_divergence(pk: np.ndarray, qk: np.ndarray) -> float:
-    """scipy.stats.entropy(pk, qk): sum pk log(pk/qk), normalized inputs;
-    inf where qk=0 < pk."""
-    pk = np.asarray(pk, dtype=np.float64)
-    qk = np.asarray(qk, dtype=np.float64)
-    sp, sq = pk.sum(), qk.sum()
-    if sp <= 0 or sq <= 0:
-        return np.nan
-    p, q = pk / sp, qk / sq
-    mask = p > 0
-    if (q[mask] == 0).any():
-        return np.inf
-    return float((p[mask] * np.log(p[mask] / q[mask])).sum())
-
-
 def _bin_idx(v: np.ndarray, num_bins: int) -> np.ndarray:
     lo, hi = v.min(), v.max()
     if hi <= lo:

@@ -142,10 +142,6 @@ def t_sf(x: float, df: float) -> float:
     return p if x > 0 else 1.0 - p
 
 
-def norm_sf(x: float) -> float:
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
 def norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 

@@ -75,12 +75,6 @@ def acf_stack(X: np.ndarray, nlags: int, adjusted: bool = True) -> np.ndarray:
     return out[:, 1:]
 
 
-def acf_full(ts: np.ndarray, nlags: int | None = None, adjusted: bool = True) -> np.ndarray:
-    """ACF including lag 0 (statsmodels layout)."""
-    a = acf(ts, nlags=nlags, adjusted=adjusted)
-    return np.concatenate([[1.0], a])
-
-
 def pacf_ld(ts: np.ndarray, nlags: int | None = None) -> np.ndarray:
     """Partial autocorrelation via Levinson-Durbin on the adjusted ACF.
 

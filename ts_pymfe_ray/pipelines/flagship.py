@@ -7,9 +7,11 @@
 2. :func:`run_features` — per-series ts-pymfe feature extraction (the
    fit+extract engine) -> wide parquet.
 3. :func:`rollup_by_source` — cross-series continuous aggregate:
-   partial sketches per (source, tier, window_id) combined inside each
-   batch (combiner), then one small groupby merge (partial+final pattern;
-   the only shuffle in the engine, over pre-aggregated rows).
+   partial sketches per (source, tier, window_id) combined inside the
+   read tasks (combiner), then one sort-reduce of the small partial
+   tables on the driver (partial+final pattern), summed in an order set
+   by the partial rows alone.  Map-only like jobs 1 and 2: the sequence
+   layer has no shuffle.
 
 Jobs 1 and 2 are sharded jobs with one runner (:func:`_run_sharded`): ONE
 streaming Ray Data execution reads every file of every shard still to do,
@@ -37,14 +39,15 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ts_pymfe_ray.functions import sketch as sk
+from ts_pymfe_ray.pipelines.combine import group_rank
 from ts_pymfe_ray.sources.sequences import (
     list_parquet_files,
+    read_row_groups,
     read_sequences,
-    read_sequences_with_paths,
     shard_files,
 )
 from ts_pymfe_ray.stages.features import FeatureStage
-from ts_pymfe_ray.stages.rollup import RollupStage, split_long_rows
+from ts_pymfe_ray.stages.rollup import RollupStage, in_slices, split_long_rows
 from ts_pymfe_ray.state import manifest as mf
 from ts_pymfe_ray.synth import stable_hash64
 
@@ -95,8 +98,7 @@ class _ShardWriter:
             part = data.filter(pa.array(mask))
             first = int(np.argmax(mask))
             name = stable_hash64(f"{paths[first].as_py()}:{part.column('doc_id')[0].as_py()}")
-            out = pa.concat_tables([self.stage(part.slice(i, self.batch_size))
-                                    for i in range(0, part.num_rows, self.batch_size)])
+            out = in_slices(part, self.stage, self.batch_size)
             if out.num_rows:
                 pads.write_dataset(
                     out, mf.shard_dir(self.out_dir, int(sid)), format="parquet",
@@ -145,7 +147,8 @@ def _run_sharded(out_dir: str, shards: list[list[str]], config: dict, resume: bo
     tally stream -> per-shard commits.  The writer takes whole read
     blocks (``batch_size=None``), so Ray fuses it into the read tasks and
     the input never round-trips through the object store; it batches the
-    stage itself.  ``concurrency`` runs it as an actor pool of that size.
+    stage itself.  ``concurrency`` runs it as an actor pool of that size,
+    over read tasks of one stage batch each.
     A commit's ``wall_ms`` is the time from the job's start to that
     commit."""
     if resume:
@@ -181,8 +184,11 @@ def _run_sharded(out_dir: str, shards: list[list[str]], config: dict, resume: bo
                     for sid, shard in todo.items()}
         writer = dict(writer, out_dir=out_dir, shard_of={
             os.path.normpath(f): sid for sid, shard in todo.items() for f in shard})
-        # files in shard order, so shards complete (and commit) one by one
-        ds = read_sequences_with_paths([f for shard in todo.values() for f in shard])
+        # files in shard order, so shards complete (and commit) one by one;
+        # an actor pool is fed read tasks of one stage batch each, as its
+        # parallelism is the number of blocks it is given
+        ds = read_row_groups([f for shard in todo.values() for f in shard], include_paths=True,
+                             rows_per_task=writer["batch_size"] if concurrency else None)
         kwargs = {"batch_format": "pyarrow", "zero_copy_batch": True, "batch_size": None}
         if concurrency:
             ds = ds.map_batches(_ShardWriter, fn_constructor_kwargs=writer,
@@ -213,8 +219,7 @@ class _SplitRollup:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows = split_long_rows(batch, max_chunk_tokens=self.max_chunk_tokens)
-        return pa.concat_tables([self.stage(rows.slice(i, self.batch_size))
-                                 for i in range(0, rows.num_rows, self.batch_size)])
+        return in_slices(rows, self.stage, self.batch_size)
 
 
 def run_rollup(
@@ -308,9 +313,10 @@ _PARTIAL_SCHEMA = pa.schema(
 
 def _partial_sketches(batch: pa.Table, tiers=("raw", "10x", "100x")) -> pa.Table:
     """Combiner: per-batch partial sketches keyed by (source, tier,
-    window_id).  Output rows per batch are bounded by distinct keys, so the
-    downstream groupby shuffles tiny pre-aggregated rows, not raw windows —
-    the partial+final aggregation pattern that keeps the all-to-all cheap."""
+    window_id).  Output rows per batch are bounded by distinct keys, so
+    only tiny pre-aggregated rows leave the read tasks for the final
+    merge (:func:`merge_partials`) — the partial+final aggregation
+    pattern."""
     from ts_pymfe_ray.stages.rollup import RAW_BUCKET, TIER_FACTORS, TIERS, sketch_ladder, tokens_flat
 
     t_off, t_flat = tokens_flat(batch)
@@ -379,37 +385,42 @@ def _partial_sketches(batch: pa.Table, tiers=("raw", "10x", "100x")) -> pa.Table
     return pa.table({n: pa.array(cols[n], _PARTIAL_SCHEMA.field(n).type) for n in _PARTIAL_SCHEMA.names})
 
 
-def _derive_merged(batch: pa.Table) -> pa.Table:
-    """Vectorized feature derivation over a block of final-merged sketch
-    rows (the groupby-aggregate output) — replaces the old per-group
-    1-row map_groups consumer with ~10 numpy kernels per BLOCK."""
-    g = {f: batch.column(f"sum({f})").to_numpy()
-         for f in ("n", "s1", "s2", "s3", "s4", "c1", "first", "last", "m")}
-    mat = np.empty((len(batch), sk.N_FIELDS), dtype=np.float64)
-    for f in ("n", "s1", "s2", "s3", "s4", "c1"):
+_KEYS = ["source", "tier", "window_id"]
+
+
+def merge_partials(tables: list[pa.Table]) -> pa.Table:
+    """The final merge of :func:`_partial_sketches` tables: one row per
+    (source, tier, window_id), sorted by that key, every field summed but
+    ``vmin`` (the min) and ``vmax`` (the max).  Rows are sorted by the key
+    and then by their own field values before the reduce, so the order of
+    the float additions, and so the merged bits, follow from the set of
+    partial rows alone, not from the order the tables arrive in."""
+    t = pa.concat_tables([_PARTIAL_SCHEMA.empty_table(), *tables])
+    t = t.sort_by([(c, "ascending") for c in _PARTIAL_SCHEMA.names])
+    starts = np.flatnonzero(group_rank(t, _KEYS) == 0)
+    if not starts.size:
+        return t
+    cols = {k: t.column(k).take(pa.array(starts)) for k in _KEYS}
+    for f in _PARTIAL_SCHEMA.names[3:]:
+        op = np.minimum if f == "vmin" else np.maximum if f == "vmax" else np.add
+        cols[f] = op.reduceat(t.column(f).to_numpy(), starts)
+    return pa.table(cols, schema=_PARTIAL_SCHEMA)
+
+
+def _derive_merged(merged: pa.Table) -> pa.Table:
+    """Vectorized feature derivation over the merged sketch rows
+    (:func:`merge_partials`): ~10 numpy kernels over the whole table.
+    ``first``/``last`` hold boundary-value sums, so they feed
+    ``pooled_acf1`` only."""
+    g = {f: merged.column(f).to_numpy() for f in _PARTIAL_SCHEMA.names[3:]}
+    mat = np.full((len(merged), sk.N_FIELDS), np.nan)
+    for f in ("n", "s1", "s2", "s3", "s4", "c1", "vmin", "vmax"):
         mat[:, sk._I[f]] = g[f]
-    mat[:, sk._I["vmin"]] = batch.column("min(vmin)").to_numpy()
-    mat[:, sk._I["vmax"]] = batch.column("max(vmax)").to_numpy()
-    mat[:, sk._I["first"]] = np.nan
-    mat[:, sk._I["last"]] = np.nan
-    feats = sk.derive_features(mat)
-    acf1 = sk.pooled_acf1(g["n"], g["s1"], g["s2"], g["c1"],
-                          g["first"], g["last"], g["m"])
-    cols: dict[str, object] = {
-        "source": batch.column("source"),
-        "tier": batch.column("tier"),
-        "window_id": batch.column("window_id"),
-        "n": pa.array(g["n"], pa.float64()),
-        "mean": pa.array(feats["mean"], pa.float64()),
-        "var": pa.array(feats["var"], pa.float64()),
-        "sd": pa.array(feats["sd"], pa.float64()),
-        "acf1": pa.array(acf1, pa.float64()),
-        "skewness": pa.array(feats["skewness"], pa.float64()),
-        "kurtosis": pa.array(feats["kurtosis"], pa.float64()),
-        "vmin": pa.array(feats["vmin"], pa.float64()),
-        "vmax": pa.array(feats["vmax"], pa.float64()),
-    }
-    return pa.table(cols)
+    feats = dict(sk.derive_features(mat), n=g["n"], acf1=sk.pooled_acf1(
+        g["n"], g["s1"], g["s2"], g["c1"], g["first"], g["last"], g["m"]))
+    return pa.table({**{k: merged.column(k) for k in _KEYS}, **{
+        c: pa.array(feats[c], pa.float64()) for c in
+        ("n", "mean", "var", "sd", "acf1", "skewness", "kurtosis", "vmin", "vmax")}})
 
 
 def _filter_gapfree(batch: pa.Table) -> pa.Table:
@@ -436,27 +447,23 @@ def _filter_gapfree(batch: pa.Table) -> pa.Table:
 def rollup_by_source(input_dir: str, tiers=("100x",),
                      gap_free: bool = False) -> ray.data.Dataset:
     """Continuous aggregate across series: per (source, tier, window_id)
-    merged moment sketches -> mean/var/acf1/skew/kurt curves per source.
-    The final merge is a built-in vectorized groupby-aggregate (Sum/Min/
-    Max over pre-combined partial rows) followed by one block-level derive
-    map — no per-group Python consumer anywhere.  acf1 is the POOLED
+    merged moment sketches -> mean/var/acf1/skew/kurt curves per source,
+    one row per key in key order.  The partial sketches run fused into
+    the read tasks (one per row group, in calls of at most 1024 rows);
+    their small tables merge on the driver (:func:`merge_partials`, no
+    shuffle, the same bits in any task order).  acf1 is the POOLED
     in-series lag-1 autocorrelation (sketch.pooled_acf1)."""
-    from ray.data.aggregate import Max, Min, Sum
+    tiers = tuple(tiers)
+
+    def partials(block: pa.Table) -> pa.Table:
+        return in_slices(block, lambda rows: _partial_sketches(split_long_rows(rows), tiers), 1024)
 
     ds = read_sequences(input_dir)
+    kwargs = {"batch_format": "pyarrow", "zero_copy_batch": True, "batch_size": None}
     if gap_free:
-        ds = ds.map_batches(_filter_gapfree, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    ds = ds.map_batches(split_long_rows, batch_format="pyarrow")
-    ds = ds.map_batches(
-        _partial_sketches, batch_format="pyarrow", zero_copy_batch=True,
-        fn_kwargs={"tiers": tuple(tiers)},
-    )
-    agg = ds.groupby(["source", "tier", "window_id"]).aggregate(
-        *[Sum(f) for f in ("n", "s1", "s2", "s3", "s4", "c1", "first", "last", "m")],
-        Min("vmin"), Max("vmax"),
-    )
-    return agg.map_batches(_derive_merged, batch_format="pyarrow")
+        ds = ds.map_batches(_filter_gapfree, **kwargs)
+    parts = ds.map_batches(partials, **kwargs).iter_batches(batch_size=None, batch_format="pyarrow")
+    return ray.data.from_arrow(_derive_merged(merge_partials(list(parts))))
 
 
 def flagship(sf_dir_or_input: str, out_root: str = DEFAULT_OUT_ROOT) -> dict:

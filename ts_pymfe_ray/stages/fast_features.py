@@ -17,7 +17,7 @@ import pyarrow as pa
 
 from ts_pymfe_ray.functions import sketch as sk
 from ts_pymfe_ray.functions.gapfill import gap_fill_flat
-from ts_pymfe_ray.stages.rollup import tokens_flat
+from ts_pymfe_ray.stages.rollup import in_slices, tokens_flat
 from ts_pymfe_ray.synth import stable_hash64
 
 FAST_FEATURES = (
@@ -88,12 +88,11 @@ def run_fast_features(input_dir: str, out_dir: str | None = None):
     """Streaming fast-feature pass; returns the Dataset (caller writes or
     aggregates)."""
     from ts_pymfe_ray.sources.sequences import read_sequences
-    from ts_pymfe_ray.stages.rollup import split_long_rows
 
-    ds = read_sequences(input_dir)
-    ds = ds.map_batches(
-        FastFeatureStage(), batch_format="pyarrow", zero_copy_batch=True, batch_size=512
-    )
+    stage = FastFeatureStage()
+    ds = read_sequences(input_dir).map_batches(  # fused into the read, 512 rows a call
+        in_slices, fn_args=(stage, 512), batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=None)
     if out_dir is not None:
         ds.write_parquet(out_dir)
         return None

@@ -305,6 +305,15 @@ class RollupStage:
         )
 
 
+def in_slices(batch: pa.Table, stage, size: int) -> pa.Table:
+    """``stage`` over ``batch`` in slices of at most ``size`` rows,
+    concatenated: a task that takes a whole read block still makes
+    bounded-memory stage calls.  An empty batch runs ``stage`` once on
+    itself, so the output keeps the stage's schema."""
+    return pa.concat_tables([stage(batch.slice(i, size))
+                             for i in range(0, batch.num_rows, size)] or [stage(batch)])
+
+
 def split_long_rows(batch: pa.Table, max_chunk_tokens: int = 1_048_576) -> pa.Table:
     """Hot-key splitting (SURVEY.md §4.2): rows longer than
     ``max_chunk_tokens`` are exploded into chunk rows carrying
