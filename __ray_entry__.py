@@ -250,8 +250,6 @@ def _q_seq_tier_rollup(sf_dir: str):
 def _q_seq_features(sf_dir: str):
     """Rows-only: per-series ts-pymfe feature extraction (cheap pack) over
     the synthesized sequences; per-source feature averages."""
-    import pyarrow.dataset as pads
-
     from ts_pymfe_ray.pipelines import flagship
     from ts_pymfe_ray.synth import ensure_sequences_for_dir
 
@@ -262,11 +260,34 @@ def _q_seq_features(sf_dir: str):
         seq_dir, out, groups=("general", "global_stats", "autocorr"),
         max_cost="medium", num_shards=4,
     )
-    ds = pads.dataset(out, format="parquet", ignore_prefixes=[".", "_", "manifest"])
-    df = ds.to_table().to_pandas()
-    num_cols = [c for c in df.columns if c not in ("doc_id", "source", "part_id")]
-    g = df.groupby("source")[num_cols].mean().round(6).reset_index()
-    return g.sort_values("source").reset_index(drop=True)
+    return _feature_means(out)
+
+
+def _source_means(ds, cols: list[str], prep=None):
+    """Per-source means of ``cols``, sorted by source: one :func:`combine`
+    of sums over non-missing counts (NaN skipped, as in pandas)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from ts_pymfe_ray.pipelines.combine import combine
+
+    g = combine(ds, ["source"], {**{f"s_{c}": (c, "sum") for c in cols},
+                                 **{f"n_{c}": (c, "count") for c in cols}}, prep)
+    return pa.table({"source": g.column("source"), **{
+        c: pc.divide(g.column(f"s_{c}").cast(pa.float64()), g.column(f"n_{c}").cast(pa.float64()))
+        for c in cols}}).to_pandas()
+
+
+def _feature_means(out: str):
+    """Per-source means, rounded to 6 places, of every feature column
+    ``run_features`` wrote under ``out``."""
+    import pyarrow.dataset as pads
+    import ray.data
+
+    names = pads.dataset(out, format="parquet", ignore_prefixes=[".", "_", "manifest"]).schema.names
+    cols = [c for c in names if c not in ("doc_id", "source", "part_id")]
+    ds = ray.data.read_parquet(out, columns=["source", *cols], file_extensions=["parquet"])
+    return _source_means(ds, cols).round(6)
 
 
 def _q_seq_features_heavy(sf_dir: str):
@@ -274,14 +295,10 @@ def _q_seq_features_heavy(sf_dir: str):
     model_based ETS/ARIMA, stat_tests) through the actor-pool stage on a
     capped deterministic sample (sf0.001 sequences = 1000 docs) — driver
     coverage for the code paths a max_cost='heavy' user runs."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
     import pyarrow.parquet as pq
-    import ray.data
 
     from ts_pymfe_ray.pipelines import flagship
-    from ts_pymfe_ray.pipelines.combine import combine, topk
+    from ts_pymfe_ray.pipelines.combine import topk
     from ts_pymfe_ray.sources.sequences import read_sequences
     from ts_pymfe_ray.synth import ensure_sequences, sf_from_dir
 
@@ -301,15 +318,7 @@ def _q_seq_features_heavy(sf_dir: str):
         sub_dir, out, groups=("landmarking", "model_based", "stat_tests"),
         max_cost="heavy", num_shards=2, batch_size=4,
     )
-    names = pads.dataset(out, format="parquet", ignore_prefixes=[".", "_", "manifest"]).schema.names
-    cols = [c for c in names if c not in ("doc_id", "source", "part_id")]
-    ds = ray.data.read_parquet(out, columns=["source", *cols], file_extensions=["parquet"])
-    # per-source means: sums over non-missing counts (NaN skipped, as in pandas)
-    g = combine(ds, ["source"], {**{f"s_{c}": (c, "sum") for c in cols},
-                                 **{f"n_{c}": (c, "count") for c in cols}})
-    return pa.table({"source": g.column("source"), **{
-        c: pc.divide(g.column(f"s_{c}").cast(pa.float64()), g.column(f"n_{c}").cast(pa.float64()))
-        for c in cols}}).to_pandas().round(6)
+    return _feature_means(out)
 
 
 def _q_seq_source_rollup(sf_dir: str):
@@ -493,28 +502,23 @@ def _q_seq_fast_features_nogap(sf_dir: str):
     means of the 12 whole-series / first-difference statistics whose power
     sums stay integer-exact in float64 (skew/kurt need s3/s4 sums beyond
     2^53 and stay in the rows-only variant)."""
-    import pandas as pd
-
     from ts_pymfe_ray.functions.rounding import round_ha
     from ts_pymfe_ray.pipelines.flagship import _filter_gapfree
     from ts_pymfe_ray.sources.sequences import read_sequences
     from ts_pymfe_ray.stages.fast_features import FastFeatureStage
+    from ts_pymfe_ray.stages.rollup import in_slices
     from ts_pymfe_ray.synth import ensure_sequences_for_dir
 
-    seq_dir = ensure_sequences_for_dir(sf_dir)
-    ds = read_sequences(seq_dir).map_batches(
-        _filter_gapfree, batch_format="pyarrow", zero_copy_batch=True)
-    ds = ds.map_batches(FastFeatureStage(), batch_format="pyarrow",
-                        zero_copy_batch=True, batch_size=512)
-    df = ds.to_pandas()
+    stage = FastFeatureStage()
     cols = ["length", "mean", "var", "sd", "acf1", "vmin", "vmax", "vrange",
             "diff_mean", "diff_var", "diff_sd", "diff_acf1"]
-    g = df.groupby("source")[cols].mean().reset_index()
+    g = _source_means(read_sequences(ensure_sequences_for_dir(sf_dir)), cols,
+                      lambda block: in_slices(_filter_gapfree(block), stage, 512))
     for c in cols:
         # var columns are 1e8-magnitude: cross-doc summation ulps exceed
         # 1e-6 at sf0.1 doc counts — round them at 2dp on both sides
         g[c] = round_ha(g[c].to_numpy(), 2 if c in ("var", "diff_var") else 6)
-    return g.sort_values("source").reset_index(drop=True)
+    return g
 
 
 def _q_seq_token_histogram(sf_dir: str):
@@ -529,14 +533,11 @@ def _q_seq_token_histogram(sf_dir: str):
 def _q_seq_fast_features(sf_dir: str):
     """Rows-only: sketch-derived fast feature pass (ladder-speed) -> per
     source averages."""
-    from ts_pymfe_ray.stages.fast_features import run_fast_features
+    from ts_pymfe_ray.stages.fast_features import FAST_FEATURES, run_fast_features
     from ts_pymfe_ray.synth import ensure_sequences_for_dir
 
     seq_dir = ensure_sequences_for_dir(sf_dir)
-    df = run_fast_features(seq_dir).to_pandas()
-    num_cols = [c for c in df.columns if c not in ("doc_id", "source", "part_id")]
-    g = df.groupby("source")[num_cols].mean().round(6).reset_index()
-    return g.sort_values("source").reset_index(drop=True)
+    return _source_means(run_fast_features(seq_dir), list(FAST_FEATURES)).round(6)
 
 
 def _q_seq_tier_diagnostics(sf_dir: str):

@@ -112,6 +112,132 @@ def test_combine_of_no_rows_is_empty():
     assert cb.merge([], KEYS, AGGS).column_names == KEYS + list(AGGS)
 
 
+# a generic partial table as ``cb.partials`` emits it: the keys, then
+# v0..v4 = a float sum, an int sum, a float min, a float max, a row count
+GKEYS = ["k", "j"]
+GAGGS = {"s": ("x", "sum"), "si": ("i", "sum"), "mn": ("x", "min"), "mx": ("x", "max"),
+         "n": ("x", "size")}
+
+
+def _random_partials(rng, n_tables: int, rows: int) -> list:
+    """Hand-made partial tables over a few (string, int) keys, NULL among
+    both; float values spread over nine decades, so that float sums of the
+    same terms in another order give other bits, with NaN and NULL values."""
+    out = []
+    for _ in range(n_tables):
+        n = int(rng.integers(0, rows + 1))
+        x = rng.normal(size=(3, n)) * 10.0 ** rng.integers(0, 9, (3, n))
+        x[rng.random((3, n)) < 0.05] = np.nan
+        null = rng.random((5, n)) < 0.05
+        out.append(pa.table({
+            "k": pa.array(rng.choice(["books", "code", "web"], n), mask=null[0]),
+            "j": pa.array(rng.integers(0, 3, n), mask=null[1]),
+            "v0": pa.array(x[0], mask=null[2]),
+            "v1": pa.array(rng.integers(-2**40, 2**40, n), mask=null[3]),
+            "v2": pa.array(x[1], mask=null[4]),
+            "v3": pa.array(x[2]),
+            "v4": pa.array(rng.integers(1, 5, n)),
+        }))
+    return out
+
+
+def _bits(t: pa.Table) -> list:
+    """Every cell of ``t``, floats as bit patterns (a NaN equals a NaN),
+    column names aside."""
+    out = []
+    for c in t.columns:
+        if pa.types.is_floating(c.type):
+            bits = pc.fill_null(c, 0.0).to_numpy().view(np.uint64)
+            out.append((c.type, c.is_null().to_pylist(), bits.tolist()))
+        else:
+            out.append((c.type, c.to_pylist()))
+    return out
+
+
+def test_merge_is_invariant_to_partial_order():
+    """The driver merge gives the same bits whatever order the partial
+    tables arrive in and however their rows are spread over tables:
+    random permutations, empty partials, a single partial, and one key
+    (one row) per partial."""
+    rng = np.random.default_rng(7)
+    tables = _random_partials(rng, 12, 30)
+    ref = cb.merge(tables, GKEYS, GAGGS)
+    assert ref.num_rows and ref.column_names == GKEYS + list(GAGGS)
+    # key order, NULL last
+    keys = [(k is None, k or "", j is None, j or 0) for k, j in
+            zip(ref.column("k").to_pylist(), ref.column("j").to_pylist())]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert ref.column("k").null_count and ref.column("j").null_count
+    assert np.isnan(ref.column("s").to_numpy(zero_copy_only=False)).any()
+
+    whole = pa.concat_tables(tables)
+    empty = whole.schema.empty_table()
+    for _ in range(20):
+        order = rng.permutation(len(tables))
+        assert _bits(cb.merge([tables[i] for i in order], GKEYS, GAGGS)) == _bits(ref)
+        rows = whole.take(pa.array(rng.permutation(whole.num_rows)))
+        cuts = np.sort(rng.integers(0, rows.num_rows + 1, 5))
+        regrouped = [rows.slice(a, b - a) for a, b in zip([0, *cuts], [*cuts, rows.num_rows])]
+        assert _bits(cb.merge([empty, *regrouped, empty], GKEYS, GAGGS)) == _bits(ref)
+        # one row, hence one key, per partial
+        one_each = [rows.slice(i, 1) for i in range(rows.num_rows)]
+        assert _bits(cb.merge(one_each, GKEYS, GAGGS)) == _bits(ref)
+    assert _bits(cb.merge([rows], GKEYS, GAGGS)) == _bits(ref)
+    assert cb.merge([], GKEYS, GAGGS).num_rows == 0
+    assert cb.merge([empty, empty], GKEYS, GAGGS).num_rows == 0
+    one = next(t for t in tables if t.num_rows).slice(0, 1)
+    assert _bits(cb.merge([one], GKEYS, GAGGS)) == _bits(one)
+
+
+def test_merge_matches_fsum():
+    """Each merged float sum is within a few roundings of the exactly
+    rounded sum of its terms (``math.fsum``): |err| <= 2 * k * eps *
+    sum(|x|) for k terms; a NaN term makes it NaN and a NULL is skipped.
+    Int sums, counts, min and max (NaN skipped) are exact."""
+    import math
+
+    rng = np.random.default_rng(11)
+    whole = pa.concat_tables(_random_partials(rng, 8, 40))
+    merged = cb.merge([whole], GKEYS, GAGGS).to_pylist()
+    rows = whole.to_pylist()
+    eps = np.finfo(np.float64).eps
+    for m in merged:
+        grp = [r for r in rows if (r["k"], r["j"]) == (m["k"], m["j"])]
+        x = [r["v0"] for r in grp if r["v0"] is not None]
+        if any(math.isnan(v) for v in x):
+            assert math.isnan(m["s"]), m
+        elif not x:
+            assert m["s"] is None, m
+        else:
+            bound = 2 * len(x) * eps * math.fsum(abs(v) for v in x)
+            assert abs(m["s"] - math.fsum(x)) <= bound, m
+        ints = [r["v1"] for r in grp if r["v1"] is not None]
+        assert m["si"] == (sum(ints) if ints else None)
+        assert m["n"] == sum(r["v4"] for r in grp)
+        for name, col, f, none in (("mn", "v2", min, math.inf), ("mx", "v3", max, -math.inf)):
+            vals = [r[col] for r in grp if r[col] is not None]
+            finite = [v for v in vals if not math.isnan(v)]
+            # Arrow's min/max skip NaN; only NaN reads +inf/-inf, only NULL null
+            assert m[name] == (f(finite) if finite else none if vals else None), m
+    assert len(merged) == len({(r["k"], r["j"]) for r in rows})
+
+
+def test_combine_is_invariant_to_block_order(ray_session):
+    """``combine`` over the same blocks in other orders, so with partials
+    arriving in other orders, gives bitwise the same table."""
+    import ray
+
+    rng = np.random.default_rng(3)
+    blocks = [pa.table({"k": pa.array(rng.choice(["a", "b"], 50)),
+                        "x": rng.normal(size=50) * 10.0 ** rng.integers(0, 9, 50)})
+              for _ in range(24)]
+    ds = ray.data.from_arrow(blocks)
+    aggs = {"s": ("x", "sum"), "mn": ("x", "min"), "n": ("x", "size")}
+    ref = _bits(cb.combine(ds, ["k"], aggs))
+    for seed in (1, 2, 3):
+        assert _bits(cb.combine(ds.randomize_block_order(seed=seed), ["k"], aggs)) == ref, seed
+
+
 class _Batches:
     """The two Dataset calls :func:`cb.topk` makes, over in-memory batches
     (no Ray)."""
@@ -225,12 +351,6 @@ _ALLOWED = {
     "textops:q_dedup_ngram_jaccard": "map_groups self-merge per shingle bucket",
     "textops:q_embeddings_neardup": "map_groups candidate pairs per bucket",
     "textops:q_dedup_clusters_lp": "map_groups hash-to-min rounds",
-    # per-source means of 1e4-1e9-magnitude features rounded to 6 places:
-    # a sequential sum in partial-arrival order moves the 6th place from
-    # run to run, pandas' compensated mean over the whole table does not
-    "__ray_entry__:_q_seq_features": "6dp mean of 1e9-magnitude written features",
-    "__ray_entry__:_q_seq_fast_features_nogap": "6dp mean of 1e4-magnitude fast features",
-    "__ray_entry__:_q_seq_fast_features": "6dp mean of 1e8-magnitude fast features",
 }
 
 

@@ -40,7 +40,7 @@ def test_pacf_ar1():
     e = rng.normal(size=n)
     for i in range(1, n):
         x[i] = 0.6 * x[i - 1] + e[i]
-    p = _st.pacf_ld(x, nlags=5)
+    p = _st.pacf_ols(x, nlags=5)
     assert abs(p[0] - 0.6) < 0.05
     assert np.all(np.abs(p[1:]) < 0.06)
 

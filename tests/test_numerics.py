@@ -9,7 +9,7 @@ from ts_pymfe_ray.functions.kernels_randomize import iaaft
 from ts_pymfe_ray.functions import models as m
 from ts_pymfe_ray.functions import cv as _cv
 from ts_pymfe_ray.functions.special import (
-    betainc, chi2_sf, f_sf, gammainc_lower, norm_cdf, norm_cdf_vec, t_sf,
+    betainc, chi2_sf, gammainc_lower, norm_cdf, norm_cdf_vec,
 )
 
 
@@ -115,10 +115,6 @@ def test_special_functions_known_values():
     z = np.linspace(-5, 5, 101)
     exact = np.array([norm_cdf(v) for v in z])
     np.testing.assert_allclose(norm_cdf_vec(z), exact, atol=2e-7)
-    # t with 1 dof (Cauchy): sf(1) = 0.25
-    assert t_sf(1.0, 1.0) == pytest.approx(0.25, abs=1e-6)
-    # F(1, d) sf(x) == 2 * t_sf(sqrt(x), d)
-    assert f_sf(4.0, 1, 10) == pytest.approx(2 * t_sf(2.0, 10), rel=1e-8)
     # beta regularized at symmetric point
     assert betainc(2.0, 2.0, 0.5) == pytest.approx(0.5, rel=1e-10)
 

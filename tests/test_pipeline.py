@@ -147,6 +147,76 @@ def test_rollup_by_source(ray_session, seq_dir_small):
     assert (w0["n"] > 0).all()
 
 
+def _source_rollup_reference(token_rows, tiers) -> "pd.DataFrame":
+    """Per-row reference of ``rollup_by_source`` over a one-source table:
+    each row's direct window sketches, then per (tier, window_id) the
+    ``math.fsum`` of every summed field, the min/max and the window count
+    ``m``, derived as the engine derives them."""
+    import math
+
+    import pandas as pd
+
+    from ts_pymfe_ray.stages.rollup import TIER_FACTORS
+
+    acc: dict = {}
+    for tok in token_rows:
+        x = gap_fill(np.asarray(tok, dtype=np.int32))
+        for tier in tiers:
+            if x.size:
+                for w, row in enumerate(sk.compute_window_sketches(x, RAW_BUCKET * TIER_FACTORS[tier])):
+                    acc.setdefault((tier, w), []).append(row)
+    keys = sorted(acc)
+    mat = np.full((len(keys), sk.N_FIELDS), np.nan)
+    m = np.array([len(acc[k]) for k in keys], dtype=np.float64)
+    for i, k in enumerate(keys):
+        w = np.array(acc[k])
+        for f in ("n", "s1", "s2", "s3", "s4", "c1", "first", "last"):
+            mat[i, sk._I[f]] = math.fsum(w[:, sk._I[f]])
+        mat[i, sk._I["vmin"]] = w[:, sk._I["vmin"]].min()
+        mat[i, sk._I["vmax"]] = w[:, sk._I["vmax"]].max()
+    col = {f: mat[:, sk._I[f]] for f in sk.FIELDS}
+    feats = dict(sk.derive_features(mat), n=col["n"], acf1=sk.pooled_acf1(
+        col["n"], col["s1"], col["s2"], col["c1"], col["first"], col["last"], m))
+    return pd.DataFrame({"source": ["web"] * len(keys), "tier": [k[0] for k in keys],
+                         "window_id": [k[1] for k in keys],
+                         **{c: feats[c] for c in ("n", "mean", "var", "sd", "acf1",
+                                                  "skewness", "kurtosis", "vmin", "vmax")}})
+
+
+def test_rollup_by_source_degenerate_rows(ray_session, tmp_path):
+    """A zero-token row, a one-token row, an all-gap row, a constant row
+    and a row over two 100x windows, all of one source, through
+    ``rollup_by_source``: the per-row reference's rows, keys exact, ``n``,
+    ``mean``, ``vmin`` and ``vmax`` exact (integer sums), the rest within
+    the float sum-order move; with ``gap_free`` the rows with a gap drop
+    out.  No window sketch holds a NaN, so the merge's NaN-as-missing rule
+    skips nothing."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(5)
+    gappy = rng.integers(0, 60000, 900).astype(np.int32)
+    gappy[rng.random(900) < 0.1] = -1
+    rows = [[], [7], [-1] * 100, [42] * 130, gappy.tolist(),
+            rng.integers(0, 60000, 2 * RAW_BUCKET * 100 + 37).tolist()]
+    pq.write_table(pa.table({
+        "doc_id": [f"d{i}" for i in range(len(rows))],
+        "tokens": pa.array(rows, pa.list_(pa.int32())),
+        "n_tok": pa.array([len(r) for r in rows], pa.int32()),
+        "source": ["web"] * len(rows)}), str(tmp_path / "part-0.parquet"))
+    tiers = ("raw", "10x", "100x")
+    for gap_free, kept in ((False, rows), (True, [rows[i] for i in (0, 1, 3, 5)])):
+        got = flagship.rollup_by_source(str(tmp_path), tiers=tiers, gap_free=gap_free).to_pandas()
+        want = _source_rollup_reference(kept, tiers)
+        assert got[["source", "tier", "window_id"]].astype(object).values.tolist() == \
+            want[["source", "tier", "window_id"]].values.tolist()
+        for c in ("n", "mean", "vmin", "vmax"):
+            assert got[c].tolist() == want[c].tolist(), c
+        for c in ("var", "sd", "acf1", "skewness", "kurtosis"):
+            np.testing.assert_allclose(got[c], want[c], rtol=1e-9, atol=1e-12,
+                                       equal_nan=True, err_msg=c)
+
+
 def test_retention_prunes_tier_dirs(ray_session, seq_dir_small, tmp_path_factory):
     """North-rule retention: age out the raw tier by directory delete;
     coarser tiers stay decodable; resume does not resurrect raw."""
@@ -162,9 +232,9 @@ def test_retention_prunes_tier_dirs(ray_session, seq_dir_small, tmp_path_factory
     assert set(retention.list_tiers(out)) == {"10x", "100x"}
 
     # coarser tiers still decodable
-    tbl = retention.read_tiers(out, tier="10x")
-    assert tbl.num_rows > 0
-    row = tbl.to_pylist()[0]
+    rows = _load_rows(out, tier="10x")
+    assert rows
+    row = rows[0]
     dec = decode_tier_row(row)
     assert dec["mean"].size == row["n_windows"]
 
@@ -308,81 +378,6 @@ def test_commit_as_complete_bookkeeping():
                 {0: 5}, lambda *a: None)
 
 
-def _random_partials(rng, n_tables: int, rows: int) -> list:
-    """Hand-made partial-sketch tables over a few (source, tier, window)
-    keys, with values spread over nine decades so that float sums of the
-    same terms in another order give other bits."""
-    import pyarrow as pa
-
-    out = []
-    for _ in range(n_tables):
-        n = int(rng.integers(0, rows + 1))
-        cols = {"source": rng.choice(["books", "code", "web"], n).tolist(),
-                "tier": rng.choice(["10x", "100x"], n).tolist(),
-                "window_id": rng.integers(0, 4, n)}
-        for f in flagship._PARTIAL_SCHEMA.names[3:]:
-            cols[f] = rng.normal(size=n) * 10.0 ** rng.integers(0, 9, n)
-        out.append(pa.table(cols, schema=flagship._PARTIAL_SCHEMA))
-    return out
-
-
-def test_merge_partials_is_invariant_to_partial_order():
-    """The driver merge gives the same bits whatever order the partial
-    tables arrive in and however their rows are spread over tables:
-    random permutations, empty partials, a single partial, and one key
-    (one row) per partial."""
-    import pyarrow as pa
-
-    rng = np.random.default_rng(7)
-    tables = _random_partials(rng, 12, 30)
-    ref = flagship.merge_partials(tables)
-    assert ref.num_rows and ref.schema == flagship._PARTIAL_SCHEMA
-    keys = ref.select(["source", "tier", "window_id"]).to_pylist()
-    assert keys == sorted(keys, key=lambda k: (k["source"], k["tier"], k["window_id"]))
-
-    whole = pa.concat_tables(tables)
-    empty = flagship._PARTIAL_SCHEMA.empty_table()
-    for _ in range(20):
-        order = rng.permutation(len(tables))
-        assert flagship.merge_partials([tables[i] for i in order]).equals(ref)
-        rows = whole.take(pa.array(rng.permutation(whole.num_rows)))
-        cuts = np.sort(rng.integers(0, rows.num_rows + 1, 5))
-        regrouped = [rows.slice(a, b - a) for a, b in zip([0, *cuts], [*cuts, rows.num_rows])]
-        assert flagship.merge_partials([empty, *regrouped, empty]).equals(ref)
-        # one row, hence one key, per partial
-        assert flagship.merge_partials([rows.slice(i, 1) for i in range(rows.num_rows)]).equals(ref)
-    assert flagship.merge_partials([rows]).equals(ref)
-    assert flagship.merge_partials([]).equals(empty)
-    assert flagship.merge_partials([empty, empty]).equals(empty)
-    one = tables[0].slice(0, 1)
-    assert flagship.merge_partials([one]).equals(one)
-
-
-def test_merge_partials_matches_fsum():
-    """Each merged sum is within a few roundings of the exactly rounded
-    sum of its terms (``math.fsum``): |err| <= 2 * k * eps * sum(|x|) for
-    k terms; ``vmin``/``vmax`` are the exact min and max."""
-    import math
-
-    import pyarrow as pa
-
-    rng = np.random.default_rng(11)
-    whole = pa.concat_tables(_random_partials(rng, 8, 40))
-    merged = flagship.merge_partials([whole]).to_pylist()
-    rows = whole.to_pylist()
-    eps = np.finfo(np.float64).eps
-    for m in merged:
-        grp = [r for r in rows if (r["source"], r["tier"], r["window_id"])
-               == (m["source"], m["tier"], m["window_id"])]
-        for f in set(flagship._PARTIAL_SCHEMA.names[3:]) - {"vmin", "vmax"}:
-            x = [r[f] for r in grp]
-            bound = 2 * len(x) * eps * math.fsum(abs(v) for v in x)
-            assert abs(m[f] - math.fsum(x)) <= bound, (m, f)
-        assert m["vmin"] == min(r["vmin"] for r in grp)
-        assert m["vmax"] == max(r["vmax"] for r in grp)
-    assert len(merged) == len({(r["source"], r["tier"], r["window_id"]) for r in rows})
-
-
 def test_row_group_read_tasks_cover_the_files(tmp_path):
     """The sequence read makes one task per row group (per range of at
     most ``rows_per_task`` rows with it set) whatever the CPU count, and
@@ -489,20 +484,20 @@ def test_source_rollup_consistent_under_splitting(ray_session, seq_dir_small):
     rows contribute their windows at GLOBAL positions."""
     import pandas as pd
 
+    from ts_pymfe_ray.pipelines.combine import combine
     from ts_pymfe_ray.sources.sequences import read_sequences
     from ts_pymfe_ray.stages.rollup import split_long_rows
-    from ts_pymfe_ray.pipelines.flagship import _partial_sketches, merge_partials
 
     def run(max_chunk):
-        ds = read_sequences(seq_dir_small)
-        ds = ds.map_batches(split_long_rows, batch_format="pyarrow",
-                            fn_kwargs={"max_chunk_tokens": max_chunk})
-        ds = ds.map_batches(_partial_sketches, batch_format="pyarrow",
-                            fn_kwargs={"tiers": ("100x",)})
-        parts = list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
-        return merge_partials(parts).select(
-            ["source", "tier", "window_id", "n", "s1", "s2"]).to_pandas()
+        def windows(block):
+            return flagship._partial_sketches(split_long_rows(block, max_chunk), ("100x",))
 
+        return combine(read_sequences(seq_dir_small), ["source", "tier", "window_id"],
+                       flagship._AGGS, windows).select(
+            ["source", "tier", "window_id", "n", "s1", "s2", "m"]).to_pandas()
+
+    n_tok = pads.dataset(seq_dir_small, format="parquet").to_table(columns=["n_tok"])
+    assert max(n_tok.column("n_tok").to_pylist()) > 6400
     whole = run(1_048_576)
     split = run(6400)  # force splitting of every row > 6400 tokens
     pd.testing.assert_frame_equal(whole, split, check_exact=False, rtol=1e-9)
@@ -699,24 +694,6 @@ def test_attempt_lock_blocks_concurrent_writers(ray_session, seq_dir_small, tmp_
         f.write(_json.dumps({"pid": 999999999}))
     res2 = flagship.run_rollup(seq_dir_small, out, num_shards=2)
     assert res2["committed"] == 2
-
-
-def test_explode_tier_relational_view(ray_session, seq_dir_small, tmp_path_factory):
-    """explode_tier turns compressed blobs into per-window rows equal to
-    direct computation."""
-    from ts_pymfe_ray.pipelines.tier_analytics import explode_tier
-
-    out = str(tmp_path_factory.mktemp("tiers_explode"))
-    flagship.run_rollup(seq_dir_small, out, num_shards=2)
-    df = explode_tier(out, tier="10x").to_pandas()
-    src = pads.dataset(seq_dir_small, format="parquet").to_table(columns=["doc_id", "tokens"])
-    originals = dict(zip(src.column("doc_id").to_pylist(), src.column("tokens").to_pylist()))
-    one = df[df["doc_id"] == df["doc_id"].iloc[0]].sort_values("window_id")
-    x = gap_fill(np.asarray(originals[one["doc_id"].iloc[0]], dtype=np.int32))
-    direct = sk.derive_features(sk.compute_window_sketches(x, RAW_BUCKET * 10))
-    np.testing.assert_allclose(one["win_mean"].to_numpy(), direct["mean"], rtol=1e-9)
-    np.testing.assert_allclose(one["win_var"].to_numpy(), direct["var"], rtol=1e-9, equal_nan=True)
-    assert one["window_id"].tolist() == list(range(len(one)))
 
 
 def test_comp_engine_csv_ingest_end_to_end(ray_session, tmp_path):

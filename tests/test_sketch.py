@@ -48,19 +48,6 @@ def test_derived_stats_match_numpy(n, seed):
     assert f["vmin"][0] == x.min() and f["vmax"][0] == x.max()
 
 
-def test_merge_two_and_unordered():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=100)
-    a = sk.compute_window_sketches(x[:60], 60)[0]
-    b = sk.compute_window_sketches(x[60:], 40)[0]
-    ab = sk.merge_two(a, b)
-    direct = sk.compute_window_sketches(x, 100)[0]
-    np.testing.assert_allclose(ab, direct, rtol=1e-12)
-    # unordered merge: moments exact, comoment drops cross terms
-    un = sk.merge_unordered(np.stack([a, b]))
-    np.testing.assert_allclose(un[:5], direct[:5], rtol=1e-12)
-
-
 def test_rollup_stage_degenerate_rows():
     """Single-token, all-sentinel, constant and EMPTY rows flow through the
     rollup stage; raw-tier round trip stays exact."""

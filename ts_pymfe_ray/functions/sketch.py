@@ -182,34 +182,6 @@ def merge_adjacent_at(sketches: np.ndarray, starts: np.ndarray,
     return out
 
 
-def merge_two(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Merge two single sketches of adjacent windows (1-D arrays)."""
-    out = np.empty(N_FIELDS, dtype=np.float64)
-    for f in ("n", "s1", "s2", "s3", "s4"):
-        out[_I[f]] = a[_I[f]] + b[_I[f]]
-    out[_I["c1"]] = a[_I["c1"]] + b[_I["c1"]] + a[_I["last"]] * b[_I["first"]]
-    out[_I["vmin"]] = min(a[_I["vmin"]], b[_I["vmin"]])
-    out[_I["vmax"]] = max(a[_I["vmax"]], b[_I["vmax"]])
-    out[_I["first"]] = a[_I["first"]]
-    out[_I["last"]] = b[_I["last"]]
-    return out
-
-
-def merge_unordered(sketches: np.ndarray) -> np.ndarray:
-    """Merge sketches of DISJOINT, non-adjacent populations (cross-series
-    rollups).  The comoment is summed without cross terms (pairs never span
-    two different series), first/last become NaN (no meaningful order).
-    """
-    out = np.empty(N_FIELDS, dtype=np.float64)
-    for f in ("n", "s1", "s2", "s3", "s4", "c1"):
-        out[_I[f]] = np.sum(sketches[:, _I[f]])
-    out[_I["vmin"]] = np.min(sketches[:, _I["vmin"]])
-    out[_I["vmax"]] = np.max(sketches[:, _I["vmax"]])
-    out[_I["first"]] = np.nan
-    out[_I["last"]] = np.nan
-    return out
-
-
 def derive_features(sk: np.ndarray) -> dict[str, np.ndarray]:
     """Derive per-window statistics from a ``(m, N_FIELDS)`` sketch matrix.
 

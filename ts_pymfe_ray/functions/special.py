@@ -125,23 +125,6 @@ def betainc(a: float, b: float, x: float) -> float:
     return 1.0 - bt * _betacf(b, a, 1.0 - x) / b
 
 
-def f_sf(x: float, dfn: float, dfd: float) -> float:
-    """F-distribution survival function."""
-    if not np.isfinite(x):
-        return np.nan
-    if x <= 0:
-        return 1.0
-    return betainc(dfd / 2.0, dfn / 2.0, dfd / (dfd + dfn * x))
-
-
-def t_sf(x: float, df: float) -> float:
-    """Student-t survival function P(T > x)."""
-    if not np.isfinite(x):
-        return np.nan
-    p = 0.5 * betainc(df / 2.0, 0.5, df / (df + x * x))
-    return p if x > 0 else 1.0 - p
-
-
 def norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 

@@ -75,37 +75,6 @@ def acf_stack(X: np.ndarray, nlags: int, adjusted: bool = True) -> np.ndarray:
     return out[:, 1:]
 
 
-def pacf_ld(ts: np.ndarray, nlags: int | None = None) -> np.ndarray:
-    """Partial autocorrelation via Levinson-Durbin on the adjusted ACF.
-
-    NOTE: the registry's pacf kernels use :func:`pacf_ols` (the reference's
-    exact "ols-adjusted" method, autocorr.py:194-250) — there is NO
-    semantic divergence on the feature surface.  This O(k^2) Yule-Walker
-    recursion is kept as the fast utility flavor (tests, sketch-derived
-    paths) where the asymptotically-equivalent estimate suffices.
-    Returns lags 1..nlags.
-    """
-    x = np.asarray(ts, dtype=np.float64)
-    n = x.size
-    if nlags is None:
-        nlags = 1 + n // 10
-    nlags = int(min(nlags, max(0, n - 1)))
-    if nlags < 1:
-        return np.empty(0)
-    r = np.concatenate([[1.0], acf(x, nlags=nlags, adjusted=True)])
-    pacf = np.empty(nlags)
-    phi = np.zeros((nlags + 1, nlags + 1))
-    phi[1, 1] = r[1]
-    pacf[0] = r[1]
-    for k in range(2, nlags + 1):
-        num = r[k] - phi[k - 1, 1:k] @ r[1:k][::-1]
-        den = 1.0 - phi[k - 1, 1:k] @ r[1:k]
-        phi[k, k] = num / den if den != 0 else np.nan
-        phi[k, 1:k] = phi[k - 1, 1:k] - phi[k, k] * phi[k - 1, 1:k][::-1]
-        pacf[k - 1] = phi[k, k]
-    return pacf
-
-
 def skewness(values: np.ndarray, method: int = 3, bias: bool = True) -> float:
     """e1071-compatible skewness (reference _summary.py:149-209)."""
     x = np.asarray(values, dtype=np.float64)

@@ -6,15 +6,18 @@ combiner-style query runs on.
 1. per batch, ``prep(batch)`` builds the key and value columns and one
    ``group_by(keys).aggregate(...)`` reduces the batch to one row per
    group (rows, non-missing count, sum, min, max);
-2. on the driver, one more ``group_by`` over the concatenated partial rows
-   merges them: counts and sums add, min of mins, max of maxes.
+2. on the driver, the concatenated partial rows are sorted by the keys
+   and then by every value, and one more ``group_by`` merges them: counts
+   and sums add, min of mins, max of maxes.
 
 Only the partial rows (bounded by groups x batches) leave the tasks.  A
 float NaN counts as missing, like a NULL (the pandas and SQL aggregate
 semantics every call site relies on); a NULL key is a group of its own,
-as in SQL ``GROUP BY``.  Float sums accumulate in row order within a
-batch, then in partial order on the driver, as DuckDB's ``SUM`` does
-(pandas' ``groupby().sum()`` is compensated instead).
+as in SQL ``GROUP BY``.  Float sums accumulate left to right, as DuckDB's
+``SUM`` does (pandas' ``groupby().sum()`` is compensated instead): in row
+order within a batch, then in sorted partial order on the driver, so the
+merged bits follow from the set of partial rows alone, not from the
+order the tasks finish in.
 
 :func:`shuffle_combine` is the same step 1 with step 2 as one Ray
 shuffle ``groupby``, for key domains too large for the driver (users,
@@ -72,14 +75,16 @@ def partials(batch: pa.Table, keys: list[str], aggs: dict[str, tuple[str, str]],
 def merge(tables: list[pa.Table], keys: list[str],
           aggs: dict[str, tuple[str, str]]) -> pa.Table:
     """Step 2: the partial tables merged into one row per group, sorted by
-    ``keys``, with one column per ``aggs`` entry.  No partial row at all
-    gives an empty table of null-typed columns."""
+    ``keys``, with one column per ``aggs`` entry; the same bits for any
+    order of the tables and any spread of their rows over tables.  No
+    partial row at all gives an empty table of null-typed columns."""
     names = keys + list(aggs)
     tables = [t for t in tables if t.num_rows]
     if not tables:
         return pa.table({n: pa.array([], pa.null()) for n in names})
-    g = _aggregate(pa.concat_tables(tables, promote_options="permissive"), keys,
-                   [_MERGE[op] for _, op in aggs.values()])
+    t = pa.concat_tables(tables, promote_options="permissive")
+    t = t.sort_by([(c, "ascending") for c in t.column_names])
+    g = _aggregate(t, keys, [_MERGE[op] for _, op in aggs.values()])
     return g.rename_columns(names).sort_by([(k, "ascending") for k in keys])
 
 

@@ -6,12 +6,11 @@
    shuffles (SURVEY.md §7.3 — series are row-atomic).
 2. :func:`run_features` — per-series ts-pymfe feature extraction (the
    fit+extract engine) -> wide parquet.
-3. :func:`rollup_by_source` — cross-series continuous aggregate:
-   partial sketches per (source, tier, window_id) combined inside the
-   read tasks (combiner), then one sort-reduce of the small partial
-   tables on the driver (partial+final pattern), summed in an order set
-   by the partial rows alone.  Map-only like jobs 1 and 2: the sequence
-   layer has no shuffle.
+3. :func:`rollup_by_source` — cross-series continuous aggregate: one
+   :func:`~ts_pymfe_ray.pipelines.combine.combine` of the series-window
+   sketches per (source, tier, window_id), partial rows inside the read
+   tasks and one order-free merge of them on the driver.  Map-only like
+   jobs 1 and 2: the sequence layer has no shuffle.
 
 Jobs 1 and 2 are sharded jobs with one runner (:func:`_run_sharded`): ONE
 streaming Ray Data execution reads every file of every shard still to do,
@@ -39,7 +38,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ts_pymfe_ray.functions import sketch as sk
-from ts_pymfe_ray.pipelines.combine import group_rank
+from ts_pymfe_ray.pipelines.combine import combine
 from ts_pymfe_ray.sources.sequences import (
     list_parquet_files,
     read_row_groups,
@@ -302,123 +301,60 @@ def run_features(
 
 # ------------------------------------------------------- cross-series rollup
 
-_PARTIAL_SCHEMA = pa.schema(
-    [("source", pa.string()), ("tier", pa.string()), ("window_id", pa.int64())]
-    # first/last carry the SUMS of window boundary values and m the count
-    # of merged series-windows — what pooled_acf1 needs at the final merge
-    + [(f, pa.float64()) for f in sk.FIELDS]
-    + [("m", pa.float64())]
-)
-
-
 def _partial_sketches(batch: pa.Table, tiers=("raw", "10x", "100x")) -> pa.Table:
-    """Combiner: per-batch partial sketches keyed by (source, tier,
-    window_id).  Output rows per batch are bounded by distinct keys, so
-    only tiny pre-aggregated rows leave the read tasks for the final
-    merge (:func:`merge_partials`) — the partial+final aggregation
-    pattern."""
+    """One row per series window of each requested tier: its key (source,
+    tier, window_id) and its sketch fields, each row one partial of its
+    key's cross-series sketch.  Hot-key-split chunk rows carry a
+    ``window_offset``, so their windows land at GLOBAL positions
+    (offset // bucket), not restart at 0.  The ladder is RollupStage's
+    batch-wide one; each tier's rows keep batch row order."""
     from ts_pymfe_ray.stages.rollup import RAW_BUCKET, TIER_FACTORS, TIERS, sketch_ladder, tokens_flat
 
     t_off, t_flat = tokens_flat(batch)
-    sources = batch.column("source").to_pylist()
-    # hot-key-split chunk rows carry a window_offset; their windows must
-    # land at GLOBAL positions (offset // bucket), not restart at 0
     offsets = (
         batch.column("window_offset").to_numpy()
         if "window_offset" in batch.column_names
         else np.zeros(t_off.size - 1, dtype=np.int64)
     )
-    src_names = sorted(set(sources))
-    src_id = {s: i for i, s in enumerate(src_names)}
-    row_src = np.fromiter((src_id[s] for s in sources), dtype=np.int64, count=len(sources))
-    tier_names = list(tiers)
-
-    # RollupStage's batch-wide ladder; each requested tier's block keeps
-    # the rows in batch order, so inside every (source, tier, window) key
-    # the stable sort below sees the windows in row order, as per-row
-    # ladders appended row by row did
     ladder, tier_off = sketch_ladder(t_flat, t_off)
     block = np.concatenate([[0], np.cumsum([o[-1] for o in tier_off])])
-    take, rel_wid, row_key = [], [], []
-    for t, tier in enumerate(tier_names):
+    take, wids, rows, tier_idx = [], [], [], []
+    for t, tier in enumerate(tiers):
         lvl = TIERS.index(tier)
         o = tier_off[lvl]
         nw = np.diff(o)
         within = np.arange(int(o[-1]), dtype=np.int64) - np.repeat(o[:-1], nw)
         take.append(block[lvl] + np.arange(int(o[-1]), dtype=np.int64))
-        rel_wid.append(np.repeat(offsets // (RAW_BUCKET * TIER_FACTORS[tier]), nw) + within)
-        row_key.append(np.repeat(row_src * len(tier_names) + t, nw))
-    wids = np.concatenate(rel_wid)
-    if not wids.size:
-        return pa.table({n: pa.array([], _PARTIAL_SCHEMA.field(n).type) for n in _PARTIAL_SCHEMA.names})
-    max_wid = max(1, int(wids.max()) + 1)
+        wids.append(np.repeat(offsets // (RAW_BUCKET * TIER_FACTORS[tier]), nw) + within)
+        rows.append(np.repeat(np.arange(nw.size), nw))
+        tier_idx.append(np.full(int(o[-1]), t, dtype=np.int32))
     big = ladder[np.concatenate(take)]
-    key_parts = np.concatenate(row_key) * max_wid + wids
-    # sort-group-reduce: one argsort, then reduceat per field — no Python
-    # per-window loop
-    order = np.argsort(key_parts, kind="stable")
-    skeys = key_parts[order]
-    sbig = big[order]
-    starts = np.flatnonzero(np.concatenate([[True], skeys[1:] != skeys[:-1]]))
-    uniq = skeys[starts]
-    agg = np.empty((uniq.size, sk.N_FIELDS))
-    for f in ("n", "s1", "s2", "s3", "s4", "c1"):
-        agg[:, sk._I[f]] = np.add.reduceat(sbig[:, sk._I[f]], starts)
-    agg[:, sk._I["vmin"]] = np.minimum.reduceat(sbig[:, sk._I["vmin"]], starts)
-    agg[:, sk._I["vmax"]] = np.maximum.reduceat(sbig[:, sk._I["vmax"]], starts)
-    # boundary-value SUMS (not single values): pooled_acf1 inputs
-    agg[:, sk._I["first"]] = np.add.reduceat(sbig[:, sk._I["first"]], starts)
-    agg[:, sk._I["last"]] = np.add.reduceat(sbig[:, sk._I["last"]], starts)
-    m_counts = np.diff(np.append(starts, skeys.size)).astype(np.float64)
-
-    wid = uniq % max_wid
-    st = (uniq // max_wid) % len(tier_names)
-    ss = uniq // (max_wid * len(tier_names))
-    cols: dict[str, object] = {
-        "source": [src_names[i] for i in ss],
-        "tier": [tier_names[i] for i in st],
-        "window_id": wid,
-        "m": m_counts,
+    cols = {
+        "source": batch.column("source").take(pa.array(np.concatenate(rows), pa.int64())),
+        "tier": pa.DictionaryArray.from_arrays(np.concatenate(tier_idx), list(tiers)),
+        "window_id": pa.array(np.concatenate(wids), pa.int64()),
     }
-    for j, f in enumerate(sk.FIELDS):
-        cols[f] = agg[:, j]
-    return pa.table({n: pa.array(cols[n], _PARTIAL_SCHEMA.field(n).type) for n in _PARTIAL_SCHEMA.names})
+    return pa.table({**cols, **{f: big[:, j] for j, f in enumerate(sk.FIELDS)}})
 
 
-_KEYS = ["source", "tier", "window_id"]
-
-
-def merge_partials(tables: list[pa.Table]) -> pa.Table:
-    """The final merge of :func:`_partial_sketches` tables: one row per
-    (source, tier, window_id), sorted by that key, every field summed but
-    ``vmin`` (the min) and ``vmax`` (the max).  Rows are sorted by the key
-    and then by their own field values before the reduce, so the order of
-    the float additions, and so the merged bits, follow from the set of
-    partial rows alone, not from the order the tables arrive in."""
-    t = pa.concat_tables([_PARTIAL_SCHEMA.empty_table(), *tables])
-    t = t.sort_by([(c, "ascending") for c in _PARTIAL_SCHEMA.names])
-    starts = np.flatnonzero(group_rank(t, _KEYS) == 0)
-    if not starts.size:
-        return t
-    cols = {k: t.column(k).take(pa.array(starts)) for k in _KEYS}
-    for f in _PARTIAL_SCHEMA.names[3:]:
-        op = np.minimum if f == "vmin" else np.maximum if f == "vmax" else np.add
-        cols[f] = op.reduceat(t.column(f).to_numpy(), starts)
-    return pa.table(cols, schema=_PARTIAL_SCHEMA)
+# per window field, how its key's partials merge: every field sums but the
+# extrema (first/last become the SUMS of window boundary values), and m
+# counts the merged series-windows — what pooled_acf1 needs
+_AGGS = {**{f: (f, "min" if f == "vmin" else "max" if f == "vmax" else "sum")
+            for f in sk.FIELDS}, "m": ("n", "size")}
 
 
 def _derive_merged(merged: pa.Table) -> pa.Table:
-    """Vectorized feature derivation over the merged sketch rows
-    (:func:`merge_partials`): ~10 numpy kernels over the whole table.
-    ``first``/``last`` hold boundary-value sums, so they feed
-    ``pooled_acf1`` only."""
-    g = {f: merged.column(f).to_numpy() for f in _PARTIAL_SCHEMA.names[3:]}
+    """Vectorized feature derivation over the merged sketch rows: ~10
+    numpy kernels over the whole table.  ``first``/``last`` hold
+    boundary-value sums, so they feed ``pooled_acf1`` only."""
+    g = {f: merged.column(f).to_numpy() for f in _AGGS}
     mat = np.full((len(merged), sk.N_FIELDS), np.nan)
     for f in ("n", "s1", "s2", "s3", "s4", "c1", "vmin", "vmax"):
         mat[:, sk._I[f]] = g[f]
     feats = dict(sk.derive_features(mat), n=g["n"], acf1=sk.pooled_acf1(
         g["n"], g["s1"], g["s2"], g["c1"], g["first"], g["last"], g["m"]))
-    return pa.table({**{k: merged.column(k) for k in _KEYS}, **{
+    return pa.table({**{k: merged.column(k) for k in ("source", "tier", "window_id")}, **{
         c: pa.array(feats[c], pa.float64()) for c in
         ("n", "mean", "var", "sd", "acf1", "skewness", "kurtosis", "vmin", "vmax")}})
 
@@ -448,22 +384,22 @@ def rollup_by_source(input_dir: str, tiers=("100x",),
                      gap_free: bool = False) -> ray.data.Dataset:
     """Continuous aggregate across series: per (source, tier, window_id)
     merged moment sketches -> mean/var/acf1/skew/kurt curves per source,
-    one row per key in key order.  The partial sketches run fused into
-    the read tasks (one per row group, in calls of at most 1024 rows);
-    their small tables merge on the driver (:func:`merge_partials`, no
+    one row per key in key order.  One :func:`combine`: inside the read
+    tasks (one per row group) each block gives one row per series window
+    (:func:`_partial_sketches`, in calls of at most 1024 rows, after the
+    gap-free filter when asked) and reduces them to one partial row per
+    key; the driver merges the small partial tables in sorted order (no
     shuffle, the same bits in any task order).  acf1 is the POOLED
     in-series lag-1 autocorrelation (sketch.pooled_acf1)."""
     tiers = tuple(tiers)
 
-    def partials(block: pa.Table) -> pa.Table:
+    def windows(block: pa.Table) -> pa.Table:
+        if gap_free:
+            block = _filter_gapfree(block)
         return in_slices(block, lambda rows: _partial_sketches(split_long_rows(rows), tiers), 1024)
 
-    ds = read_sequences(input_dir)
-    kwargs = {"batch_format": "pyarrow", "zero_copy_batch": True, "batch_size": None}
-    if gap_free:
-        ds = ds.map_batches(_filter_gapfree, **kwargs)
-    parts = ds.map_batches(partials, **kwargs).iter_batches(batch_size=None, batch_format="pyarrow")
-    return ray.data.from_arrow(_derive_merged(merge_partials(list(parts))))
+    merged = combine(read_sequences(input_dir), ["source", "tier", "window_id"], _AGGS, windows)
+    return ray.data.from_arrow(_derive_merged(merged))
 
 
 def flagship(sf_dir_or_input: str, out_root: str = DEFAULT_OUT_ROOT) -> dict:
@@ -492,7 +428,6 @@ def token_histogram_by_source(input_dir: str, num_bins: int = 256) -> "pd.DataFr
     them per (source, bin)."""
     import pandas as pd
 
-    from ts_pymfe_ray.pipelines.combine import combine
     from ts_pymfe_ray.stages.rollup import tokens_flat
 
     width = 65536 // num_bins

@@ -37,8 +37,6 @@ from ts_pymfe_ray.stages.rollup import STREAMS, TIER_SCHEMA
 # every tier column but the raw tier's token blob
 _TIER_COLUMNS = [c for c in TIER_SCHEMA.names if c != "tokens_dod"]
 _DIAG_COLUMNS = ["doc_id", "source", "tier", "n_windows", "win_streams"]
-_EXPLODE_COLUMNS = ["doc_id", "source", "n_windows", "window_offset",
-                    "bucket_size", "win_streams"]
 _DIAG_DTYPES = {"source": object, "n_docs": "int64", "avg_window_drift": "float64",
                 "avg_sd_volatility": "float64", "avg_window_acf1": "float64"}
 
@@ -156,32 +154,3 @@ def tier_diagnostics(out_dir: str, tier: str = "10x",
     for a in avgs:
         g[a] = round_ha(g.pop(f"s_{a}") / g.pop(f"n_{a}"))
     return g
-
-
-def explode_tier(out_dir: str, tier: str = "10x") -> ray.data.Dataset:
-    """Relational view of a tier: stream-decode the Gorilla blobs into one
-    row per (doc, window) with the six statistic columns — the bridge from
-    the compressed tier store to SQL-style tooling.  Streaming map; never
-    materializes the store."""
-
-    def decode(batch: pa.Table) -> pa.Table:
-        flat, offsets, nws = _decode_batch(batch)
-        # window k of row i is element k of each of its streams: one
-        # fancy-index gather per stream over the whole batch
-        rows = np.repeat(np.arange(nws.size), nws)
-        within = np.arange(int(nws.sum())) - np.repeat(np.cumsum(nws) - nws, nws)
-        base = (batch.column("window_offset").to_numpy()
-                // batch.column("bucket_size").to_numpy())
-        take = pa.array(rows)
-        cols = {
-            "doc_id": batch.column("doc_id").take(take),
-            "source": batch.column("source").take(take),
-            "window_id": pa.array(base[rows] + within, pa.int64()),
-        }
-        start = offsets[:-1][rows] + within
-        for j, s in enumerate(STREAMS):
-            cols[f"win_{s}"] = pa.array(flat[start + j * nws[rows]])
-        return pa.table(cols)
-
-    ds = read_tier_dataset(out_dir, tier, _EXPLODE_COLUMNS)
-    return ds.map_batches(decode, batch_format="pyarrow", batch_size=512)

@@ -22,21 +22,6 @@ import time
 from ts_pymfe_ray.state import manifest as mf
 
 
-def read_tiers(out_dir: str, columns: list[str] | None = None, tier: str | None = None):
-    """Read tier output (all shards) back as a pyarrow Table."""
-    import pyarrow.dataset as pads
-
-    ds = pads.dataset(
-        out_dir, format="parquet", partitioning="hive",
-        ignore_prefixes=[".", "_", "manifest"],
-    )
-    if tier is not None:
-        import pyarrow.compute as pc
-
-        return ds.to_table(columns=columns, filter=pc.field("tier") == tier)
-    return ds.to_table(columns=columns)
-
-
 def list_tiers(out_dir: str) -> dict[str, int]:
     """{tier: shard-dir count} currently present on disk."""
     out: dict[str, int] = {}
