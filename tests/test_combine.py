@@ -107,8 +107,14 @@ def test_null_key_is_a_group_as_in_sql():
 
 
 def test_combine_of_no_rows_is_empty():
-    got = cb.merge([cb.partials(_batch([], [], []), KEYS, AGGS)], KEYS, AGGS)
+    """Zero-row partials merge into a zero-row table of their types."""
+    empty = cb.partials(_batch([], [], []), KEYS, AGGS)
+    got = cb.merge([empty, pa.table({})], KEYS, AGGS)
     assert got.num_rows == 0 and got.column_names == KEYS + list(AGGS)
+    full = cb.merge([cb.partials(b, KEYS, AGGS) for b in _CASES["nan_and_null"]], KEYS, AGGS)
+    assert got.schema == full.schema
+    parts = [cb.partials(b, KEYS, AGGS) for b in _CASES["nan_and_null"]]
+    assert cb.merge([empty, *parts, empty], KEYS, AGGS).equals(full)
     assert cb.merge([], KEYS, AGGS).column_names == KEYS + list(AGGS)
 
 
@@ -344,7 +350,6 @@ _ALLOWED = {
     # other operators: a shuffle join, a sketch merge, map_groups
     "queries:q_revenue_by_nation": "the union+groupby equi-join (join.py)",
     "queries:q_events_distinct_users_kmv": "KMV sketch merge, not an aggregate",
-    "queries:q_events_range_join": "map_groups band join per (user, bucket)",
     "bootstrap:bootstrap_features": "map_groups quantiles per doc",
     "textops:q_dedup_minhash": "map_groups candidate pairs per LSH band",
     "textops:q_dedup_simhash": "map_groups verify per simhash segment",
@@ -381,3 +386,31 @@ def test_ported_combiners_keep_no_pandas_groupby():
     assert sorted(found - set(_ALLOWED)) == []
     assert sorted(set(_ALLOWED) - found) == []
     assert all(_ALLOWED.values())
+
+
+# The reads of pipelines/queries.py that bypass ``queries._read``, and why.
+_READ_PARQUET_ALLOWED = {
+    # pushdown-filtered lookups of a few rows, not scans
+    "q_embeddings_knn": "the query vector, filtered at the read",
+    "q_embeddings_knn_multi": "the query vectors, filtered at the read",
+    "_load_centroids": "the k seed vectors, filtered at the read",
+}
+
+
+def _read_parquet_calls(node) -> int:
+    return sum(isinstance(n, ast.Call) and "read_parquet" in (
+        getattr(n.func, "attr", None), getattr(n.func, "id", None)) for n in ast.walk(node))
+
+
+def test_query_reads_go_through_read():
+    """Every table scan of ``pipelines/queries.py`` goes through
+    ``queries._read`` (one read task per row group, no SplitBlocks): no
+    code there calls ``read_parquet(`` outside a function the allowlist
+    names, and every allowlist entry still does."""
+    path = pathlib.Path(cb.__file__).parent / "queries.py"
+    funcs = list(_functions(path))
+    found = {name for name, node in funcs if _read_parquet_calls(node)}
+    assert _read_parquet_calls(ast.parse(path.read_text())) == sum(
+        _read_parquet_calls(node) for _, node in funcs)
+    assert sorted(found - set(_READ_PARQUET_ALLOWED)) == []
+    assert sorted(set(_READ_PARQUET_ALLOWED) - found) == []

@@ -217,6 +217,25 @@ def test_rollup_by_source_degenerate_rows(ray_session, tmp_path):
                                        equal_nan=True, err_msg=c)
 
 
+def test_rollup_by_source_without_windows_is_typed(ray_session, tmp_path):
+    """``rollup_by_source(gap_free=True)`` over two rows that both have a
+    gap has no window: no rows, and the same typed schema as over the
+    rows kept without the filter."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    pq.write_table(pa.table({
+        "doc_id": ["a", "b"],
+        "tokens": pa.array([[-1, 5, 9], [3, -1, -1, 4]], pa.list_(pa.int32())),
+        "n_tok": pa.array([3, 4], pa.int32()),
+        "source": ["web", "code"]}), str(tmp_path / "part-0.parquet"))
+    empty = flagship.rollup_by_source(str(tmp_path), gap_free=True)
+    full = flagship.rollup_by_source(str(tmp_path))
+    assert empty.count() == 0 and full.count() > 0
+    assert empty.schema().names == full.schema().names
+    assert empty.schema().types == full.schema().types
+
+
 def test_retention_prunes_tier_dirs(ray_session, seq_dir_small, tmp_path_factory):
     """North-rule retention: age out the raw tier by directory delete;
     coarser tiers stay decodable; resume does not resurrect raw."""
@@ -538,14 +557,16 @@ class _PlanLog(logging.Handler):
             lg.removeHandler(self)
             lg.setLevel(level)
 
-    def faults(self) -> list[str]:
-        """Every SplitBlocks, Sort, Aggregate or shuffle operator seen, and
-        every Dataset executed more than once."""
+    def faults(self, shuffles: bool = True) -> list[str]:
+        """Every SplitBlocks seen, every Dataset executed more than once
+        and, unless ``shuffles`` is False, every Sort, Aggregate or shuffle
+        operator."""
         out = [f"SplitBlocks: {s}" for s in self.splits]
         for ds_id, plan in self.plans:
             if not ds_id.endswith("_0"):
                 out.append(f"{ds_id} executed again: {plan}")
-            for cls, name in re.findall(r"(\w+)\[([^\]]*)\]", plan):
+            ops = re.findall(r"(\w+)\[([^\]]*)\]", plan) if shuffles else []
+            for cls, name in ops:
                 parts = name.split("->")
                 if (cls == "AllToAllOperator" or "Hash" in cls or "Shuffle" in cls
                         or {"Sort", "Aggregate"} & set(parts)
@@ -598,6 +619,64 @@ def test_sequence_jobs_are_fused_map_only_plans(ray_session, seq_dir_small, tmp_
     assert any(f.startswith("SplitBlocks") for f in faults), faults
     assert any("Sort" in f for f in faults), faults
     assert any("executed again" in f for f in faults), faults
+    assert all(f.startswith("SplitBlocks") or "executed again" in f
+               for f in log.faults(shuffles=False))
+
+
+# perfbench's events workload and the band join: the event entries whose
+# reads the plan-shape and block-layout tests below pin
+_EVENT_ENTRIES = (
+    "events_window_rollup", "events_user_window_moments", "events_acf1",
+    "events_gapfill_rollup", "events_interarrival", "events_sessionize_carry",
+    "events_asof_carry", "events_funnel", "events_retention_cohorts", "events_wau",
+    "events_range_join",
+)
+
+
+def test_event_entries_read_one_task_per_row_group(ray_session, check_oracle):
+    """Every event entry reads its table one task per row group: no
+    SplitBlocks after any read and no Dataset executed twice.  The span
+    engine's Sort is its shuffle and stays allowed."""
+    import __ray_entry__ as e
+
+    from perfbench.workloads import EVENT_ENTRIES
+
+    assert set(EVENT_ENTRIES) < set(_EVENT_ENTRIES)
+    for name in _EVENT_ENTRIES:
+        with _PlanLog() as log:
+            check_oracle.to_df(e.queries()[name]("/root/testdata/sf0.001"))
+        assert log.plans, f"{name}: no execution plan captured"
+        assert log.faults(shuffles=False) == [], name
+
+
+@pytest.fixture(scope="module")
+def row_group_layouts(tmp_path_factory):
+    """The same events written as one row group and as seven."""
+    import pyarrow.parquet as pq
+
+    table = pq.read_table("/root/testdata/sf0.001/events.parquet")
+    dirs = []
+    for groups in (1, 7):
+        d = str(tmp_path_factory.mktemp(f"events_rg{groups}"))
+        pq.write_table(table, os.path.join(d, "events.parquet"),
+                       row_group_size=-(-table.num_rows // groups))
+        assert pq.read_metadata(os.path.join(d, "events.parquet")).num_row_groups == groups
+        dirs.append(d)
+    return dirs
+
+
+@pytest.mark.parametrize("name", _EVENT_ENTRIES)
+def test_event_entries_do_not_depend_on_row_groups(ray_session, check_oracle,
+                                                   row_group_layouts, name):
+    """An event entry gives the same frame, bit for bit, whether its table
+    is one row group (one read task) or seven."""
+    import pandas as pd
+
+    import __ray_entry__ as e
+
+    one, seven = (check_oracle.to_df(e.queries()[name](d)) for d in row_group_layouts)
+    assert len(one) > 0
+    pd.testing.assert_frame_equal(one, seven, check_exact=True)
 
 
 def test_fast_features_match_full_kernels(ray_session, seq_dir_small, tmp_path_factory):

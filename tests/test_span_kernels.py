@@ -466,6 +466,35 @@ def ref_coarse_merge(factor):
     return one
 
 
+BAND = 60 * 1_000_000
+
+
+def ref_band_join(band_us):
+    """The range join's former per-(user_id, bucket) ``map_groups`` body."""
+    def resolve(df):
+        err = df[df["kind"] == 1]
+        e_ts = err["ts_us"].to_numpy(dtype=np.int64)
+        e_id = err["event_id"].to_numpy(dtype=np.int64)
+        click_ts = np.sort(df.loc[df["kind"] == 0, "ts_us"].to_numpy(dtype=np.int64))
+        if click_ts.size == 0:
+            n_in = np.zeros(e_ts.size, dtype=np.int64)
+            nearest = np.full(e_ts.size, -1, dtype=np.int64)
+        else:
+            lo = np.searchsorted(click_ts, e_ts - band_us, side="left")
+            hi = np.searchsorted(click_ts, e_ts + band_us, side="right")
+            n_in = (hi - lo).astype(np.int64)
+            pos = np.searchsorted(click_ts, e_ts, side="left")
+            prev_d = np.where(pos > lo, e_ts - click_ts[np.maximum(pos - 1, 0)], NONE)
+            next_d = np.where(pos < hi,
+                              click_ts[np.minimum(pos, click_ts.size - 1)] - e_ts, NONE)
+            nearest = np.where(n_in > 0, np.minimum(prev_d, next_d),
+                               np.int64(-1)).astype(np.int64)
+        return pd.DataFrame({"event_id": e_id, "n_clicks_in_band": n_in,
+                             "nearest_click_lag_us": nearest})
+
+    return resolve
+
+
 # ----------------------------------------------------------------- tests
 
 
@@ -587,16 +616,66 @@ def test_gapfill_kernels(ev):
            ("rank",))
 
 
+def _band_events() -> pa.Table:
+    """Raw events for the range join: a hot user with 100x the events of
+    the others, dense enough that a band holds many clicks (some sharing a
+    ts); a user with errors and no clicks; a user with clicks and no
+    errors; and an error on a bucket boundary with clicks exactly one band
+    before and after it, and one microsecond further out."""
+    rng = np.random.default_rng(5)
+    t0 = np.datetime64("2024-01-01T00:00:00", "us").astype("int64")
+    rows = []  # (user_id, ts offset, event_type)
+    hot = np.cumsum(rng.choice([0, 1_000_000, 7_000_000, 20_000_000], size=3000))
+    rows += [(1, t, e) for t, e in zip(hot, rng.choice(["click", "error", "view"], 3000))]
+    for u in (6, 7, 8):  # ordinary users, 30 events each
+        ts = np.sort(rng.integers(0, 2 * H, 30))
+        rows += [(u, t, e) for t, e in zip(ts, rng.choice(["click", "error", "view"], 30))]
+    rows += [(2, 5 * BAND + 7, "error"), (2, 5 * BAND + 9, "error"), (2, 9 * BAND, "view")]
+    rows += [(3, 2 * BAND, "click"), (3, 2 * BAND + 1, "click"), (3, 8 * BAND, "click")]
+    edge = 10 * BAND
+    rows += [(4, edge, "error"), (4, edge - BAND, "click"), (4, edge + BAND, "click"),
+             (4, edge - BAND - 1, "click"), (4, edge + BAND + 1, "click"),
+             (5, edge + BAND - 1, "error"), (5, edge + 2 * BAND - 1, "click")]
+    uid, off, et = zip(*rows)
+    return pa.table({
+        "user_id": pa.array(uid, pa.int64()),
+        "ts": pa.array((t0 + np.array(off, dtype=np.int64)).view("datetime64[us]")),
+        "event_id": pa.array(rng.permutation(len(rows)) + 1, pa.int64()),
+        "event_type": pa.array(et, pa.string()),
+    })
+
+
+def test_band_join_kernel():
+    """The range join's segment kernel equals the per-group pandas body it
+    replaced, bit for bit, and both band edges are inclusive."""
+    events = _band_events()
+    emitted = q._band_rows(events, BAND)
+    got = _check(emitted, ["user_id", "bucket"], functools.partial(q._band_join, band_us=BAND),
+                 ref_band_join(BAND), ("kind", "ts_us"))
+    df = emitted.to_pandas()
+    groups = df.groupby(["user_id", "bucket"])["kind"].agg(["min", "max"])
+    assert ((groups["min"] == 1) & (groups["max"] == 1)).any()  # errors, no clicks
+    assert ((groups["min"] == 0) & (groups["max"] == 0)).any()  # clicks, no errors
+    hot = df[df["user_id"] == 1].groupby("bucket").size()
+    assert hot.max() > 20 and len(hot) > 100
+    raw = events.to_pandas()
+    res = got.set_index("event_id")
+
+    def errors(user):
+        ids = raw.loc[(raw["user_id"] == user) & (raw["event_type"] == "error"), "event_id"]
+        return [tuple(res.loc[i]) for i in ids]
+
+    assert errors(4) == [(2, BAND)] and errors(5) == [(1, BAND)]
+    assert errors(2) == [(0, -1), (0, -1)]
+
+
 def test_event_family_has_no_map_groups():
-    """No ``q_events_*`` function of queries.py, and no module helper one
-    of them reaches, calls ``.map_groups(``: every per-group step is a
-    segment kernel on ``_map_sorted_groups``.  The one exception is
-    ``q_events_range_join`` (the interval-bucketed band join), which is
-    not a span-partial operator and keeps its per-group step."""
+    """No function of queries.py calls ``.map_groups(``: every per-group
+    step of the ``q_events_*`` entries is a segment kernel on
+    ``_map_sorted_groups``, reached through the module helpers below."""
     import ast
     import inspect
 
-    allowed = {"q_events_range_join"}
     tree = ast.parse(inspect.getsource(q))
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
 
@@ -604,15 +683,14 @@ def test_event_family_has_no_map_groups():
         return any(isinstance(n, ast.Attribute) and n.attr == "map_groups"
                    for n in ast.walk(funcs[name]))
 
-    todo = [n for n in funcs if n.startswith("q_events_") and n not in allowed]
+    todo = [n for n in funcs if n.startswith("q_events_")]
     seen = set()
     while todo:
         name = todo.pop()
         if name not in seen:
             seen.add(name)
             todo += [n.id for n in ast.walk(funcs[name])
-                     if isinstance(n, ast.Name) and n.id in funcs and n.id not in allowed]
+                     if isinstance(n, ast.Name) and n.id in funcs]
     assert {"_map_sorted_groups", "_span_partials", "_join_span_offsets",
-            "_positional_window_sketches", "_sketch_windows"} <= seen
-    assert sorted(n for n in seen if calls_map_groups(n)) == []
-    assert all(calls_map_groups(n) for n in allowed)
+            "_positional_window_sketches", "_sketch_windows", "_band_join"} <= seen
+    assert sorted(n for n in funcs if calls_map_groups(n)) == []

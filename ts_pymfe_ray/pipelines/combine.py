@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 # partial aggregate -> the aggregate that merges the partials
 _MERGE = {"size": "sum", "count": "sum", "sum": "sum", "min": "min", "max": "max"}
@@ -76,10 +77,13 @@ def merge(tables: list[pa.Table], keys: list[str],
           aggs: dict[str, tuple[str, str]]) -> pa.Table:
     """Step 2: the partial tables merged into one row per group, sorted by
     ``keys``, with one column per ``aggs`` entry; the same bits for any
-    order of the tables and any spread of their rows over tables.  No
-    partial row at all gives an empty table of null-typed columns."""
+    order of the tables and any spread of their rows over tables.  With no
+    partial row, the first zero-row table gives the empty result its
+    types; a table without columns (Ray's empty block) is skipped, and
+    without any other table the columns are null-typed."""
     names = keys + list(aggs)
-    tables = [t for t in tables if t.num_rows]
+    tables = [t for t in tables if t.num_columns]
+    tables = [t for t in tables if t.num_rows] or tables[:1]
     if not tables:
         return pa.table({n: pa.array([], pa.null()) for n in names})
     t = pa.concat_tables(tables, promote_options="permissive")
@@ -100,11 +104,11 @@ def combine(ds, keys: list[str], aggs: dict[str, tuple[str, str]],
     def partial(batch: pa.Table) -> pa.Table:
         return partials(batch, keys, aggs, prep)
 
-    # whole blocks, one execution (to_arrow_refs runs the plan again to
-    # fetch the schema)
-    blocks = ds.map_batches(partial, batch_format="pyarrow").iter_batches(
-        batch_size=None, batch_format="pyarrow")
-    return merge(list(blocks), keys, aggs)
+    # every block, one execution, through Ray's DeveloperAPI block
+    # iterator: iter_batches skips zero-row blocks, so their types would
+    # be lost, and to_arrow_refs runs the plan again to fetch the schema
+    bundles = ds.map_batches(partial, batch_format="pyarrow").iter_internal_ref_bundles()
+    return merge(ray.get([ref for b in bundles for ref in b.block_refs]), keys, aggs)
 
 
 def shuffle_combine(ds, keys: list[str], aggs: dict[str, tuple[str, str]],

@@ -20,6 +20,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray.data
 
@@ -27,12 +28,19 @@ from ts_pymfe_ray.functions import sketch as sk
 from ts_pymfe_ray.functions.rounding import round_ha
 from ts_pymfe_ray.pipelines.combine import (combine, group_rank, nan_to_null,
                                             shuffle_combine, topk)
+from ts_pymfe_ray.sources.sequences import list_parquet_files, read_row_groups
 
 ROUND = 6
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> ray.data.Dataset:
-    return ray.data.read_parquet(os.path.join(sf_dir, f"{table}.parquet"), columns=columns)
+    """``table``'s ``columns`` (every column when None) from its file, or
+    from every file of its directory, one read task per Parquet row group:
+    the blocks follow the files, not the CPU count, so no read splits its
+    output and every map over it fuses into the read."""
+    path = os.path.join(sf_dir, f"{table}.parquet")
+    files = list_parquet_files(path) if os.path.isdir(path) else [path]
+    return read_row_groups(files, columns or pq.read_schema(files[0]).names)
 
 
 # ---------------------------------------------------------------- helpers
@@ -1537,6 +1545,55 @@ def q_events_distinct_users_kmv(sf_dir: str, k: int = 64) -> pd.DataFrame:
     return out.sort_values("event_type").reset_index(drop=True)
 
 
+def _band_rows(batch: pa.Table, band_us: int) -> pa.Table:
+    """The range join's shuffle rows of an events batch: each error once
+    in its home bucket (kind 1), each click in its home bucket and the two
+    beside it (kind 0)."""
+    ts_us = _ts_us(batch.column("ts")).to_numpy()
+    et = batch.column("event_type")
+    is_err = pc.equal(et, "error").to_numpy(zero_copy_only=False)
+    is_clk = pc.equal(et, "click").to_numpy(zero_copy_only=False)
+    e, c = np.flatnonzero(is_err), np.flatnonzero(is_clk)
+    rows = np.concatenate([e, c, c, c])
+    shift = np.repeat(np.array([0, -1, 0, 1]), [e.size, c.size, c.size, c.size])
+    return pa.table({
+        "user_id": pa.array(batch.column("user_id").to_numpy()[rows], pa.int64()),
+        "bucket": pa.array(ts_us[rows] // band_us + shift, pa.int64()),
+        "kind": pa.array(np.repeat(np.array([1, 0]), [e.size, 3 * c.size]), pa.int64()),
+        "ts_us": pa.array(ts_us[rows], pa.int64()),
+        "event_id": pa.array(batch.column("event_id").to_numpy()[rows], pa.int64()),
+    })
+
+
+def _band_join(block: pa.Table, starts: np.ndarray, band_us: int) -> pa.Table:
+    """Per error of every (user_id, bucket) group of the block, sorted by
+    (kind, ts_us): its in-band click count and nearest click's lag (-1:
+    none).  One ``searchsorted`` over all the block's clicks at once, on
+    the key ``segment * 4 band + (ts_us - bucket * band + band)``: a
+    group's events lie within [(bucket - 1) band, (bucket + 2) band) and
+    its errors' bands within that, so the key orders the clicks by
+    (segment, ts_us), keeps every search inside its own group and is
+    exact int64."""
+    kind, ts, bucket, eid = _cols(block, "kind", "ts_us", "bucket", "event_id")
+    _, seg = _seg(starts, block.num_rows)
+    key = seg * (4 * band_us) + (ts - bucket * band_us + band_us)
+    clk, err = kind == 0, kind == 1
+    c_key, e_key, e_ts = key[clk], key[err], ts[err]
+    c_ts = np.append(ts[clk], 0)  # a pad, so that c_ts[pos] is in range
+    lo = np.searchsorted(c_key, e_key - band_us, side="left")
+    hi = np.searchsorted(c_key, e_key + band_us, side="right")
+    pos = np.searchsorted(c_key, e_key, side="left")
+    n_in = (hi - lo).astype(np.int64)
+    prev_d = np.where(pos > lo, e_ts - c_ts[np.maximum(pos - 1, 0)], _NONE)
+    next_d = np.where(pos < hi, c_ts[pos] - e_ts, _NONE)
+    nearest = np.where(n_in > 0, np.minimum(prev_d, next_d), -1)
+    return pa.table({
+        "event_id": pa.array(eid[err], pa.int64()),
+        "n_clicks_in_band": pa.array(n_in, pa.int64()),
+        "nearest_click_lag_us": pa.array(nearest, pa.int64()),
+    })
+
+
 def q_events_range_join(sf_dir: str, band_sec: int = 60) -> pd.DataFrame:
     """RANGE (band) JOIN, interval-bucketed: every 'error' event joins the
     'click' events of the SAME user within +/- band_sec.
@@ -1550,80 +1607,19 @@ def q_events_range_join(sf_dir: str, band_sec: int = 60) -> pd.DataFrame:
     buckets.  The shuffle carries only (user, bucket, kind, ts_us,
     event_id) rows (3x clicks + errors), never the full rows.
 
-    The nearest-lag is vectorized: with sorted in-group click times, the
-    nearest in-band click is the insertion-point predecessor or successor
-    clipped to the band window — exact integer math, no per-error loop.
-    Output: per error event, the number of in-band clicks and the nearest
-    click's absolute lag."""
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
+    The per-group step is the segment kernel :func:`_band_join`: with
+    sorted in-group click times, the nearest in-band click is the
+    insertion-point predecessor or successor clipped to the band window —
+    exact integer math, no per-error or per-group loop.  Output: per error
+    event, the number of in-band clicks and the nearest click's absolute
+    lag."""
     band_us = band_sec * 1_000_000
-    BIG = np.int64(2**62)
-
-    def emit(batch: pa.Table) -> pa.Table:
-        ts_us = _ts_us(batch.column("ts")).to_numpy()
-        is_err = pc.equal(batch.column("event_type"), "error").to_numpy(
-            zero_copy_only=False)
-        is_clk = pc.equal(batch.column("event_type"), "click").to_numpy(
-            zero_copy_only=False)
-        uid = batch.column("user_id").to_numpy()
-        eid = batch.column("event_id").to_numpy()
-        b = ts_us // band_us
-        parts_u, parts_b, parts_k, parts_t, parts_e = [], [], [], [], []
-        e = np.flatnonzero(is_err)
-        parts_u.append(uid[e]); parts_b.append(b[e])
-        parts_k.append(np.ones(e.size, dtype=np.int64))
-        parts_t.append(ts_us[e]); parts_e.append(eid[e])
-        c = np.flatnonzero(is_clk)
-        for d in (-1, 0, 1):  # replicate clicks to the adjacent buckets
-            parts_u.append(uid[c]); parts_b.append(b[c] + d)
-            parts_k.append(np.zeros(c.size, dtype=np.int64))
-            parts_t.append(ts_us[c]); parts_e.append(eid[c])
-        return pa.table({
-            "user_id": pa.array(np.concatenate(parts_u), pa.int64()),
-            "bucket": pa.array(np.concatenate(parts_b), pa.int64()),
-            "kind": pa.array(np.concatenate(parts_k), pa.int64()),
-            "ts_us": pa.array(np.concatenate(parts_t), pa.int64()),
-            "event_id": pa.array(np.concatenate(parts_e), pa.int64()),
-        })
-
-    def resolve(df: pd.DataFrame) -> pa.Table:
-        err = df[df["kind"] == 1]
-        if len(err) == 0:
-            return pa.table({
-                "event_id": pa.array([], pa.int64()),
-                "n_clicks_in_band": pa.array([], pa.int64()),
-                "nearest_click_lag_us": pa.array([], pa.int64()),
-            })
-        e_ts = err["ts_us"].to_numpy(dtype=np.int64)
-        e_id = err["event_id"].to_numpy(dtype=np.int64)
-        click_ts = np.sort(df.loc[df["kind"] == 0, "ts_us"].to_numpy(dtype=np.int64))
-        if click_ts.size == 0:
-            n_in = np.zeros(e_ts.size, dtype=np.int64)
-            nearest = np.full(e_ts.size, -1, dtype=np.int64)
-        else:
-            lo = np.searchsorted(click_ts, e_ts - band_us, side="left")
-            hi = np.searchsorted(click_ts, e_ts + band_us, side="right")
-            n_in = (hi - lo).astype(np.int64)
-            pos = np.searchsorted(click_ts, e_ts, side="left")
-            prev_d = np.where(pos > lo,
-                              e_ts - click_ts[np.maximum(pos - 1, 0)], BIG)
-            next_d = np.where(pos < hi,
-                              click_ts[np.minimum(pos, click_ts.size - 1)] - e_ts,
-                              BIG)
-            nearest = np.where(n_in > 0, np.minimum(prev_d, next_d),
-                               np.int64(-1)).astype(np.int64)
-        return pa.table({
-            "event_id": pa.array(e_id, pa.int64()),
-            "n_clicks_in_band": pa.array(n_in, pa.int64()),
-            "nearest_click_lag_us": pa.array(nearest, pa.int64()),
-        })
-
-    out = (
-        ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["user_id", "bucket"])
-        .map_groups(resolve, batch_format="pandas")
-        .to_pandas()
-    )
+    emitted = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"]).map_batches(
+        _band_rows, fn_kwargs={"band_us": band_us}, batch_format="pyarrow",
+        zero_copy_batch=True)
+    out = _map_sorted_groups(emitted, ["user_id", "bucket"],
+                             functools.partial(_band_join, band_us=band_us),
+                             order=("kind", "ts_us")).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 

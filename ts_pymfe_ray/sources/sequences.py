@@ -1,4 +1,7 @@
-"""Sequences-table source: pruned row-group parquet reads + file-shard listing."""
+"""Parquet source: column-pruned reads at one task per row group, and
+file-shard listing.  It serves the sequences table and every table scan
+of ``pipelines/queries.py`` (through ``queries._read``), so no read's
+block count follows the cluster's CPU count."""
 
 from __future__ import annotations
 
