@@ -634,19 +634,30 @@ _EVENT_ENTRIES = (
 
 
 def test_event_entries_read_one_task_per_row_group(ray_session, check_oracle):
-    """Every event entry reads its table one task per row group: no
-    SplitBlocks after any read and no Dataset executed twice.  The span
-    engine's Sort is its shuffle and stays allowed."""
+    """Every event entry is one Ray execution that reads its table one task
+    per row group: no SplitBlocks after any read, no Dataset executed
+    twice and no second plan (a materialize() and the plan that consumes
+    it log two).  The span engine's Sort is its shuffle and stays allowed."""
+    import ray.data
+
     import __ray_entry__ as e
 
     from perfbench.workloads import EVENT_ENTRIES
 
     assert set(EVENT_ENTRIES) < set(_EVENT_ENTRIES)
-    for name in _EVENT_ENTRIES:
+    names = (*_EVENT_ENTRIES, "events_user_window_rollup",
+             "events_user_window_rollup_10x", "events_user_window_acf1")
+    for name in names:
         with _PlanLog() as log:
             check_oracle.to_df(e.queries()[name]("/root/testdata/sf0.001"))
-        assert log.plans, f"{name}: no execution plan captured"
+        assert len(log.plans) == 1, (name, log.plans)
         assert log.faults(shuffles=False) == [], name
+
+    # the capture sees a materialized Dataset's second execution
+    with _PlanLog() as log:
+        ds = ray.data.range(8).map_batches(lambda b: b).materialize()
+        ds.map_batches(lambda b: b).to_pandas()
+    assert len(log.plans) == 2, log.plans
 
 
 @pytest.fixture(scope="module")
@@ -1026,6 +1037,50 @@ def test_window_family_hot_user_distributed(ray_session, tmp_path_factory):
     exp = _ref_window_rollup(df)
     pd.testing.assert_frame_equal(got, exp)
     assert len(got) == -(-1_000_000 // 16) + sum((-(-n // 16)) for n in (500, 173, 16))
+
+
+def test_routed_groups_stay_bounded_for_a_hot_user(ray_session, tmp_path_factory,
+                                                   monkeypatch):
+    """Span rows routed by sort key never co-locate a user's history: with
+    one user holding 90% of the events over 30 day-spans, no group that
+    the routing kernels receive holds a kind 0 row among more than
+    ``bucket`` rows, and the hot user's gap-fill carry group holds under
+    10% of its events.  The kernels run in Ray tasks, so the wrappers
+    record each call's groups to files."""
+    import glob
+    import uuid
+
+    from ts_pymfe_ray.pipelines import queries as q
+
+    d = str(tmp_path_factory.mktemp("hot90"))
+    df = _write_events(d, {0: 9000, 1: 500, 2: 300, 3: 200})
+    rec = str(tmp_path_factory.mktemp("groups"))
+
+    def recording(kernel, name):
+        def wrapped(block, starts, *args, **kwargs):
+            ends = np.append(starts[1:], block.num_rows).astype(np.int64)
+            kind0 = (block.column("kind").to_numpy() == 0).astype(np.int64)
+            np.save(os.path.join(rec, f"{name}-{uuid.uuid4().hex}.npy"), np.stack([
+                block.column("user_id").to_numpy()[starts], ends - starts,
+                np.add.reduceat(kind0, starts) if starts.size else kind0[:0]]))
+            return kernel(block, starts, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(q, "_window_sketches", recording(q._window_sketches, "window"))
+    monkeypatch.setattr(q, "_gapfill_resolve", recording(q._gapfill_resolve, "gapfill"))
+    q.q_events_user_window_rollup(d)
+    q.q_events_gapfill_rollup(d)
+
+    hot = int((df["user_id"] == 0).sum())
+    assert hot == 0.9 * len(df)
+    for name in ("window", "gapfill"):
+        uid, rows, kind0 = np.concatenate(
+            [np.load(f) for f in glob.glob(os.path.join(rec, f"{name}-*.npy"))], axis=1)
+        assert rows.sum() > hot / 16 and (uid == 0).sum() > 20, name
+        assert rows[kind0 > 0].max() <= 16, name
+    carry = rows[(uid == 0) & (kind0 == 0)]  # gap-fill: the hot user's carry rows
+    assert carry.size == 1 and 20 < carry[0] < 0.1 * hot, carry
 
 
 def test_window_family_distributed_matches_per_user(ray_session, tmp_path_factory):

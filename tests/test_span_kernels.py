@@ -1,5 +1,6 @@
 """Segment kernels of the span-partial engine (pipelines/queries.py) against
-per-group pandas references, without a Ray session.
+per-group pandas references, without a Ray session (the driver-merge
+parity tests at the end run one).
 
 Each kernel runs the way ``_map_sorted_groups`` runs it — on blocks
 sorted by ``_sorted_groups`` — with the input cut into several blocks at
@@ -381,7 +382,7 @@ def ref_sketch_window(bucket):
     return one
 
 
-def ref_gapfill_span(df):
+def ref_gapfill_span(df, bucket=16):
     offset = int(df.loc[df["kind"] == 1, "off"].iloc[0])
     ev = df[df["kind"] == 0]
     n = len(ev)
@@ -396,6 +397,8 @@ def ref_gapfill_span(df):
         out.append(pd.DataFrame({
             "user_id": np.full(nz, uid, dtype=np.int64),
             "kind": np.full(nz, kind, dtype=np.int64),
+            "slot": (np.asarray(r, dtype=np.int64) // bucket if kind == 0
+                     else np.full(nz, -1, dtype=np.int64)),
             "rank": np.asarray(r, dtype=np.int64),
             "value": np.asarray(val, dtype=np.float64),
             "rank2": np.zeros(nz, np.int64) if r2 is None else np.asarray(r2, np.int64),
@@ -537,7 +540,13 @@ def test_asof_kernels(ev):
     parts = _check(t, SPAN[0], q._asof_span, ref_asof_span, SPAN[1])
     carry = parts[parts["kind"] > 0]
     assert (carry["kind"] == 1).any() and (carry["kind"] == 2).any()
-    _check(carry, ["user_id"], q._asof_user, ref_asof_user, ("span_id", "kind"))
+    fixed = _check(carry, ["user_id"], q._asof_user, ref_asof_user, ("span_id", "kind"))
+    # the driver merge takes every span row: the resolved clicks pass
+    # through, and the unresolved ones resolve as over the carry alone
+    resolved = parts[parts["kind"] == 0][list(fixed.columns)]
+    _same(_run(pa.Table.from_pandas(parts, preserve_index=False), ["user_id"],
+               q._asof_user, ("span_id", "kind")),
+          pd.concat([resolved, fixed], ignore_index=True))
 
 
 def _batch_halves(ev, key):
@@ -591,9 +600,14 @@ def test_window_kernels(ev, bucket, cents):
     sketches = _check(boundary, ["user_id", "window_id"],
                       functools.partial(q._sketch_windows, bucket=bucket),
                       ref_sketch_window(bucket), ("rank",))
-    # 10x merge over every window's sketch row
     full = pd.concat([parts[parts["kind"] == 0][["user_id", "window_id", *q._SKETCH_COLS]],
                       sketches], ignore_index=True)
+    # every span row through the one (user_id, window_id) kernel == the
+    # in-span sketch rows plus the edge windows sketched apart
+    _same(_run(pa.Table.from_pandas(parts, preserve_index=False), ["user_id", "window_id"],
+               functools.partial(q._window_sketches, bucket=bucket), ("kind", "rank")),
+          full)
+    # 10x merge over every window's sketch row
     full["coarse_id"] = full["window_id"] // 10
     assert full.groupby(["user_id", "coarse_id"]).size().max() == 10
     _check(full, ["user_id", "coarse_id"],
@@ -602,7 +616,8 @@ def test_window_kernels(ev, bucket, cents):
 
 
 def test_gapfill_kernels(ev):
-    parts = _check(_joined(ev), SPAN[0], q._gapfill_span, ref_gapfill_span, SPAN[1])
+    parts = _check(_joined(ev), SPAN[0], functools.partial(q._gapfill_span, bucket=16),
+                   ref_gapfill_span, SPAN[1])
     assert set(parts["kind"]) == {0, 1, 2}
     carry = parts[parts["kind"] > 0]
     fixed = _check(carry, ["user_id"], q._gapfill_resolve, ref_gapfill_resolve,
@@ -610,6 +625,10 @@ def test_gapfill_kernels(ev):
     assert 5 not in set(fixed["user_id"])  # the all-missing user stays unfilled
     rows = pd.concat([parts[parts["kind"] == 0][["user_id", "rank", "value"]], fixed],
                      ignore_index=True)
+    # every span row routed by (user_id, slot): the resolved rows pass
+    # through, each user's carry rows resolve as one group
+    _same(_run(pa.Table.from_pandas(parts, preserve_index=False), ["user_id", "slot"],
+               q._gapfill_resolve, ("rank",)), rows)
     rows["window_id"] = rows["rank"] // 16
     _check(rows, ["user_id", "window_id"],
            functools.partial(q._sketch_windows, bucket=16), ref_sketch_window(16),
@@ -670,9 +689,10 @@ def test_band_join_kernel():
 
 
 def test_event_family_has_no_map_groups():
-    """No function of queries.py calls ``.map_groups(``: every per-group
-    step of the ``q_events_*`` entries is a segment kernel on
-    ``_map_sorted_groups``, reached through the module helpers below."""
+    """No function of queries.py calls ``.map_groups(`` or
+    ``.materialize(``: every per-group step of the ``q_events_*`` entries
+    is a segment kernel on ``_map_sorted_groups`` or ``_merge_on_driver``,
+    reached through the module helpers below."""
     import ast
     import inspect
 
@@ -691,6 +711,43 @@ def test_event_family_has_no_map_groups():
             seen.add(name)
             todo += [n.id for n in ast.walk(funcs[name])
                      if isinstance(n, ast.Name) and n.id in funcs]
-    assert {"_map_sorted_groups", "_span_partials", "_join_span_offsets",
-            "_positional_window_sketches", "_sketch_windows", "_band_join"} <= seen
+    assert {"_map_sorted_groups", "_merge_on_driver", "_span_partials",
+            "_join_span_offsets", "_positional_window_sketches", "_window_sketches",
+            "_sketch_windows", "_band_join"} <= seen
     assert sorted(n for n in funcs if calls_map_groups(n)) == []
+    # nor does any line of the module materialize a Dataset: an event
+    # entry is one Ray execution
+    assert [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "materialize"] == []
+
+
+def _blocks_dataset(table: pa.Table):
+    """``table`` sorted by span as a Ray Dataset of three blocks, each
+    holding rows of every busy key, plus an empty one."""
+    import ray.data
+
+    t = table.sort_by("span_id")
+    cut = [0, t.num_rows // 3, 2 * t.num_rows // 3, t.num_rows]
+    return ray.data.from_arrow([t.slice(0, 0), *(t.slice(a, b - a)
+                                                 for a, b in zip(cut[:-1], cut[1:]))])
+
+
+_DRIVER_MERGES = {
+    "acf1": (TYPE_SPAN, q._acf1_span, ["event_type"], q._acf1_merge, ("span_id",)),
+    "interarrival": (TYPE_SPAN, q._interarrival_span, ["event_type"],
+                     q._interarrival_merge, ("span_id",)),
+    "asof": (SPAN, q._asof_span, ["user_id"], q._asof_user, ("span_id", "kind")),
+}
+
+
+@pytest.mark.parametrize("name", list(_DRIVER_MERGES))
+def test_driver_merges_equal_the_sorted_group_map(ray_session, ev, name):
+    """A driver merge (_merge_on_driver) gives the rows the same kernel gives
+    on _map_sorted_groups over a Dataset of several blocks, bit for bit."""
+    (span_keys, span_order), per_span, keys, merge, order = _DRIVER_MERGES[name]
+    parts = per_span(*q._sorted_groups(ev, span_keys, span_order))
+    ds = _blocks_dataset(parts)
+    assert ds.num_blocks() == 4
+    got = q._merge_on_driver(ds, keys, merge, order).to_pandas()
+    assert len(got)
+    _same(got, q._map_sorted_groups(ds, keys, merge, order).to_pandas())

@@ -104,11 +104,15 @@ def combine(ds, keys: list[str], aggs: dict[str, tuple[str, str]],
     def partial(batch: pa.Table) -> pa.Table:
         return partials(batch, keys, aggs, prep)
 
-    # every block, one execution, through Ray's DeveloperAPI block
-    # iterator: iter_batches skips zero-row blocks, so their types would
-    # be lost, and to_arrow_refs runs the plan again to fetch the schema
-    bundles = ds.map_batches(partial, batch_format="pyarrow").iter_internal_ref_bundles()
-    return merge(ray.get([ref for b in bundles for ref in b.block_refs]), keys, aggs)
+    return merge(fetch_blocks(ds.map_batches(partial, batch_format="pyarrow")), keys, aggs)
+
+
+def fetch_blocks(ds) -> list[pa.Table]:
+    """Every block of ``ds`` on the driver, in one execution and one
+    ``ray.get``.  Ray's DeveloperAPI block iterator keeps the zero-row
+    blocks and their types (iter_batches skips them), and to_arrow_refs
+    would run the plan again to fetch the schema."""
+    return ray.get([ref for b in ds.iter_internal_ref_bundles() for ref in b.block_refs])
 
 
 def shuffle_combine(ds, keys: list[str], aggs: dict[str, tuple[str, str]],

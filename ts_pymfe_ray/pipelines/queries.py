@@ -26,8 +26,8 @@ import ray.data
 
 from ts_pymfe_ray.functions import sketch as sk
 from ts_pymfe_ray.functions.rounding import round_ha
-from ts_pymfe_ray.pipelines.combine import (combine, group_rank, nan_to_null,
-                                            shuffle_combine, topk)
+from ts_pymfe_ray.pipelines.combine import (combine, fetch_blocks, group_rank,
+                                            nan_to_null, shuffle_combine, topk)
 from ts_pymfe_ray.sources.sequences import list_parquet_files, read_row_groups
 
 ROUND = 6
@@ -139,6 +139,14 @@ def _user_day_rows(sf_dir: str):
 # the ones map_groups would form — one (key, span) slice, one key's span
 # rows or one window — so the per-task bound is unchanged: no group holds
 # more than max(span event count, bucket) rows of one key.
+#
+# A merge over a bounded key (the per-event_type span rows of acf1 and
+# inter-arrival) or over rows the entry returns to the driver anyway (the
+# as-of clicks) runs the same kernel once on the driver
+# (_merge_on_driver), as combine merges its partials there.  Rows of
+# different kinds that a second pass must treat differently travel
+# together, routed by their sort key — never split into two Datasets —
+# so every q_events_* entry is one Ray execution.
 
 # span width of every span-partial operator: bounds any single task's
 # group by TIME RANGE — the production knob against hot keys (a bot
@@ -174,6 +182,16 @@ def _map_sorted_groups(ds, keys, fn, order=()):
         return fn(*_sorted_groups(block, keys, order))
 
     return ds.sort(keys).map_batches(run, batch_format="pyarrow", batch_size=None)
+
+
+def _merge_on_driver(ds, keys, fn, order=()):
+    """:func:`_map_sorted_groups` run once on the driver: ``fn(block,
+    starts)`` over every row of ``ds`` (one execution, one
+    :func:`fetch_blocks`), sorted by ``keys + order``.  For a bounded key
+    (event types) or rows the entry returns to the driver anyway, where a
+    second sort and map would cost more than they spread."""
+    rows = pa.concat_tables([b for b in fetch_blocks(ds) if b.num_columns])
+    return fn(*_sorted_groups(rows, list(keys), order))
 
 
 def _seg(starts: np.ndarray, n: int):
@@ -242,23 +260,6 @@ def _span_partials(tagged, key: str, per_span):
     span_id) slices of ``tagged``, each slice sorted by (ts_us, event_id)."""
     return _map_sorted_groups(tagged, [key, "span_id"], per_span,
                               order=("ts_us", "event_id"))
-
-
-def _split_kinds(parts, resolved_cols: list[str],
-                 rest_cols: list[str] | None = None):
-    """Materialize span partials once and split them by ``kind``: kind 0
-    rows (resolved in-span) projected to ``resolved_cols``, kind > 0 rows
-    (left for a second pass) to ``rest_cols`` (all columns when None)."""
-    parts = parts.materialize()
-
-    def take(keep, cols):
-        def f(batch: pa.Table) -> pa.Table:
-            rows = batch.filter(keep(batch.column("kind"), 0))
-            return rows if cols is None else rows.select(cols)
-
-        return parts.map_batches(f, batch_format="pyarrow")
-
-    return take(pc.equal, resolved_cols), take(pc.greater, rest_cols)
 
 
 # ---------------------------------------------------------------- queries
@@ -353,8 +354,8 @@ def q_events_acf1(sf_dir: str, span_hours: int = _SPAN_HOURS) -> pd.DataFrame:
     task.  Float sums stay per-slice ``.sum()`` calls (np.add.reduceat
     associates differently and would move the rounded r)."""
     tagged = _span_tagged(sf_dir, ["event_type", "event_id", "value"], span_hours)
-    out = _map_sorted_groups(_span_partials(tagged, "event_type", _acf1_span),
-                             ["event_type"], _acf1_merge, order=("span_id",)).to_pandas()
+    out = _merge_on_driver(_span_partials(tagged, "event_type", _acf1_span),
+                           ["event_type"], _acf1_merge, order=("span_id",)).to_pandas()
     return out.sort_values("event_type").reset_index(drop=True)
 
 
@@ -797,8 +798,8 @@ def q_events_interarrival(sf_dir: str, span_hours: int = _SPAN_HOURS) -> pd.Data
     exact int64 (total <= the time range in us), so mean is one shared
     IEEE division and min/max are exact."""
     tagged = _span_tagged(sf_dir, ["event_type", "event_id"], span_hours)
-    out = _map_sorted_groups(_span_partials(tagged, "event_type", _interarrival_span),
-                             ["event_type"], _interarrival_merge, order=("span_id",)).to_pandas()
+    out = _merge_on_driver(_span_partials(tagged, "event_type", _interarrival_span),
+                           ["event_type"], _interarrival_merge, order=("span_id",)).to_pandas()
     # a single-event type has no gap: the twin's MIN/MAX are NULL, which
     # DuckDB hands over as NaN in a float64 column
     no_gap = out["n_gaps"].to_numpy() == 0
@@ -949,15 +950,18 @@ def q_events_value_var(sf_dir: str) -> pd.DataFrame:
 #      ranks locally; windows FULLY inside a span (the bulk of the data at
 #      production event rates) are sketched right there, all of a block's
 #      in-span windows in one compute_window_sketches_at call;
-#   3. only the <= bucket-1 head/tail boundary events per span ship to a
-#      (user_id, window_id) sort whose groups are <= bucket rows BY
-#      CONSTRUCTION, again sketched one block per call.
+#   3. one (user_id, window_id) sort takes every span row: a window
+#      wholly inside one span is its one kind 0 sketch row, passed
+#      through; any other window is made only of the <= bucket-1 head/tail
+#      boundary events (kind 1) of the spans it crosses, <= bucket rows BY
+#      CONSTRUCTION, sketched one block per call.
 #
 # No group ever holds more than max(span event count, bucket) rows of one
-# user.  A block-wide sketch call is bitwise-identical to one call per
-# span (or per window): `barriers` zero the comoment pair across each
-# group end exactly like the per-call zero pad, and np.add.reduceat sums a
-# segment the same way wherever it sits in the array.  Per-window sketches
+# user, and the whole family is one Ray execution.  A block-wide sketch
+# call is bitwise-identical to one call per span (or per window):
+# `barriers` zero the comoment pair across each group end exactly like
+# the per-call zero pad, and np.add.reduceat sums a segment the same way
+# wherever it sits in the array.  Per-window sketches
 # computed in isolation are bitwise-identical to the whole-series path for
 # every field except the comoment c1 (a (sum+cross)-cross vs sum+0
 # ulp-class association difference that only feeds acf1, an off-grid
@@ -1045,6 +1049,18 @@ def _sketch_windows(block: pa.Table, starts: np.ndarray, bucket: int) -> pa.Tabl
                      "s1_seq": _seq_sums(v, starts, bucket)})
 
 
+def _window_sketches(block: pa.Table, starts: np.ndarray, bucket: int) -> pa.Table:
+    """Each (user_id, window_id) group of ``_window_span`` rows in (kind,
+    rank) order -> its sketch row: a window wholly inside one span is its
+    one kind 0 row, passed through; any other window is made only of kind
+    1 edge rows, sketched by :func:`_sketch_windows`."""
+    edge = block.column("kind").to_numpy() == 1
+    s = starts[edge[starts]]  # the edge windows' starts among the edge rows
+    return pa.concat_tables([
+        block.filter(pa.array(~edge)).select(["user_id", "window_id", *_SKETCH_COLS]),
+        _sketch_windows(block.filter(pa.array(edge)), s - np.cumsum(~edge)[s], bucket)])
+
+
 def _window_stats(df: pd.DataFrame, scale: float = 1.0) -> pd.DataFrame:
     """Sketch rows -> per-window count / mean / var, with ``s1`` summed
     sequentially (DuckDB's association) and mean / var divided by
@@ -1115,15 +1131,11 @@ def _positional_window_sketches(sf_dir: str, bucket: int,
 
         tagged = tagged.map_batches(to_cents, batch_format="pyarrow")
 
-    local_sk, boundary = _split_kinds(
-        _span_partials(_join_span_offsets(tagged), "user_id",
-                       functools.partial(_window_span, bucket=bucket)),
-        ["user_id", "window_id", *_SKETCH_COLS],
-        ["user_id", "window_id", "rank", "value"])
-    boundary_sk = _map_sorted_groups(boundary, ["user_id", "window_id"],
-                                     functools.partial(_sketch_windows, bucket=bucket),
-                                     order=("rank",))
-    return local_sk.union(boundary_sk)
+    parts = _span_partials(_join_span_offsets(tagged), "user_id",
+                           functools.partial(_window_span, bucket=bucket))
+    return _map_sorted_groups(parts, ["user_id", "window_id"],
+                              functools.partial(_window_sketches, bucket=bucket),
+                              order=("kind", "rank"))
 
 
 def q_events_user_window_rollup(sf_dir: str, bucket: int = 16) -> pd.DataFrame:
@@ -1211,11 +1223,12 @@ def q_events_user_window_acf1(sf_dir: str, bucket: int = 16) -> pd.DataFrame:
     return out.sort_values(["user_id", "window_id"]).reset_index(drop=True)
 
 
-def _gapfill_span(block: pa.Table, starts: np.ndarray) -> pa.Table:
+def _gapfill_span(block: pa.Table, starts: np.ndarray, bucket: int) -> pa.Table:
     """Per (user, span) slice: kind 0 resolved (rank, filled value), kind 1
     unresolved missing (rank), kind 2 one span carry (first/last valid
     rank+value packed into rank=first_rank, value=first_value,
-    rank2/value2)."""
+    rank2/value2).  ``slot`` routes the rows: ``rank // bucket`` for kind
+    0, -1 for the carry rows (kinds 1 and 2)."""
     (uid, ids, v), rank, starts, _, _ = _ranked_events(
         block, starts, "user_id", "event_id", "value")
     n = v.size
@@ -1239,6 +1252,7 @@ def _gapfill_span(block: pa.Table, starts: np.ndarray) -> pa.Table:
     return pa.table({
         "user_id": np.concatenate([uid[done], uid[edge], uid[fv]]),
         "kind": np.repeat(np.array([0, 1, 2]), [done.sum(), edge.sum(), fv.size]),
+        "slot": np.concatenate([rank[done] // bucket, np.full(edge.sum() + fv.size, -1)]),
         "rank": np.concatenate([rank[done], rank[edge], rank[fv]]),
         "value": np.concatenate([np.where(valid, v, filled)[done], v[edge], v[fv]]),
         "rank2": np.concatenate([zero.astype(np.int64), rank[lv]]),
@@ -1247,28 +1261,26 @@ def _gapfill_span(block: pa.Table, starts: np.ndarray) -> pa.Table:
 
 
 def _gapfill_resolve(block: pa.Table, starts: np.ndarray) -> pa.Table:
-    """Per user over its kind 1 and kind 2 rows in rank order: each
-    unresolved missing rank p filled.  Spans cover disjoint rank ranges,
-    so the nearest valid BEFORE p is the last valid of the latest carry
-    row before p, and the nearest valid AFTER p is the first valid of the
-    earliest carry row after p."""
+    """Per group in rank order, a kind 0 row passed through, or a user's
+    carry group (its kind 1 and kind 2 rows) with each unresolved missing
+    rank p filled.  Spans cover disjoint rank ranges, so the nearest valid
+    BEFORE p is the last valid of the latest carry row before p, and the
+    nearest valid AFTER p is the first valid of the earliest carry row
+    after p."""
     uid, kind, p, v, r2, v2 = _cols(block, "user_id", "kind", "rank", "value",
                                     "rank2", "value2")
     ip, iq = _nearest(kind == 2, starts)
-    un = np.flatnonzero(kind == 1)
-    ip, iq, pu = ip[un], iq[un], p[un]
     has_p, has_n = ip >= 0, iq >= 0
     ip, iq = np.maximum(ip, 0), np.maximum(iq, 0)
     gpi, pv = r2[ip].astype(np.float64), v2[ip]
     gni, nv = p[iq].astype(np.float64), v[iq]
     with np.errstate(invalid="ignore", divide="ignore"):
-        interp = pv + (nv - pv) * (pu.astype(np.float64) - gpi) / (gni - gpi)
-    filled = np.where(~has_p, nv, np.where(~has_n, pv, interp))
+        interp = pv + (nv - pv) * (p.astype(np.float64) - gpi) / (gni - gpi)
+    filled = np.where(kind == 0, v, np.where(~has_p, nv, np.where(~has_n, pv, interp)))
     # a user with no valid value anywhere keeps its missing events
     # unfilled: emit nothing
-    keep = has_p | has_n
-    return pa.table({"user_id": uid[un][keep], "rank": pu[keep],
-                     "value": filled[keep]})
+    keep = (kind == 0) | ((kind == 1) & (has_p | has_n))
+    return pa.table({"user_id": uid[keep], "rank": p[keep], "value": filled[keep]})
 
 
 def q_events_gapfill_rollup(sf_dir: str, bucket: int = 16,
@@ -1281,22 +1293,24 @@ def q_events_gapfill_rollup(sf_dir: str, bucket: int = 16,
     half-boundary means), then window-rolled up.  Distributed with the
     same span-carry shape as the engine: missing runs whose interpolation
     neighbors are both in-span resolve locally; only head/tail runs plus
-    ONE (first/last valid) carry row per span take a per-user pass, whose
-    group is O(active spans + boundary-run events), never the full
-    history.  The DuckDB twin reproduces the policy with IGNORE NULLS
-    window functions, validating the gap-fill path end-to-end."""
+    ONE (first/last valid) carry row per span take a per-user pass.  One
+    (user_id, slot) sort routes them: a user's carry rows form one group,
+    O(active spans + boundary-run events), never the full history, and the
+    resolved rows pass through in groups of <= bucket ranks.  The DuckDB
+    twin reproduces the policy with IGNORE NULLS window functions,
+    validating the gap-fill path end-to-end."""
     tagged = _span_tagged(sf_dir, ["user_id", "event_id", "value"], span_hours)
-    resolved, carry = _split_kinds(
-        _span_partials(_join_span_offsets(tagged), "user_id", _gapfill_span),
-        ["user_id", "rank", "value"])
-    fixed = _map_sorted_groups(carry, ["user_id"], _gapfill_resolve, order=("rank",))
+    parts = _span_partials(_join_span_offsets(tagged), "user_id",
+                           functools.partial(_gapfill_span, bucket=bucket))
+    fixed = _map_sorted_groups(parts, ["user_id", "slot"], _gapfill_resolve,
+                               order=("rank",))
 
     def add_window(batch: pa.Table) -> pa.Table:
         return batch.append_column(
             "window_id", pc.divide(batch.column("rank"), bucket))
 
     sks = _map_sorted_groups(
-        resolved.union(fixed).map_batches(add_window, batch_format="pyarrow"),
+        fixed.map_batches(add_window, batch_format="pyarrow"),
         ["user_id", "window_id"], functools.partial(_sketch_windows, bucket=bucket),
         order=("rank",)).to_pandas()
     out = _window_stats(sks).drop(columns="value_var")
@@ -1466,18 +1480,20 @@ def _asof_span(block: pa.Table, starts: np.ndarray) -> pa.Table:
 
 
 def _asof_user(block: pa.Table, starts: np.ndarray) -> pa.Table:
-    """Per user over its unresolved clicks and carry rows in (span, kind)
-    order: a span's clicks come before its carry, so the latest carry row
-    before a click is the last purchase of an earlier span (LOCF)."""
-    kind, ids, ts = _cols(block, "kind", "event_id", "ts_us")
-    un = np.flatnonzero(kind == 1)
-    c = _nearest(kind == 2, starts)[0][un]
-    has = c >= 0
+    """Per user over its span rows in (span, kind) order: a resolved click
+    (kind 0) keeps its match, and an unresolved one (kind 1) takes the
+    latest carry row (kind 2) before it — a span's clicks come before its
+    carry, so that is the last purchase of an earlier span (LOCF)."""
+    kind, ids, ts, pid, lag = _cols(block, "kind", "event_id", "ts_us",
+                                    "purchase_event_id", "lag_us")
+    c = _nearest(kind == 2, starts)[0]
+    has = (kind == 1) & (c >= 0)
     c = np.maximum(c, 0)
+    click = kind < 2
     return pa.table({
-        "event_id": ids[un],
-        "purchase_event_id": np.where(has, ids[c], -1),
-        "lag_us": np.where(has, ts[un] - ts[c], -1),
+        "event_id": ids[click],
+        "purchase_event_id": np.where(has, ids[c], pid)[click],
+        "lag_us": np.where(has, ts - ts[c], lag)[click],
     })
 
 
@@ -1486,16 +1502,15 @@ def q_events_asof_purchase_carry(sf_dir: str,
     """AS-OF JOIN (strictly-before LOCF match): every 'click' event joins
     the latest 'purchase' of the SAME user ordered by (ts, event_id).
     Boundary-carry: clicks resolve against in-span purchases locally;
-    only the UNRESOLVED clicks (no earlier purchase in their own span) and
-    one last-purchase carry row per span take the second, per-user pass.
-    Resolved rows stream straight through — a user's full history is
-    never co-located (pinned against a per-user pandas reference by
-    tests/test_pipeline.py::test_asof_carry_matches_per_user)."""
+    only the UNRESOLVED clicks (no earlier purchase in their own span) take
+    the last-purchase carry row of an earlier span.  The span rows — one
+    per click plus one per span with a purchase — come to the driver,
+    where the output goes anyway, for that per-user pass; a user's full
+    history is never co-located (pinned against a per-user pandas
+    reference by tests/test_pipeline.py::test_asof_carry_matches_per_user)."""
     tagged = _span_tagged(sf_dir, ["user_id", "event_id", "event_type"], span_hours)
-    resolved, carry = _split_kinds(_span_partials(tagged, "user_id", _asof_span),
-                                   ["event_id", "purchase_event_id", "lag_us"])
-    fixed = _map_sorted_groups(carry, ["user_id"], _asof_user, order=("span_id", "kind"))
-    out = resolved.union(fixed).to_pandas()
+    out = _merge_on_driver(_span_partials(tagged, "user_id", _asof_span), ["user_id"],
+                           _asof_user, order=("span_id", "kind")).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
