@@ -738,20 +738,24 @@ def _q_seq_gapfill_mean(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
 
-    from ts_pymfe_ray.functions.gapfill import gap_fill
+    from ts_pymfe_ray.functions.gapfill import SENTINEL, gap_fill_flat
     from ts_pymfe_ray.functions.rounding import round_ha
     from ts_pymfe_ray.pipelines.combine import combine
     from ts_pymfe_ray.sources.sequences import read_sequences
     from ts_pymfe_ray.synth import ensure_sequences_for_dir
 
     def per_doc(batch: pa.Table) -> pa.Table:
-        from ts_pymfe_ray.stages.rollup import tokens_views
+        from ts_pymfe_ray.stages.rollup import tokens_flat
 
-        views, _, _ = tokens_views(batch)
-        gappy = np.array([bool((tok == -1).any()) for tok in views], dtype=bool)
+        t_off, t_flat = tokens_flat(batch)
+        off = t_off - t_off[0]
+        x = gap_fill_flat(t_flat, t_off, np.empty(int(off[-1])))
+        lens = np.diff(off)
+        row = np.repeat(np.arange(lens.size), lens)
+        gappy = np.bincount(row[t_flat[t_off[0]:t_off[-1]] == SENTINEL], minlength=lens.size) > 0
         # sequential accumulation == DuckDB's in-order list sum
-        m4 = [round_ha(float(np.cumsum(x)[-1]) / x.size, 4)
-              for x in (gap_fill(views[i]) for i in np.flatnonzero(gappy))]
+        m4 = [round_ha(float(np.cumsum(x[off[i]:off[i + 1]])[-1]) / int(lens[i]), 4)
+              for i in np.flatnonzero(gappy)]
         return pa.table({"source": batch.column("source").filter(pa.array(gappy)),
                          "m4": pa.array(m4, pa.float64())})
 
@@ -1400,9 +1404,10 @@ def oracle_sql() -> dict[str, str]:
             ORDER BY source
         """,
         "doc_fingerprints": """
-            -- md5_number_lower == the engine's _md5_64 (low 8 digest bytes,
-            -- little-endian); min over rolling 8-word windows, whole text
-            -- when <= 8 words (winnowing-lite, textops.rolling_fingerprint)
+            -- md5_number_lower == the engine's md5vec.md5_lower64 (low 8
+            -- digest bytes, little-endian); min over rolling 8-word windows,
+            -- whole text when <= 8 words (winnowing-lite,
+            -- textops.rolling_fingerprints_batch)
             WITH fp AS (
                 SELECT source,
                        CASE WHEN len(string_split(text, ' ')) <= 8

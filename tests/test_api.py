@@ -65,6 +65,15 @@ def test_tsmfe_unfitted_raises():
         TSMFE(groups=("general",)).extract()
     with pytest.raises(ValueError):
         TSMFE(groups=("nope",))
+    # unknown summary, measure_time mode or cost tier fail at construction
+    with pytest.raises(ValueError):
+        TSMFE(groups=("general",), summary=("mean", "nope"))
+    with pytest.raises(ValueError):
+        TSMFE(groups=("general",), measure_time="sometimes")
+    with pytest.raises(ValueError):
+        TSMFE(groups=("general",), max_cost="free")
+    for mode in ("avg", "avg_summ", "total", "total_summ"):
+        TSMFE(groups=("general",), measure_time=mode, max_cost="cheap")
 
 
 def test_tsmfe_measure_time_and_custom_summary():

@@ -1,6 +1,7 @@
-"""The batch feature path: every kernel's batch form equals its per-row
-``fn``, ``FeatureStage`` equals per-row ``evaluate_row``, and the array
-summaries are numpy's mean/std bitwise, whatever BLAS core the host picks."""
+"""The batch feature path: every kernel's batch form (and its one-row
+call) equals an independent per-row reference kept here, ``FeatureStage``
+equals per-row ``evaluate_row``, and the array summaries are numpy's
+mean/std bitwise, whatever BLAS core the host picks."""
 
 import os
 import subprocess
@@ -12,7 +13,17 @@ import pyarrow as pa
 import pytest
 
 import ts_pymfe_ray.features  # noqa: F401  (populates the registry)
+from ts_pymfe_ray.functions import stats as _st
 from ts_pymfe_ray.functions.gapfill import gap_fill
+from ts_pymfe_ray.functions.kernels_general import _discretize, _find_crit_pt
+from ts_pymfe_ray.functions.kernels_info import shannon_entropy
+from ts_pymfe_ray.functions.kernels_local import (
+    _TILE_FEATURES,
+    MOVING_BASE_STATS,
+    _power_prefixes,
+    _tile_moments,
+    process_window_size,
+)
 from ts_pymfe_ray.registry import (
     DEFAULT_ANALYSIS_CAP,
     FeatureKernel,
@@ -27,6 +38,195 @@ from ts_pymfe_ray.registry import (
 from ts_pymfe_ray.stages.features import FeatureStage
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+# ------------------------------------------------ per-row references
+# Each batch kernel's per-row body, kept as the independent reference its
+# batch form ``many`` must equal bitwise.  A reference that raises or
+# returns no finite value stands for an empty row in the batch form.
+
+
+class _RowWindows:
+    """The n-w+1 full sliding windows of ONE row: window sums from the
+    row's power prefixes ``P`` (the window source of the moving stats)."""
+
+    def __init__(self, s: np.ndarray, w: int, P: np.ndarray):
+        self.s, self.w, self.P = s, w, P
+
+    def sums(self, power: int) -> np.ndarray:
+        c = self.P[power - 1]
+        return c[self.w:] - c[: -self.w]
+
+    def pair_sums(self) -> np.ndarray:
+        """Sum of the w-1 in-window lag-1 products s[i] * s[i+1]."""
+        s, w = self.s, self.w
+        prod = s[:-1] * s[1:]
+        cp = np.zeros(prod.size + 1)
+        np.cumsum(prod, out=cp[1:])
+        return cp[w - 1:] - cp[: -(w - 1)]
+
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each window's first and last value."""
+        return self.s[: self.s.size - self.w + 1], self.s[self.w - 1:]
+
+    def log_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sum of the finite logs, count of the non-positive values) per
+        window."""
+        w = self.w
+        logs = np.where(self.s > 0, np.log(np.maximum(self.s, 1e-300)), np.nan)
+        c = np.zeros(logs.size + 1)
+        np.nancumsum(logs, out=c[1:])
+        bad = np.zeros(logs.size + 1)
+        np.cumsum(~np.isfinite(logs), out=bad[1:])
+        return c[w:] - c[:-w], bad[w:] - bad[:-w]
+
+
+def _moving_ref(stat_fn, shift: bool):
+    def fn(c: SeriesCtx) -> np.ndarray:
+        w = process_window_size(c.ts.size, 0.1)
+        if w < 2 or c.ts.size < w:
+            return np.full(1, np.nan)
+        z = c.ts_scaled
+        vals = stat_fn(_RowWindows(z, w, _power_prefixes(z)))
+        v = vals[np.isfinite(vals)]
+        return np.abs(v[1:] - v[:-1]) if shift else v
+
+    return fn
+
+
+def _tile_stats(c: SeriesCtx, num_tiles: int = 16) -> dict[str, np.ndarray]:
+    """Per-tile mean/var/min/max in one reduceat pass; tiles follow
+    np.array_split (the first n % k tiles get one extra element)."""
+    s = c.ts_scaled
+    n = s.size
+    if num_tiles > 0.5 * n:
+        raise ValueError("num_tiles larger than half the series size")
+    base, extra = divmod(n, num_tiles)
+    sizes = np.full(num_tiles, base, dtype=np.int64)
+    sizes[:extra] += 1
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    return _tile_moments(np.add.reduceat(s, starts), np.add.reduceat(s * s, starts),
+                         np.minimum.reduceat(s, starts), np.maximum.reduceat(s, starts),
+                         sizes.astype(np.float64))
+
+
+def _step_changes(ts: np.ndarray, ddof: int = 1) -> np.ndarray:
+    """O(n) prefix-std form of the reference's O(n^2) loop."""
+    n = ts.size
+    cs = np.cumsum(ts)
+    cs2 = np.cumsum(ts * ts)
+    cnt = np.arange(1, n + 1, dtype=np.float64)
+    cmeans = cs / cnt
+    mean_abs_div = np.abs(ts[1:] - cmeans[:-1])
+    i = np.arange(1 + ddof, n)
+    pn = i.astype(np.float64)
+    var = (cs2[i - 1] - pn * cmeans[i - 1] ** 2) / (pn - ddof)
+    var = np.maximum(var, 0.0)
+    return (mean_abs_div[i - 1] > 2.0 * np.sqrt(var)).astype(float)
+
+
+def _frac_cp(c: SeriesCtx) -> float:
+    s = c.ts_scaled
+    higher = s <= np.median(s)
+    return float(np.logical_xor(higher[1:], higher[:-1]).sum() / (s.size - 1))
+
+
+def _fs_len(c: SeriesCtx) -> np.ndarray:
+    ts_disc = _discretize(c.ts, 10)
+    change = np.flatnonzero(ts_disc[1:] != ts_disc[:-1])
+    if change.size == 0:
+        return np.empty(0)
+    return np.diff(np.concatenate([[-1], change])).astype(float)
+
+
+def _walker(ts_scaled: np.ndarray, step_size: float = 0.1) -> np.ndarray:
+    """w[i] = w[i-1] + s*(ts[i-1]-w[i-1]), w[0] = 0, as a closed form in
+    chunks of 256 (to avoid (1-s)^-i overflow)."""
+    n = ts_scaled.size
+    w = np.empty(n, dtype=np.float64)
+    s = step_size
+    a = 1.0 - s
+    prev = 0.0
+    chunk = 256
+    for st in range(0, n, chunk):
+        en = min(n, st + chunk)
+        m = en - st
+        u = ts_scaled[st - 1: en - 1] if st > 0 else np.concatenate([[0.0], ts_scaled[: m - 1]])
+        if st == 0:
+            u[0] = 0.0
+        pow_a = a ** np.arange(m, dtype=np.float64)
+        if st == 0:
+            contrib = np.concatenate([[0.0], s * u[1:] / pow_a[1:]])
+            w[st:en] = np.cumsum(contrib) * pow_a
+        else:
+            y = np.cumsum(u / pow_a)
+            w[st:en] = pow_a * a * prev + s * pow_a * y
+        prev = w[en - 1]
+    return w
+
+
+def _walker_cross_frac(c: SeriesCtx) -> float:
+    s = c.ts_scaled
+    w = _walker(s)
+    cross = (w[1:] - s[1:]) * (w[:-1] - s[:-1]) < 0
+    return float(cross.sum() / (s.size - 1))
+
+
+def _stick_angles(c: SeriesCtx) -> np.ndarray:
+    s = c.ts_scaled
+    norm = s.size - 1
+
+    def ang(inds):
+        if inds.size < 2:
+            return np.empty(0)
+        tangent = np.diff(s[inds]) / np.diff(inds)
+        return np.arctan(norm * tangent)
+
+    nonneg = s >= 0
+    return np.hstack([ang(np.flatnonzero(nonneg)), ang(np.flatnonzero(~nonneg))])
+
+
+def _trim_mean(x: np.ndarray, proportiontocut: float = 0.02) -> float:
+    """scipy.stats.trim_mean: sort, drop floor(p*n) from each end, mean."""
+    x = np.sort(x)
+    n = x.size
+    k = int(n * proportiontocut)
+    return float(x[k: n - k].mean()) if n - 2 * k > 0 else np.nan
+
+
+def _hist10_entropy(x: np.ndarray) -> float:
+    if x.size == 0:
+        raise ValueError("empty histogram")
+    return shannon_entropy(np.histogram(x, 10, density=True)[0]) / np.log2(10)
+
+
+def _hist_ent_out_diff(c: SeriesCtx, pcut: float = 0.05) -> float:
+    lo, hi = np.quantile(c.ts, (pcut, 1 - pcut))
+    return _hist10_entropy(c.ts) - _hist10_entropy(c.ts[(c.ts >= lo) & (c.ts <= hi)])
+
+
+ROW_REFS = {
+    **{name + ("_shift" if shift else ""): _moving_ref(stat, shift)
+       for name, stat, _ in MOVING_BASE_STATS for shift in (False, True)},
+    **{name: (lambda feat: lambda c: feat(_tile_stats(c)))(feat)
+       for name, feat, _ in _TILE_FEATURES},
+    "length": lambda c: float(c.ts_all.size),
+    "diff": lambda c: np.diff(c.ts),
+    "turning_points": lambda c: _find_crit_pt(c.ts, "non-plateau").astype(float),
+    "step_changes": lambda c: _step_changes(c.ts),
+    "frac_cp": _frac_cp,
+    "bin_mean": lambda c: (c.ts >= c.ts.mean()).astype(float),
+    "fs_len": _fs_len,
+    "walker_path": lambda c: np.abs(_walker(c.ts_scaled) - c.ts_scaled),
+    "walker_cross_frac": _walker_cross_frac,
+    "stick_angles": _stick_angles,
+    "sd_diff": lambda c: float(np.std(np.diff(c.ts), ddof=1)),
+    "skewness_diff": lambda c: _st.skewness(np.diff(c.ts)),
+    "kurtosis_diff": lambda c: _st.kurtosis(np.diff(c.ts)),
+    "t_mean": lambda c: _trim_mean(c.ts, 0.02),
+    "hist_entropy": lambda c: _hist10_entropy(c.ts),
+    "hist_ent_out_diff": _hist_ent_out_diff,
+}
 
 
 def _same(a, b) -> bool:
@@ -113,11 +313,25 @@ def test_summarize_array_is_numpy_mean_and_std():
         assert _same(mean[i], one["mean"]) and _same(sd[i], one["sd"]), i
 
 
+def test_one_body_per_kernel():
+    """A kernel takes exactly one body, and the reference table above
+    covers exactly the kernels whose body is a batch form."""
+    many = lambda b: b.lens.astype(float)  # noqa: E731
+    with pytest.raises(ValueError):
+        FeatureKernel("zz_two", "general", lambda c: 0.0, many=many)
+    with pytest.raises(ValueError):
+        FeatureKernel("zz_none", "general")
+    k = FeatureKernel("zz_len", "general", many=many)
+    assert k.fn(SeriesCtx(np.arange(7.0))) == 7.0
+    assert {k.name for k in kernels_of(max_cost="heavy") if k.many is not None} == set(ROW_REFS)
+
+
 def test_batch_forms_equal_per_row_fns():
-    """Every ``many`` equals its ``fn`` on every row of 300 random ragged
-    batches: the same finite values in the same order (what the summaries
-    read), or the same scalar bits.  A row whose ``fn`` raises or returns
-    no finite value is empty in the batch form."""
+    """Every ``many`` equals its per-row reference on every row of 300
+    random ragged batches: the same finite values in the same order (what
+    the summaries read), or the same scalar bits.  A row whose reference
+    raises or returns no finite value is empty in the batch form.  The
+    kernel's ``fn``, its one-row call, equals the batch row too."""
     kernels = [k for k in kernels_of(max_cost="heavy") if k.many is not None]
     cheap = {k.name for k in kernels_of(max_cost="cheap") if k.many is None}
     assert cheap == {"acf", "period", "lz_complexity"}
@@ -132,17 +346,20 @@ def test_batch_forms_equal_per_row_fns():
                 res = k.many(b)
                 for i, c in enumerate(ctxs):
                     try:
-                        want = k.fn(SeriesCtx(c.ts_all, doc_id=c.doc_id))
+                        want = ROW_REFS[k.name](SeriesCtx(c.ts_all, doc_id=c.doc_id))
                     except Exception:
                         want = None
+                    one = k.fn(SeriesCtx(c.ts_all, doc_id=c.doc_id))
                     if k.returns_array:
                         flat, off = res
                         got = flat[off[i]: off[i + 1]]
                         want = (np.asarray(want, dtype=np.float64).ravel()
                                 if isinstance(want, np.ndarray) else np.empty(0))
                         ok = _same(got[np.isfinite(got)], want[np.isfinite(want)])
+                        ok = ok and _same(one, got)
                     else:
                         ok = _same(res[i], np.nan if want is None else float(want))
+                        ok = ok and _same(one, res[i])
                     assert ok, (trial, k.name, i, c.ts.size)
 
 
@@ -161,9 +378,10 @@ def test_feature_stage_equals_evaluate_row(max_cost):
 
 
 def test_batch_form_errors_fall_back_per_row():
-    """A batch form that raises hands its kernel to the per-row fn for
-    the batch: rows holding a NaN make the sort-based forms raise, and
-    every column still equals evaluate_row (NaN-on-error stays per row)."""
+    """A batch form that raises hands its kernel to the per-row fn, its
+    one-row call, for the batch: rows holding a NaN make the sort-based
+    forms raise, and every column still equals evaluate_row (NaN-on-error
+    stays per row)."""
     rng = np.random.default_rng(5)
     series = [rng.normal(size=n) for n in (40, 3, 90)]
     series[2][7] = np.nan
@@ -174,10 +392,12 @@ def test_batch_form_errors_fall_back_per_row():
         for c, v in evaluate_row(s, f"n{i}", ks).items():
             assert _same(got[c][i], v), (i, c)
 
-    def boom(b):
-        raise RuntimeError("no batch form today")
+    def one_row_only(b):
+        if len(b.ctxs) > 1:
+            raise RuntimeError("no batch form for more than one row")
+        return b.lens.astype(float)
 
-    k = FeatureKernel("zz_len", "general", lambda c: float(c.ts.size), many=boom)
+    k = FeatureKernel("zz_len", "general", many=one_row_only)
     assert _same(evaluate_batch(ctxs, [k])["zz_len"], [40.0, 3.0, 90.0])
 
 

@@ -345,8 +345,6 @@ def test_shuffle_combine_equals_combine(ray_session):
 
 # Functions that still hold ``.to_pandas()`` and ``.groupby(``, and why.
 _ALLOWED = {
-    # a driver-side report over a written, bounded table
-    "curation:curated_report": "reads the job's materialized output, not per-batch partials",
     # other operators: a shuffle join, a sketch merge, map_groups
     "queries:q_revenue_by_nation": "the union+groupby equi-join (join.py)",
     "queries:q_events_distinct_users_kmv": "KMV sketch merge, not an aggregate",

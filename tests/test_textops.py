@@ -1,6 +1,8 @@
 """Training-data operator tests: dedup family, ANN, text analysis,
 multimodal stub, bootstrap pipeline."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,27 +11,85 @@ from ts_pymfe_ray.pipelines import textops as t
 SF = "/root/testdata/sf0.001"
 
 
+# ------------------------------------------------ one-document references
+# hashlib-based twins of the batch hashers (the DuckDB oracles compute the
+# same md5_number_lower values).
+
+
+def _md5_64(s: str) -> int:
+    """Low 64 MD5 bits (digest bytes 8..16, little-endian), as DuckDB's
+    md5_number_lower."""
+    return int.from_bytes(hashlib.md5(s.encode()).digest()[8:16], "little")
+
+
+def _word_windows(text: str, k: int) -> list[str]:
+    """Every k-word window of a text split on single spaces; a text of
+    fewer than k words is one window."""
+    words = text.split(" ")
+    if len(words) < k:
+        return [text]
+    return [" ".join(words[i: i + k]) for i in range(len(words) - k + 1)]
+
+
+def _md5_shingles(text: str, k: int = 3) -> np.ndarray:
+    """Distinct word k-shingle md5_64 hashes."""
+    return np.unique(np.array([_md5_64(w) for w in _word_windows(text, k)], dtype=np.uint64))
+
+
+def minhash_signature(shingle_hashes: np.ndarray) -> np.ndarray:
+    """(NUM_PERM,) MinHash signature: min over shingles of (a*x + b) mod p
+    with numpy's ``%`` (exact: a*x + b < 2^63 for 31-bit a, x, b)."""
+    p = np.uint64(t._MERSENNE)
+    x = np.asarray(shingle_hashes, dtype=np.uint64) % p
+    return ((t._A[:, None] * x[None, :] + t._B[:, None]) % p).min(axis=1)
+
+
+def band_keys(sig: np.ndarray) -> list[int]:
+    """md5_64 of each band's comma-joined values plus ``|band``."""
+    r = t.ROWS_PER_BAND
+    return [_md5_64(",".join(str(int(v)) for v in sig[b * r: (b + 1) * r]) + "|" + str(b))
+            for b in range(t.BANDS)]
+
+
+def simhash64(text: str) -> int:
+    """Majority vote, bit by bit, over the md5_64 of every word."""
+    hs = [_md5_64(w) for w in _word_windows(text, 1)]
+    return sum(1 << bit for bit in range(64)
+               if 2 * sum(h >> bit & 1 for h in hs) - len(hs) > 0)
+
+
+def rolling_fingerprint(text: str, window: int = 8) -> int:
+    """Min md5_64 over the rolling ``window``-word windows."""
+    return min(_md5_64(w) for w in _word_windows(text, window))
+
+
+def jaccard(a: np.ndarray, b: np.ndarray) -> float:
+    sa, sb = set(a.tolist()), set(b.tolist())
+    u = len(sa | sb)
+    return len(sa & sb) / u if u else 0.0
+
+
 def test_minhash_estimates_jaccard():
-    a = t._shingles("the quick brown fox jumps over the lazy dog and runs far away today")
-    b = t._shingles("the quick brown fox jumps over the lazy dog and runs far away home now")
-    true_j = t.jaccard(a, b)
-    sa, sb = t.minhash_signature(a), t.minhash_signature(b)
+    a = _md5_shingles("the quick brown fox jumps over the lazy dog and runs far away today")
+    b = _md5_shingles("the quick brown fox jumps over the lazy dog and runs far away home now")
+    true_j = jaccard(a, b)
+    sa, sb = t.minhash_signatures_batch([a, b])
     est = (sa == sb).mean()
     assert abs(est - true_j) < 0.25
-    # identical docs -> identical signatures
-    assert np.array_equal(t.minhash_signature(a), t.minhash_signature(a))
+    # identical docs -> identical signatures, equal to the reference's
+    assert np.array_equal(sa, minhash_signature(a)) and np.array_equal(sb, minhash_signature(b))
 
 
 def test_band_keys_deterministic_and_banded():
-    sig = t.minhash_signature(t._shingles("a b c d e f g h i j k l"))
-    k1, k2 = t.band_keys(sig), t.band_keys(sig)
-    assert k1 == k2 and len(k1) == t.BANDS
+    sig = minhash_signature(_md5_shingles("a b c d e f g h i j k l"))
+    k1, k2 = t.band_keys_batch(np.stack([sig, sig])).tolist()
+    assert k1 == k2 == band_keys(sig) and len(k1) == t.BANDS
 
 
 def test_simhash_properties():
-    h1 = t.simhash64("spark table scan join order merge batch")
-    h2 = t.simhash64("spark table scan join order merge batch")
-    h3 = t.simhash64("completely different words entirely unrelated text")
+    h1, h2, h3 = t.simhash64_batch(["spark table scan join order merge batch",
+                                    "spark table scan join order merge batch",
+                                    "completely different words entirely unrelated text"])
     assert h1 == h2
     ham = bin(int(h1) ^ int(h3)).count("1")
     assert ham > 10  # unrelated docs far apart
@@ -170,7 +230,7 @@ def test_ngram_jaccard_exact_vs_bruteforce(ray_session):
 
     docs = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text"])
     sets = {
-        i: set(t._md5_shingles(x).tolist())
+        i: set(_md5_shingles(x).tolist())
         for i, x in zip(docs.column("doc_id").to_pylist(), docs.column("text").to_pylist())
     }
     expect = {}
@@ -260,27 +320,18 @@ def test_md5vec_bit_parity_with_hashlib():
 
 
 def test_md5vec_word_windows_match_join():
-    """Window (offset, length) views hash identically to the Python
-    ' '.join construction, including multi-byte UTF-8 words."""
-    import hashlib
-
+    """The batch window (offset, length) views hash identically to the
+    Python ' '.join construction, including multi-byte UTF-8 words."""
     from ts_pymfe_ray.functions import md5vec
 
     for text, k in [("the quick brown fox jumps over it", 3),
                     ("你好 世界 测试 foo bar", 2),
                     ("one two", 5),  # fewer words than k -> whole text
                     ("", 3)]:
-        enc = text.encode()
-        offs, lens, _ = md5vec.word_windows(enc, k)
-        got = md5vec.md5_lower64(np.frombuffer(enc, np.uint8), offs, lens)
-        words = text.split(" ")
-        if len(words) < k:
-            exp = [int.from_bytes(hashlib.md5(enc).digest()[8:16], "little")]
-        else:
-            exp = [int.from_bytes(
-                hashlib.md5(" ".join(words[i:i + k]).encode()).digest()[8:16],
-                "little") for i in range(len(words) - k + 1)]
-        assert got.tolist() == exp
+        flat, offs, lens, doc_off = t._doc_windows([text], k)
+        got = md5vec.md5_lower64(flat, offs, lens)
+        assert doc_off.tolist() == [0, got.size]
+        assert got.tolist() == [_md5_64(w) for w in _word_windows(text, k)]
 
 
 def test_batch_hashers_match_single_doc():
@@ -288,11 +339,15 @@ def test_batch_hashers_match_single_doc():
              "one two three four five six seven eight nine ten"]
     sims = t.simhash64_batch(texts)
     fps = t.rolling_fingerprints_batch(texts)
+    shingles = t._md5_shingles_batch(texts)
+    sigs = t.minhash_signatures_batch(shingles)
+    keys = t.band_keys_batch(sigs)
     for i, txt in enumerate(texts):
-        assert sims[i] == t.simhash64(txt)
-        assert fps[i] == t.rolling_fingerprint(txt)
-        assert set(t._md5_shingles_batch(texts)[i].tolist()) == set(
-            t._md5_shingles(txt).tolist())
+        assert int(sims[i]) == simhash64(txt)
+        assert int(fps[i]) == rolling_fingerprint(txt)
+        assert np.array_equal(shingles[i], _md5_shingles(txt))
+        assert np.array_equal(sigs[i], minhash_signature(shingles[i]))
+        assert keys[i].tolist() == band_keys(sigs[i])
 
 
 def test_bootstrap_golden(ray_session, seq_dir_small):
@@ -516,6 +571,23 @@ def test_kmeans_zero_iters_equals_step_and_converges(ray_session):
     assert int(five["n_vecs"].sum()) == int(step["n_vecs"].sum())
 
 
+def curated_report(out_dir: str):
+    """Per-(source, split) counts over the materialized curation output —
+    the shape of the SQL-oracled q_curation_pipeline report."""
+    import pyarrow.dataset as pads
+
+    ds = pads.dataset(out_dir, format="parquet", partitioning="hive",
+                      ignore_prefixes=[".", "_", "manifest"])
+    df = ds.to_table(columns=["source", "n_chars", "split"]).to_pandas()
+    g = df.groupby(["source", "split"]).agg(
+        n_docs=("n_chars", "size"), sum_chars=("n_chars", "sum")
+    ).reset_index()
+    g["split"] = g["split"].astype(str)
+    g["n_docs"] = g["n_docs"].astype("int64")
+    g["sum_chars"] = g["sum_chars"].astype("int64")
+    return g.sort_values(["source", "split"]).reset_index(drop=True)
+
+
 def test_curation_materialization_resume_and_report(ray_session, tmp_path):
     """The persisted curation pipeline must (a) produce a per-(source,
     split) report equal to the SQL-oracled counting query, (b) resume
@@ -524,7 +596,7 @@ def test_curation_materialization_resume_and_report(ray_session, tmp_path):
     import os
     import shutil
 
-    from ts_pymfe_ray.pipelines.curation import curated_report, run_curation
+    from ts_pymfe_ray.pipelines.curation import run_curation
     from ts_pymfe_ray.pipelines.textops import q_curation_pipeline
 
     sf = "/root/testdata/sf0.001"
@@ -546,7 +618,7 @@ def test_curation_stage1_loss_recovery(ray_session, tmp_path):
     import os
     import shutil
 
-    from ts_pymfe_ray.pipelines.curation import curated_report, run_curation
+    from ts_pymfe_ray.pipelines.curation import run_curation
 
     sf = "/root/testdata/sf0.001"
     out = str(tmp_path / "curated")

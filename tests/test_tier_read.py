@@ -25,6 +25,29 @@ def _bits(a: np.ndarray) -> bytes:
 # ------------------------------------------------------ batched decoder
 
 
+def _decode_floats_xor_row(buf: bytes) -> np.ndarray:
+    """Per-row reference decoder of one GXF1 stream (module docstring of
+    ``gorilla``): the first value's 8 bytes, n - 1 headers 9 * lzb +
+    nbytes, then each XOR's meaningful bytes, big-endian."""
+    assert buf[:4] == b"GXF1", "not a GXF1 stream"
+    n = int(np.frombuffer(buf, dtype=np.uint32, count=1, offset=4)[0])
+    if n == 0:
+        return np.empty(0, dtype=np.float64)
+    first = np.frombuffer(buf, dtype=np.uint64, count=1, offset=8)
+    if n == 1:
+        return first.view(np.float64).copy()
+    headers = np.frombuffer(buf, dtype=np.uint8, count=n - 1, offset=16).astype(np.int64)
+    lzb, nbytes = headers // 9, headers % 9
+    payload = np.frombuffer(buf, dtype=np.uint8, count=int(nbytes.sum()), offset=16 + (n - 1))
+    bm = np.zeros((n - 1, 8), dtype=np.uint8)
+    cols = np.arange(8)
+    bm[(cols >= lzb[:, None]) & (cols < (lzb + nbytes)[:, None])] = payload
+    vals = np.empty(n, dtype=np.uint64)
+    vals[0] = first[0]
+    vals[1:] = np.frombuffer(bm.tobytes(), dtype=">u8").astype(np.uint64)
+    return np.bitwise_xor.accumulate(vals).view(np.float64)
+
+
 def _ragged_rows():
     rng = np.random.default_rng(3)
     rows = [
@@ -44,8 +67,9 @@ def _ragged_rows():
 
 
 def test_decode_floats_xor_many_bitwise_per_row():
-    """Every row of the batched decode is bitwise the per-row decode, on
-    the batched encoder's output used directly (no per-row bytes)."""
+    """Every row of the batched decode is bitwise the per-row reference
+    decode, and so is decode_floats_xor (its one-row call), on the batched
+    encoder's output used directly (no per-row bytes)."""
     rows = _ragged_rows()
     flat = np.concatenate(rows)
     offs = np.concatenate([[0], np.cumsum([r.size for r in rows])])
@@ -54,8 +78,10 @@ def test_decode_floats_xor_many_bitwise_per_row():
     assert np.array_equal(got_off, offs)
     assert _bits(got) == _bits(flat)
     for i, r in enumerate(rows):
-        ref = g.decode_floats_xor(bytes(data[doff[i]:doff[i + 1]]))
+        blob = bytes(data[doff[i]:doff[i + 1]])
+        ref = _decode_floats_xor_row(blob)
         assert _bits(got[got_off[i]:got_off[i + 1]]) == _bits(ref), i
+        assert _bits(g.decode_floats_xor(blob)) == _bits(ref), i
         assert _bits(ref) == _bits(r), i
 
 
@@ -81,7 +107,7 @@ def test_decode_floats_xor_many_offsets_into_a_larger_buffer():
 
 
 def _diagnose_per_row(batch: pa.Table) -> pa.Table:
-    """Per-row reference: one decode_floats_xor and one set of numpy
+    """Per-row reference: one reference decode and one set of numpy
     nan-reductions per tier row."""
     out = {
         "doc_id": batch.column("doc_id").to_pylist(),
@@ -91,7 +117,7 @@ def _diagnose_per_row(batch: pa.Table) -> pa.Table:
     }
     drift, volvol, mean_acf1, level = [], [], [], []
     for blob, nw in zip(batch.column("win_streams").to_pylist(), out["n_windows"]):
-        flat = g.decode_floats_xor(blob)
+        flat = _decode_floats_xor_row(blob)
         streams = {s: flat[j * nw : (j + 1) * nw] for j, s in enumerate(STREAMS)}
         means = streams["mean"]
         with np.errstate(all="ignore"), warnings.catch_warnings():

@@ -4,6 +4,8 @@ Builds a synthetic batch the same way the Parquet source does
 (synth.make_row_tokens) and, for each pack (cheap and medium by default):
 
 - times ``FeatureStage`` on the whole batch (stage ms/row, median of 3);
+- times ``evaluate_row`` over the same rows (the single-series path,
+  where a batch kernel runs as its one-row call; ms/row, median of 3);
 - times the batch precompute separately (``preseed_stacked``: the flat
   SeriesBatch, the seeded z-scores/differences and the ragged
   SuperSmoother trend);
@@ -32,7 +34,7 @@ import pyarrow as pa
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from ts_pymfe_ray.functions.gapfill import gap_fill  # noqa: E402
-from ts_pymfe_ray.registry import SeriesCtx, evaluate_batch, kernels_of  # noqa: E402
+from ts_pymfe_ray.registry import SeriesCtx, evaluate_batch, evaluate_row, kernels_of  # noqa: E402
 from ts_pymfe_ray.stages.features import FeatureStage, preseed_stacked  # noqa: E402
 from ts_pymfe_ray.synth import make_row_tokens  # noqa: E402
 
@@ -54,8 +56,16 @@ def profile(rows: int, max_cost: str, groups) -> None:
         stage(table)
         runs.append(time.perf_counter() - t0)
     t_stage = sorted(runs)[1]
+    filled = [gap_fill(t) for t in toks]
+    runs = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        for x, d in zip(filled, ids):
+            evaluate_row(x, d, kernels)
+        runs.append(time.perf_counter() - t0)
+    t_row = sorted(runs)[1]
 
-    ctxs = [SeriesCtx(gap_fill(t), doc_id=d) for t, d in zip(toks, ids)]
+    ctxs = [SeriesCtx(x, doc_id=d) for x, d in zip(filled, ids)]
     t0 = time.perf_counter()
     b = preseed_stacked(ctxs, kernels)
     t_pre = time.perf_counter() - t0
@@ -70,6 +80,7 @@ def profile(rows: int, max_cost: str, groups) -> None:
     print(f"\n== {max_cost} pack: rows={rows} kernels={len(kernels)} "
           f"({n_batch} batch forms, {len(kernels) - n_batch} per row)")
     print(f"stage:      {t_stage * 1e3:8.1f} ms  ({t_stage / rows * 1e3:6.3f} ms/row)")
+    print(f"one row:    {t_row * 1e3:8.1f} ms  ({t_row / rows * 1e3:6.3f} ms/row, evaluate_row)")
     print(f"precompute: {t_pre * 1e3:8.1f} ms  ({t_pre / rows * 1e3:6.3f} ms/row)")
     for kind in ("batch", "row"):
         t = sum(v for v, kd in per.values() if kd == kind)

@@ -28,7 +28,7 @@ import typing as t
 import numpy as np
 
 import ts_pymfe_ray.features  # noqa: F401 — populate the registry
-from ts_pymfe_ray.functions.summary import apply_summary
+from ts_pymfe_ray.functions.summary import SUMMARY_METHODS, apply_summary
 from ts_pymfe_ray.registry import DEFAULT_ANALYSIS_CAP, SeriesCtx, kernels_of
 
 VALID_GROUPS = (
@@ -43,6 +43,9 @@ VALID_GROUPS = (
     "landmarking",
     "randomize",
 )
+
+# reference tsmfe.py:128-165
+MEASURE_TIME_MODES = ("avg", "avg_summ", "total", "total_summ")
 
 
 class TSMFE:
@@ -66,6 +69,14 @@ class TSMFE:
         unknown = set(groups) - set(VALID_GROUPS)
         if unknown:
             raise ValueError(f"unknown groups: {sorted(unknown)}")
+        unknown = set(summary) - set(SUMMARY_METHODS)
+        if unknown:
+            raise ValueError(f"unknown summary functions: {sorted(unknown)}")
+        if measure_time not in (None,) + MEASURE_TIME_MODES:
+            raise ValueError(f"unknown measure_time {measure_time!r}; "
+                             f"valid: {MEASURE_TIME_MODES}")
+        if max_cost not in ("cheap", "medium", "heavy"):
+            raise ValueError(f"unknown max_cost {max_cost!r}")
         self.groups = tuple(groups)
         self.summary = tuple(summary)
         self.measure_time = measure_time
@@ -183,8 +194,6 @@ class TSMFE:
     @classmethod
     def valid_summary(cls) -> tuple:
         """All 32 summary reducer names (reference tsmfe.py:1264)."""
-        from ts_pymfe_ray.functions.summary import SUMMARY_METHODS
-
         return tuple(sorted(SUMMARY_METHODS))
 
     @classmethod

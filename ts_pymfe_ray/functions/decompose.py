@@ -47,45 +47,6 @@ def _x_prefixes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return hit
 
 
-def _running_linear(y: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
-    """Running local-linear smooth of y over x=0..n-1 with symmetric window
-    [i-half, i+half] (truncated at the edges).
-
-    Returns (fitted, cv_residual_abs): the smooth values and the absolute
-    leave-one-out cross-validation residuals (Friedman 1984 eq. for the
-    hat-diagonal of a local linear fit).
-    """
-    n = y.size
-    x, cx, cxx = _x_prefixes(n)
-    lo = np.maximum(0, np.arange(n) - half)
-    hi = np.minimum(n, np.arange(n) + half + 1)
-
-    # fused y-prefixes: one cumsum call over the stacked (2, n) matrix is
-    # bitwise-identical to two separate cumsums (accumulate is per-row)
-    cyy = np.zeros((2, n + 1))
-    np.cumsum(np.stack([y, x * y]), axis=1, out=cyy[:, 1:])
-    cy, cxy = cyy[0], cyy[1]
-
-    m = (hi - lo).astype(np.float64)
-    sy = cy[hi] - cy[lo]
-    sx = cx[hi] - cx[lo]
-    sxy = cxy[hi] - cxy[lo]
-    sxx = cxx[hi] - cxx[lo]
-
-    xbar = sx / m
-    ybar = sy / m
-    cov = sxy - sx * ybar
-    var = sxx - sx * xbar
-    with np.errstate(all="ignore"):
-        slope = np.where(var > 1e-12, cov / var, 0.0)
-        fit = ybar + slope * (x - xbar)
-        # leverage of point i in its own window: h = 1/m + (x-xbar)^2 / var
-        h = 1.0 / m + np.where(var > 1e-12, (x - xbar) ** 2 / var, 0.0)
-    h = np.minimum(h, 0.999)
-    cv = np.abs(y - fit) / (1.0 - h)
-    return fit, cv
-
-
 def _y_prefixes(Y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise (cum(y), cum(x*y)) prefixes for a (R, n) stack — one fused
     cumsum, bitwise-identical to per-row cumsums (accumulate is per-row)."""
@@ -98,11 +59,12 @@ def _y_prefixes(Y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _rl_fit(cy: np.ndarray, cxy: np.ndarray, half: int, x: np.ndarray,
             cx: np.ndarray, cxx: np.ndarray,
             Y: np.ndarray | None = None):
-    """Running-linear fit for every row of prebuilt prefixes (same windowed
-    arithmetic as :func:`_running_linear`, evaluated per row of a (R, n)
-    stack).  When ``Y`` is given, also returns the LOO-CV residuals (only
-    the 3 primary smooths need them — the cv/span/final smooths skip the
-    leverage math entirely)."""
+    """Running local-linear smooth over x=0..n-1 with the symmetric window
+    [i-half, i+half] (truncated at the edges), for every row of prebuilt
+    prefixes of a (R, n) stack.  When ``Y`` is given, also returns the
+    absolute leave-one-out CV residuals (Friedman 1984's hat-diagonal of a
+    local linear fit; only the 3 primary smooths need them — the
+    cv/span/final smooths skip the leverage math entirely)."""
     n = x.size
     idx = np.arange(n)
     lo = np.maximum(0, idx - half)

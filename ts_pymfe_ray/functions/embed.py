@@ -22,27 +22,15 @@ def embed_ts(ts: np.ndarray, dim: int, lag: int = 1) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def nn_inds_dists(emb: np.ndarray, metric: str = "chebyshev") -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs nearest neighbor (excluding near-equal points), as the
-    reference's nn() (_embed.py:77-90).  O(m^2 d) — callers cap m."""
-    if metric == "chebyshev":
-        dist = np.max(np.abs(emb[:, None, :] - emb[None, :, :]), axis=2)
-    else:
-        d2 = ((emb[:, None, :] - emb[None, :, :]) ** 2).sum(axis=2)
-        dist = np.sqrt(d2)
-    dist[np.isclose(dist, 0.0)] = np.inf
-    nn = np.argmin(dist, axis=1)
-    return nn, dist[np.arange(nn.size), nn]
-
-
 def cheb_nn_curves(s: np.ndarray, lag: int, dims: int):
     """Per-dim Chebyshev nearest neighbors over delay embeddings with an
     INCREMENTAL distance matrix: the dim-embedding's coordinates are the
     (dim-1)-embedding's plus one new column, and Chebyshev distance is a
     max over coordinates (order-free), so
     D_dim = max(D_{dim-1}[:m, :m], |new-column diffs|) — identical values
-    to rebuilding the (m, m, d) broadcast per dim (nn_inds_dists) at
-    O(m^2) per dim instead of O(m^2 d); parity gate in tests.
+    to rebuilding the (m, m, d) broadcast per dim, as the reference's nn()
+    does (_embed.py:77-90), at O(m^2) per dim instead of O(m^2 d); parity
+    gate in tests.
 
     Yields (ind, nn_inds, dist_cur, nxt_diff) for each ind where the
     (dim+1)-embedding exists — exactly the quantities the Cao / FNN

@@ -25,25 +25,16 @@ SENTINEL = -1
 
 
 def gap_fill(tokens: np.ndarray, sentinel: int = SENTINEL) -> np.ndarray:
-    """Return a float64 copy of ``tokens`` with sentinel gaps filled.
-
-    Vectorized; rows without gaps take a fast path (just a dtype cast).
-    """
+    """Return a float64 copy of ``tokens`` with sentinel gaps filled (a
+    one-row call of :func:`gap_fill_flat`)."""
     x = np.asarray(tokens)
-    mask = x == sentinel
-    if not mask.any():
-        return x.astype(np.float64)
-    valid = ~mask
-    if not valid.any():
-        return np.zeros(x.size, dtype=np.float64)
-    idx = np.arange(x.size)
-    return np.interp(idx, idx[valid], x[valid].astype(np.float64))
+    return gap_fill_flat(x, np.array([0, x.size]), np.empty(x.size), sentinel)
 
 
 def gap_fill_flat(flat: np.ndarray, offsets: np.ndarray, out: np.ndarray,
                   sentinel: int = SENTINEL) -> np.ndarray:
-    """:func:`gap_fill` of every row of a flat token buffer at once: row i
-    is ``flat[offsets[i]:offsets[i+1]]`` and fills
+    """Gap-fill every row of a flat token buffer at once: row i is
+    ``flat[offsets[i]:offsets[i+1]]`` and fills
     ``out[offsets[i] - offsets[0]:offsets[i+1] - offsets[0]]`` (float64).
 
     The whole buffer is cast once; only the positions of rows that hold a
@@ -53,8 +44,8 @@ def gap_fill_flat(flat: np.ndarray, offsets: np.ndarray, out: np.ndarray,
     last valid value, so no interpolation crosses a row boundary and the
     flat-slope anchors give NOCB/LOCF at the row ends.  Interior points
     interpolate between the same two valid neighbours with the same index
-    differences as the per-row call (exact in float64), so every value is
-    bitwise equal to :func:`gap_fill` of the row; an all-gap row reads 0."""
+    differences as ``np.interp`` over the row alone (exact in float64), so
+    every value is bitwise that row's fill; an all-gap row reads 0."""
     rel = (offsets - offsets[0]).astype(np.int64)
     x = flat[offsets[0] : offsets[-1]]
     out = out[: x.size]

@@ -64,24 +64,9 @@ def encode_floats_xor(values: np.ndarray) -> bytes:
 
 
 def decode_floats_xor(buf: bytes) -> np.ndarray:
-    """Inverse of :func:`encode_floats_xor` (bitwise exact)."""
-    assert buf[:4] == _MAGIC_F, "not a GXF1 stream"
-    n = int(np.frombuffer(buf, dtype=np.uint32, count=1, offset=4)[0])
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-    first = np.frombuffer(buf, dtype=np.uint64, count=1, offset=8)
-    if n == 1:
-        return first.view(np.float64).copy()
-    headers = np.frombuffer(buf, dtype=np.uint8, count=n - 1, offset=16).astype(np.int64)
-    lzb, nbytes = headers // 9, headers % 9
-    total = int(nbytes.sum())
-    payload = np.frombuffer(buf, dtype=np.uint8, count=total, offset=16 + (n - 1))
-    bm = _unpack_selected_bytes(payload, lzb, lzb + nbytes)
-    xor = np.frombuffer(bm.tobytes(), dtype=">u8").astype(np.uint64)
-    vals = np.empty(n, dtype=np.uint64)
-    vals[0] = first[0]
-    vals[1:] = xor
-    return np.bitwise_xor.accumulate(vals).view(np.float64)
+    """Inverse of :func:`encode_floats_xor` (bitwise exact; a one-row call
+    of :func:`decode_floats_xor_many`)."""
+    return decode_floats_xor_many(np.frombuffer(buf, dtype=np.uint8), np.array([0, len(buf)]))[0]
 
 
 def _zigzag(d: np.ndarray) -> np.ndarray:
@@ -151,7 +136,9 @@ def decode_ints_dod(buf: bytes) -> np.ndarray:
 # these, so each codec has one implementation; tests/test_gorilla.py
 # checks it against a per-value reference encoder written from the format
 # description in the module docstring.  The tier read side has the same
-# shape in reverse: decode_floats_xor_many.
+# shape in reverse: decode_floats_xor_many, whose one-row call is
+# decode_floats_xor (tests/test_tier_read.py keeps a per-row reference
+# decoder).
 
 
 def _scatter_fixed(data: np.ndarray, pos: np.ndarray, chunk: np.ndarray) -> None:

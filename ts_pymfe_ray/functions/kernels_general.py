@@ -43,53 +43,17 @@ def _discretize(ts: np.ndarray, num_bins: int = 10, strategy: str = "equal-width
     return np.digitize(ts, bins).astype(int)
 
 
-def _walker(ts_scaled: np.ndarray, step_size: float = 0.1) -> np.ndarray:
-    """Exponential-filter particle w[i] = w[i-1] + s*(ts[i-1]-w[i-1])
-    (reference general.py:299-333) — vectorized closed form in chunks to
-    avoid (1-s)^-i overflow."""
-    n = ts_scaled.size
-    w = np.empty(n, dtype=np.float64)
-    s = step_size
-    a = 1.0 - s
-    prev = 0.0
-    chunk = 256
-    for st in range(0, n, chunk):
-        en = min(n, st + chunk)
-        m = en - st
-        # w[st+j] = a^j * prev_pos + s * sum_{k<j} a^(j-1-k) * ts[st+k-1+...]
-        # driven by inputs u[j] = ts[st + j - 1] (u[0] uses ts[st-1] or start)
-        u = ts_scaled[st - 1 : en - 1] if st > 0 else np.concatenate([[0.0], ts_scaled[: m - 1]])
-        if st == 0:
-            u[0] = 0.0  # w[0] = start_point = 0
-        pow_a = a ** np.arange(m, dtype=np.float64)
-        # y[j] = w[st+j]/a^j ; y[j] = y[j-1] + (s/a^j) u[j] ... with y[-1]=prev
-        if st == 0:
-            # w[0] = 0 exactly; recursion starts at j=1
-            contrib = np.concatenate([[0.0], s * u[1:] / pow_a[1:]])
-            y = np.cumsum(contrib)
-            w[st:en] = y * pow_a
-        else:
-            contrib = s * u / pow_a  # j = 0..m-1 uses a^-(j) scaled by a
-            # w[st+j] = a^(j+1)*prev + s*sum_{k<=j} a^(j-k) u[k]
-            y = np.cumsum(u / pow_a)
-            w[st:en] = pow_a * a * prev + s * pow_a * y
-        prev = w[en - 1]
-    return w
-
-
 # --------------------------------------------------------------------- kernels
 
 
 register(FeatureKernel(
     "length", "general",
-    lambda c: float(c.ts_all.size),
     many=lambda b: np.array([float(c.ts_all.size) for c in b.ctxs]),
     ref="general.py:336 (ft_length = ts.size; full series, not capped)",
 ))
 
 register(FeatureKernel(
     "diff", "general",
-    lambda c: c.ts_diff,
     returns_array=True,
     many=lambda b: b.ts_diff,
     ref="general.py:358 (ft_diff, order=1)",
@@ -102,9 +66,10 @@ register(FeatureKernel(
 ))
 
 def _turning_points_many(b: SeriesBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Batch form of ``turning_points``: 1.0 where the two in-row steps
-    around a point have opposite signs, 0.0 at both row ends; rows of <= 2
-    points (where the per-row call raises) are empty."""
+    """``turning_points``: 1.0 where the two in-row steps around a point
+    have opposite signs (non-plateau critical points, reference
+    _utils.py:170-213), 0.0 at both row ends; rows of <= 2 points are
+    empty."""
     x, off = b.flat, b.off
     rid, pos = _st.row_ids(off), _st.row_pos(off)
     n = b.lens[rid]
@@ -116,7 +81,6 @@ def _turning_points_many(b: SeriesBatch) -> tuple[np.ndarray, np.ndarray]:
 
 register(FeatureKernel(
     "turning_points", "general",
-    lambda c: _find_crit_pt(c.ts, "non-plateau").astype(float),
     returns_array=True, many=_turning_points_many,
     ref="general.py:398, _utils.py:170-213",
 ))
@@ -129,65 +93,43 @@ register(FeatureKernel(
 ))
 
 
-def _step_changes(ts: np.ndarray, ddof: int = 1) -> np.ndarray:
+def _step_changes_rows(flat: np.ndarray, off: np.ndarray,
+                       ddof: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """O(n) rewrite of the reference's O(n^2) prefix loop
-    (general.py:461-506): prefix std via running (n, sum, sumsq)."""
-    n = ts.size
-    cs = np.cumsum(ts)
-    cs2 = np.cumsum(ts * ts)
-    cnt = np.arange(1, n + 1, dtype=np.float64)
-    cmeans = cs / cnt
-    mean_abs_div = np.abs(ts[1:] - cmeans[:-1])
-    # prefix std of ts[:i] for i = 1+ddof .. n-1 (ddof degrees of freedom)
-    i = np.arange(1 + ddof, n)
-    pn = i.astype(np.float64)
-    var = (cs2[i - 1] - pn * cmeans[i - 1] ** 2) / (pn - ddof)
-    var = np.maximum(var, 0.0)
-    return (mean_abs_div[i - 1] > 2.0 * np.sqrt(var)).astype(float)
-
-
-def _step_changes_many(b: SeriesBatch, ddof: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_step_changes` of every row at once: the same prefix-sum
-    arithmetic along the rows of a right-padded stack (cumsums are per
-    row), keeping each row's cells i = 1+ddof .. n-1."""
-    X = b.pad(b.flat)
+    (general.py:461-506) for every row of a ragged buffer: prefix std via
+    running (n, sum, sumsq) along the rows of a right-padded stack
+    (cumsums are per row), keeping each row's cells i = 1+ddof .. n-1."""
+    X = _st.pad_rows(flat, off)
     width = X.shape[1]
     cs = np.cumsum(X, axis=1)
     cs2 = np.cumsum(X * X, axis=1)
     cnt = np.arange(1, width + 1, dtype=np.float64)
     cmeans = cs / cnt
     mean_abs_div = np.abs(X[:, 1:] - cmeans[:, :-1])
+    # prefix std of row[:i] for i = 1+ddof .. n-1 (ddof degrees of freedom)
     i = np.arange(1 + ddof, width)
     pn = i.astype(np.float64)
     var = (cs2[:, i - 1] - pn * cmeans[:, i - 1] ** 2) / (pn - ddof)
     var = np.maximum(var, 0.0)
     res = (mean_abs_div[:, i - 1] > 2.0 * np.sqrt(var)).astype(float)
-    m = np.maximum(b.lens - 1 - ddof, 0)
-    off = np.zeros(m.size + 1, dtype=np.int64)
-    np.cumsum(m, out=off[1:])
-    return res[_st.row_mask(m, res.shape[1])], off
+    m = np.maximum(np.diff(off) - 1 - ddof, 0)
+    roff = np.zeros(m.size + 1, dtype=np.int64)
+    np.cumsum(m, out=roff[1:])
+    return res[_st.row_mask(m, res.shape[1])], roff
 
 
 register(FeatureKernel(
     "step_changes", "general",
-    lambda c: _step_changes(c.ts),
-    returns_array=True, many=_step_changes_many,
+    returns_array=True, many=lambda b: _step_changes_rows(b.flat, b.off),
     ref="general.py:461 (O(n) rewrite of the O(n^2) prefix-std loop)",
 ))
 
 register(FeatureKernel(
     "step_changes_trend", "general",
-    lambda c: _step_changes(c.ts_trend),
+    lambda c: _step_changes_rows(c.ts_trend, np.array([0, c.ts_trend.size]))[0],
     returns_array=True, cost="medium",
     ref="general.py:508",
 ))
-
-
-def _frac_cp(c: SeriesCtx) -> float:
-    s = c.ts_scaled
-    thr = _st.median_part(s)  # == np.median, bitwise
-    higher = s <= thr
-    return float(np.logical_xor(higher[1:], higher[:-1]).sum() / (s.size - 1))
 
 
 def _in_row_pairs(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +150,7 @@ def _frac_cp_many(b: SeriesBatch) -> np.ndarray:
     return flips / (lens - 1)
 
 
-register(FeatureKernel("frac_cp", "general", _frac_cp, many=_frac_cp_many,
+register(FeatureKernel("frac_cp", "general", many=_frac_cp_many,
                        ref="general.py:702-768"))
 
 
@@ -219,27 +161,17 @@ def _bin_mean_many(b: SeriesBatch) -> tuple[np.ndarray, np.ndarray]:
 
 register(FeatureKernel(
     "bin_mean", "general",
-    lambda c: (c.ts >= c.ts.mean()).astype(float),
     returns_array=True, many=_bin_mean_many,
     ref="general.py:769",
 ))
 
 
-def _fs_len(c: SeriesCtx) -> np.ndarray:
-    ts_disc = _discretize(c.ts, 10)
-    # run lengths; reference drops the final run (general.py:797-854 loop)
-    change = np.flatnonzero(ts_disc[1:] != ts_disc[:-1])
-    if change.size == 0:
-        return np.empty(0)
-    lens = np.diff(np.concatenate([[-1], change])).astype(float)
-    return lens
-
-
 def _fs_len_many(b: SeriesBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Batch form of ``fs_len``: each row's 10-bin equal-width codes
-    (``np.digitize`` on increasing bins == the count of bins <= x) and the
-    lengths of all its runs but the last.  Empty rows (where the per-row
-    call raises) are empty."""
+    """``fs_len``: each row's 10-bin equal-width codes (reference
+    _utils.py:418-463; ``np.digitize`` on increasing bins == the count of
+    bins <= x) and the lengths of all its runs but the last (the reference
+    loop drops the final run, general.py:797-854).  Empty rows are
+    empty."""
     if not b.finite:
         raise ValueError("batch histogram needs finite rows")
     x, off, lens = b.flat, b.off, b.lens
@@ -264,7 +196,7 @@ def _fs_len_many(b: SeriesBatch) -> tuple[np.ndarray, np.ndarray]:
     return (pos - prev).astype(float), coff
 
 
-register(FeatureKernel("fs_len", "general", _fs_len, returns_array=True, many=_fs_len_many,
+register(FeatureKernel("fs_len", "general", returns_array=True, many=_fs_len_many,
                        ref="general.py:797 (vectorized run-length encode)"))
 
 
@@ -299,24 +231,13 @@ register(FeatureKernel("trough_frac", "general", _trough_frac, cost="medium",
                        ref="general.py:925"))
 
 
-def _walker_path(c: SeriesCtx) -> np.ndarray:
-    w = _walker(c.ts_scaled)
-    return np.abs(w - c.ts_scaled)
-
-
-def _walker_cross_frac(c: SeriesCtx) -> float:
-    s = c.ts_scaled
-    w = _walker(s)
-    cross = (w[1:] - s[1:]) * (w[:-1] - s[:-1]) < 0
-    return float(cross.sum() / (s.size - 1))
-
-
 def _walker_many(b: SeriesBatch, step_size: float = 0.1) -> np.ndarray:
-    """:func:`_walker` of every row, as the flat residuals walker - z.
-    The same chunked closed form runs on the right-padded z stack: within
-    a chunk every op is elementwise or a per-row cumsum, and each row
-    carries its own last walker value into the next chunk, so every valid
-    cell equals the per-row walker bitwise."""
+    """Exponential-filter particle w[i] = w[i-1] + s*(z[i-1]-w[i-1]),
+    w[0] = 0, of every row (reference general.py:299-333), as the flat
+    residuals walker - z.  A closed form runs on the right-padded z stack
+    in chunks of 256 (to avoid (1-s)^-i overflow): within a chunk every op
+    is elementwise or a per-row cumsum, and each row carries its own last
+    walker value into the next chunk."""
 
     def _build():
         z = b.ts_scaled
@@ -352,11 +273,10 @@ def _walker_cross_frac_many(b: SeriesBatch) -> np.ndarray:
     return cross / (b.lens - 1)
 
 
-register(FeatureKernel("walker_path", "general", _walker_path, returns_array=True,
+register(FeatureKernel("walker_path", "general", returns_array=True,
                        many=lambda b: (np.abs(_walker_many(b)), b.off),
                        ref="general.py:995, _ts_walker:299-333 (vectorized exp filter)"))
-register(FeatureKernel("walker_cross_frac", "general", _walker_cross_frac,
-                       many=_walker_cross_frac_many,
+register(FeatureKernel("walker_cross_frac", "general", many=_walker_cross_frac_many,
                        ref="general.py:1069"))
 
 
@@ -393,24 +313,11 @@ register(FeatureKernel("embed_in_shell", "general", _embed_in_shell, cost="mediu
                        ref="general.py:1244"))
 
 
-def _stick_angles(c: SeriesCtx) -> np.ndarray:
-    s = c.ts_scaled
-    norm = s.size - 1
-
-    def ang(inds):
-        if inds.size < 2:
-            return np.empty(0)
-        tangent = np.diff(s[inds]) / np.diff(inds)
-        return np.arctan(norm * tangent)
-
-    nonneg = s >= 0
-    return np.hstack([ang(np.flatnonzero(nonneg)), ang(np.flatnonzero(~nonneg))])
-
-
 def _stick_angles_many(b: SeriesBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Batch form of ``stick_angles``: the elements are regrouped by (row,
-    sign group) — non-negative first, as the per-row hstack — keeping
-    their order, and each angle comes from two consecutive members of one
+    """``stick_angles``: arctan((n-1) * slope) between consecutive members
+    of each row's non-negative and negative z-score groups.  The elements
+    are regrouped by (row, sign group), non-negative first, keeping their
+    order, and each angle comes from two consecutive members of one
     group."""
     s, off = b.ts_scaled, b.off
     rid, pos = _st.row_ids(off), _st.row_pos(off)
@@ -426,8 +333,7 @@ def _stick_angles_many(b: SeriesBatch) -> tuple[np.ndarray, np.ndarray]:
     return np.arctan(norm * tangent), aoff
 
 
-register(FeatureKernel("stick_angles", "general", _stick_angles, returns_array=True,
-                       many=_stick_angles_many,
+register(FeatureKernel("stick_angles", "general", returns_array=True, many=_stick_angles_many,
                        ref="general.py:1478"))
 
 

@@ -52,19 +52,16 @@ register(FeatureKernel(
 
 register(FeatureKernel(
     "sd_diff", "global_stats",
-    lambda c: float(np.std(c.ts_diff, ddof=1)),
     many=lambda b: _st.mean_std_many(*b.ts_diff, ddof=1)[1],
     ref="global_stats.py:229",
 ))
 register(FeatureKernel(
     "skewness_diff", "global_stats",
-    lambda c: _st.skewness(c.ts_diff),
     many=lambda b: _st.skewness_many(*b.ts_diff),
     ref="global_stats.py:334",
 ))
 register(FeatureKernel(
     "kurtosis_diff", "global_stats",
-    lambda c: _st.kurtosis(c.ts_diff),
     many=lambda b: _st.kurtosis_many(*b.ts_diff),
     ref="global_stats.py:518",
 ))
@@ -182,7 +179,6 @@ def _t_mean_many(b) -> np.ndarray:
 
 register(FeatureKernel(
     "t_mean", "global_stats",
-    lambda c: _st.trim_mean(c.ts, 0.02),
     many=_t_mean_many,
     ref="global_stats.py:848",
 ))

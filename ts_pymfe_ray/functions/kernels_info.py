@@ -36,8 +36,8 @@ def shannon_entropy_rows(pk: np.ndarray, base: float = 2.0) -> np.ndarray:
 
 
 def _hist10_entropy_rows(flat: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """:func:`_hist10_entropy` of every row of a ragged batch (finite
-    values); NaN for an empty row, where the per-row histogram raises."""
+    """Normalized 10-bin histogram entropy (base 2, over log2(10)) of every
+    row of a ragged batch (finite values); NaN for an empty row."""
     lens = np.diff(off)
     ne = lens > 0
     out = np.full(lens.size, np.nan)
@@ -84,15 +84,6 @@ def calc_ami_lags(c: SeriesCtx, num_bins: int = 64) -> np.ndarray:
     return np.array([calc_ami(detr, lag, num_bins) for lag in range(1, L + 1)])
 
 
-def _hist10_entropy(c: SeriesCtx) -> float:
-    """Normalized 10-bin histogram entropy of c.ts — shared (ctx-cached)
-    by hist_entropy and hist_ent_out_diff's e_all term."""
-    return c._get(
-        "hist10_ent",
-        lambda: shannon_entropy(_st.hist_density(c.ts, 10)) / np.log2(10),
-    )
-
-
 def _hist10_entropy_many(b: SeriesBatch) -> np.ndarray:
     if not b.finite:
         raise ValueError("batch histogram needs finite rows")
@@ -100,23 +91,15 @@ def _hist10_entropy_many(b: SeriesBatch) -> np.ndarray:
 
 
 register(FeatureKernel(
-    "hist_entropy", "info_theory", _hist10_entropy, many=_hist10_entropy_many,
+    "hist_entropy", "info_theory", many=_hist10_entropy_many,
     ref="info_theory.py:221 (normalized base-2 entropy of 10-bin density histogram)",
 ))
 
 
-def _hist_ent_out_diff(c: SeriesCtx, num_bins: int = 10, pcut: float = 0.05) -> float:
-    lo, hi = _st.quantile2(c.ts, pcut, 1 - pcut)  # == np.quantile, bitwise
-    inl = c.ts[(c.ts >= lo) & (c.ts <= hi)]
-    e_all = _hist10_entropy(c)
-    e_in = shannon_entropy(_st.hist_density(inl, num_bins)) / np.log2(num_bins)
-    return e_all - e_in
-
-
 def _hist_ent_out_diff_many(b: SeriesBatch, pcut: float = 0.05) -> np.ndarray:
-    """Batch form: quantiles from +inf-padded sorted rows, then the
-    10-bin entropy of each row's inliers (NaN where none are left, as the
-    per-row histogram raises)."""
+    """The 10-bin entropy of each row minus that of its inliers between
+    the ``pcut`` and ``1 - pcut`` quantiles (taken from +inf-padded sorted
+    rows); NaN where no inlier is left."""
     e_all = _hist10_entropy_many(b)
     x, off, lens = b.flat, b.off, b.lens
     S = _st.sort_rows(x, off)
@@ -126,8 +109,7 @@ def _hist_ent_out_diff_many(b: SeriesBatch, pcut: float = 0.05) -> np.ndarray:
     return e_all - _hist10_entropy_rows(inl, ioff)
 
 
-register(FeatureKernel("hist_ent_out_diff", "info_theory", _hist_ent_out_diff,
-                       many=_hist_ent_out_diff_many,
+register(FeatureKernel("hist_ent_out_diff", "info_theory", many=_hist_ent_out_diff_many,
                        ref="info_theory.py:258"))
 
 register(FeatureKernel(

@@ -52,48 +52,13 @@ def _window_of(c: SeriesCtx) -> int:
     return process_window_size(c.ts.size, 0.1)
 
 
-class _RowWindows:
-    """The n-w+1 full sliding windows of ONE row (the per-row reference):
-    window sums from the row's power prefixes ``P``."""
-
-    def __init__(self, s: np.ndarray, w: int, P: np.ndarray):
-        self.s, self.w, self.P = s, w, P
-
-    def sums(self, power: int) -> np.ndarray:
-        c = self.P[power - 1]
-        return c[self.w:] - c[: -self.w]
-
-    def pair_sums(self) -> np.ndarray:
-        """Sum of the w-1 in-window lag-1 products s[i] * s[i+1]."""
-        s, w = self.s, self.w
-        prod = s[:-1] * s[1:]
-        cp = np.zeros(prod.size + 1)
-        np.cumsum(prod, out=cp[1:])
-        return cp[w - 1:] - cp[: -(w - 1)]
-
-    def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each window's first and last value."""
-        return self.s[: self.s.size - self.w + 1], self.s[self.w - 1:]
-
-    def log_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sum of the finite logs, count of the non-positive values) per
-        window."""
-        w = self.w
-        logs = np.where(self.s > 0, np.log(np.maximum(self.s, 1e-300)), np.nan)
-        c = np.zeros(logs.size + 1)
-        np.nancumsum(logs, out=c[1:])
-        bad = np.zeros(logs.size + 1)
-        np.cumsum(~np.isfinite(logs), out=bad[1:])
-        return c[w:] - c[:-w], bad[w:] - bad[:-w]
-
-
 class _BatchWindows:
     """Every full sliding window of every row of a SeriesBatch, in ONE flat
     run (``off`` gives each row's windows; rows without a valid window —
     w < 2 — get none).  Each row is a right-padded row of an (R, n_max)
     stack, its prefix sums are the per-row cumsums (bitwise), and window
-    k of a row reads exactly the prefix cells the per-row slices read, so
-    every window value equals :class:`_RowWindows`' bitwise."""
+    k of a row reads exactly the prefix cells that ``c[w:] - c[:-w]``
+    over the row alone reads."""
 
     def __init__(self, b: SeriesBatch):
         lens = b.lens
@@ -144,8 +109,8 @@ class _BatchWindows:
         return c[self.hi] - c[self.lo], bad[self.hi] - bad[self.lo]
 
 
-# The rolling statistics over a window source W (_RowWindows or
-# _BatchWindows); W.w is the row's window size or the per-window sizes.
+# The rolling statistics over the windows W of a batch; W.w holds each
+# window's size.
 
 
 def moving_mean(W) -> np.ndarray:
@@ -209,20 +174,6 @@ def moving_gmean(W) -> np.ndarray:
 
 
 def _mk_moving(name: str, stat_fn, shift: bool):
-    def fn(c: SeriesCtx) -> np.ndarray:
-        w = _window_of(c)
-        if w < 2 or c.ts.size < w:
-            return np.full(1, np.nan)
-        # base rolling stat cached per row: the _shift variant reuses the
-        # non-shift computation, and all moving stats share ONE cached
-        # power-prefix matrix instead of recomputing cumsums per kernel
-        P = c._get("mvpow", lambda: _power_prefixes(c.ts_scaled))
-        vals = c._get(f"mv_{name}_{w}", lambda: stat_fn(_RowWindows(c.ts_scaled, w, P)))
-        v = vals[np.isfinite(vals)]
-        if shift:
-            return np.abs(v[1:] - v[:-1])  # == np.diff, minus its dispatch cost
-        return v
-
     def many(b: SeriesBatch) -> tuple[np.ndarray, np.ndarray]:
         W = b._get("mv_windows", lambda: _BatchWindows(b))
         vals = b._get(f"mv_{name}", lambda: stat_fn(W))
@@ -232,7 +183,7 @@ def _mk_moving(name: str, stat_fn, shift: bool):
             return np.abs(d), off
         return v, off
 
-    return fn, many
+    return many
 
 
 # (registered name, rolling stat over a window source, reference line)
@@ -248,9 +199,8 @@ MOVING_BASE_STATS = (
 
 for _name, _fn, _ref in MOVING_BASE_STATS:
     for _shift in (False, True):
-        _row, _many = _mk_moving(_name, _fn, _shift)
-        register(FeatureKernel(_name + ("_shift" if _shift else ""), "local_stats", _row,
-                               returns_array=True, many=_many,
+        register(FeatureKernel(_name + ("_shift" if _shift else ""), "local_stats",
+                               returns_array=True, many=_mk_moving(_name, _fn, _shift),
                                ref=_ref + (" shift variant" if _shift else " (O(n) sliding sketch)")))
 
 
@@ -374,34 +324,15 @@ def _tile_moments(s1, s2, mn, mx, cnt) -> dict[str, np.ndarray]:
     return {"mean": mean, "var": np.maximum(var, 0.0), "min": mn, "max": mx}
 
 
-def _tile_stats(c: SeriesCtx, num_tiles: int = 16) -> dict[str, np.ndarray]:
-    """Per-tile mean/var/min/max in one reduceat pass.  Tile boundaries =
-    np.array_split semantics (reference _utils.py:11-33: first n%k tiles
-    get one extra element); cached per row."""
-
-    def _build():
-        s = c.ts_scaled
-        n = s.size
-        if num_tiles > 0.5 * n:
-            raise ValueError("num_tiles larger than half the series size")
-        base, extra = divmod(n, num_tiles)
-        sizes = np.full(num_tiles, base, dtype=np.int64)
-        sizes[:extra] += 1
-        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        return _tile_moments(np.add.reduceat(s, starts), np.add.reduceat(s * s, starts),
-                             np.minimum.reduceat(s, starts), np.maximum.reduceat(s, starts),
-                             sizes.astype(np.float64))
-
-    return c._get(f"tiles{num_tiles}", _build)
-
-
 def _tile_stats_many(b: SeriesBatch, num_tiles: int = 16) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """:func:`_tile_stats` of every row with at least 2 * num_tiles points
-    (the rows whose per-row call does not raise) as (V, num_tiles) arrays,
-    plus per-row offsets into their raveled form.  ONE reduceat per
-    statistic runs over the flat z-scores with each row's tile starts and
-    its end, so every tile reduces exactly the elements (and in the same
-    order) the per-row reduceat does; the row-end segments are dropped."""
+    """Per-tile mean/var/min/max of the z-scores of every row with at
+    least 2 * num_tiles points (other rows get no tiles), as (V, num_tiles)
+    arrays, plus per-row offsets into their raveled form.  Tile boundaries
+    follow np.array_split (reference _utils.py:11-33: the first n % k tiles
+    get one extra element).  ONE reduceat per statistic runs over the flat
+    z-scores with each row's tile starts and its end, so every tile reduces
+    exactly the elements (and in the same order) a reduceat over the row
+    alone does; the row-end segments are dropped."""
 
     def _build():
         ok = num_tiles <= 0.5 * b.lens
@@ -443,9 +374,8 @@ def _mk_tile(feat):
         t, toff = _tile_stats_many(b)
         return feat(t).ravel(), toff
 
-    return (lambda c: feat(_tile_stats(c))), many
+    return many
 
 
 for _name, _feat, _ref in _TILE_FEATURES:
-    _row, _many = _mk_tile(_feat)
-    register(FeatureKernel(_name, "local_stats", _row, returns_array=True, many=_many, ref=_ref))
+    register(FeatureKernel(_name, "local_stats", returns_array=True, many=_mk_tile(_feat), ref=_ref))

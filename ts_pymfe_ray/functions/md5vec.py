@@ -186,23 +186,3 @@ def pack_bytes(items: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def md5_lower64_list(items: list[bytes]) -> np.ndarray:
     return md5_lower64(*pack_bytes(items))
-
-
-def word_windows(enc: bytes, k: int, base: int = 0):
-    """(offsets, lengths) of every k-word window of a UTF-8 buffer, as
-    substring views — byte-identical to ``" ".join(words[i:i+k])`` because
-    single-space splits reconstruct the original exactly.  ``base`` shifts
-    offsets for windows over a slice of a larger flat buffer.  Returns
-    (offsets, lengths, n_words)."""
-    wlens = np.fromiter((len(w) for w in enc.split(b" ")), dtype=np.int64)
-    n_words = wlens.size
-    starts = np.zeros(n_words, dtype=np.int64)
-    if n_words > 1:
-        np.cumsum(wlens[:-1] + 1, out=starts[1:])
-    if n_words < k:
-        return (np.array([base], dtype=np.int64),
-                np.array([len(enc)], dtype=np.int64), n_words)
-    nwin = n_words - k + 1
-    offs = starts[:nwin]
-    ends = starts[k - 1 :] + wlens[k - 1 :]
-    return offs + base, ends - offs, n_words

@@ -1,8 +1,9 @@
-"""Special functions for p-values (no scipy available): regularized
-incomplete gamma / beta, chi-square / F / t / normal survival functions.
+"""Special functions for p-values (no scipy available): the regularized
+incomplete gamma, the chi-square survival function and a vectorized
+normal CDF.
 
 Implementations follow the classic series / continued-fraction algorithms
-(Numerical Recipes §6.2-6.4; Abramowitz & Stegun), accurate to ~1e-10 —
+(Numerical Recipes §6.2; Abramowitz & Stegun), accurate to ~1e-10 —
 far tighter than the tolerances documented for the stat-test kernels.
 """
 
@@ -75,58 +76,6 @@ def chi2_sf(x: float, df: float) -> float:
     if x <= 0:
         return 1.0
     return gammainc_upper(df / 2.0, x / 2.0)
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _ITMAX + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delt = d * c
-        h *= delt
-        if abs(delt - 1.0) < _EPS:
-            break
-    return h
-
-
-def betainc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if x <= 0:
-        return 0.0
-    if x >= 1:
-        return 1.0
-    bt = math.exp(
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log1p(-x)
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _betacf(a, b, x) / a
-    return 1.0 - bt * _betacf(b, a, 1.0 - x) / b
-
-
-def norm_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def norm_cdf_vec(x: np.ndarray) -> np.ndarray:

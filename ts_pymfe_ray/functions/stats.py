@@ -84,6 +84,8 @@ def skewness(values: np.ndarray, method: int = 3, bias: bool = True) -> float:
     mu = x.mean()
     m2 = ((x - mu) ** 2).mean()
     m3 = ((x - mu) ** 3).mean()
+    if np.isnan(m2):  # a NaN in the input; m2 > 0 would read it as constant
+        return np.nan
     with np.errstate(all="ignore"):
         g1 = m3 / m2**1.5 if m2 > 0 else 0.0
         sk = g1
@@ -105,6 +107,8 @@ def kurtosis(values: np.ndarray, method: int = 3, bias: bool = True) -> float:
     mu = x.mean()
     m2 = ((x - mu) ** 2).mean()
     m4 = ((x - mu) ** 4).mean()
+    if np.isnan(m2):  # a NaN in the input; m2 > 0 would read it as constant
+        return np.nan
     with np.errstate(all="ignore"):
         g2 = m4 / m2**2 - 3.0 if m2 > 0 else -3.0
         kt = g2
@@ -116,17 +120,6 @@ def kurtosis(values: np.ndarray, method: int = 3, bias: bool = True) -> float:
         elif method == 3:
             kt = (kt + 3.0) * (1.0 - 1.0 / n) ** 2 - 3.0
     return float(kt)
-
-
-def trim_mean(values: np.ndarray, proportiontocut: float = 0.02) -> float:
-    """scipy.stats.trim_mean semantics (reference ft_t_mean,
-    global_stats.py:848): sort, drop floor(p*n) from each end, mean."""
-    x = np.sort(np.asarray(values, dtype=np.float64))
-    n = x.size
-    k = int(n * proportiontocut)
-    if n - 2 * k <= 0:
-        return np.nan
-    return float(x[k : n - k].mean())
 
 
 def diff(ts: np.ndarray, order: int = 1) -> np.ndarray:
@@ -274,50 +267,6 @@ def quantiles_part(x: np.ndarray, qs: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(out)
 
 
-def quantile2(x: np.ndarray, q_lo: float, q_hi: float) -> tuple[float, float]:
-    """== np.quantile(x, (q_lo, q_hi)) bitwise — see quantiles_part."""
-    return quantiles_part(x, (q_lo, q_hi))
-
-
-def median_part(x: np.ndarray) -> float:
-    """== np.median(x) bitwise for 1-D x: partition the middle order
-    stat(s); even n averages the two middles exactly as np.mean of the
-    two-element slice does ((a+b)/2).  NaN input falls back to numpy for
-    its propagation semantics."""
-    n = x.size
-    if n == 0 or np.isnan(x).any():
-        return float(np.median(x))
-    h = n // 2
-    if n % 2:
-        return float(np.partition(x, h)[h])
-    p = np.partition(x, (h - 1, h))
-    return float((p[h - 1] + p[h]) / 2.0)
-
-
-def hist_counts(x: np.ndarray, nbins: int) -> tuple[np.ndarray, np.ndarray]:
-    """(counts, edges) == np.histogram(x, nbins) bitwise, via the same
-    uniform-bin index arithmetic numpy uses (scaled index + edge
-    correction) but without np.histogram's per-call machinery — the
-    cheap-pack entropy kernels call this hundreds of times per batch."""
-    edges = hist_edges(x, nbins)
-    first, last = edges[0], edges[-1]
-    norm = nbins / (last - first)
-    idx = ((x - first) * norm).astype(np.intp)
-    idx[idx == nbins] -= 1
-    dec = x < edges[idx]
-    idx[dec] -= 1
-    inc = (x >= edges[idx + 1]) & (idx != nbins - 1)
-    idx[inc] += 1
-    return np.bincount(idx, minlength=nbins), edges
-
-
-def hist_density(x: np.ndarray, nbins: int) -> np.ndarray:
-    """== np.histogram(x, nbins, density=True)[0] bitwise."""
-    counts, edges = hist_counts(x, nbins)
-    db = np.diff(edges)
-    return counts / db / counts.sum()
-
-
 # ------------------------------------------------------------ ragged batches
 # A batch of R rows of different lengths is one flat float64 buffer plus
 # R+1 int64 offsets starting at 0 (row i is flat[off[i]:off[i+1]]).  Each
@@ -422,7 +371,7 @@ def quantile_sorted(S: np.ndarray, lens: np.ndarray, q: float) -> np.ndarray:
 
 
 def median_sorted(S: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """``median_part(row)`` of every non-empty row of a :func:`sort_rows`
+    """``np.median(row)`` of every non-empty row of a :func:`sort_rows`
     stack: the middle value, or (a + b) / 2.0 of the two middles."""
     h = lens // 2
     r = np.arange(lens.size)
@@ -458,7 +407,7 @@ def skewness_many(flat: np.ndarray, off: np.ndarray) -> np.ndarray:
     p = np.array([m ** 1.5 for m in m2], dtype=np.float64)
     g1 = np.where(m2 > 0, m3 / p, 0.0)
     out = g1 * per_value(lens, lambda n: ((n - 1.0) / n) ** 1.5 if n else np.nan)
-    out[lens == 0] = np.nan
+    out[(lens == 0) | np.isnan(m2)] = np.nan
     return out
 
 
@@ -468,12 +417,14 @@ def kurtosis_many(flat: np.ndarray, off: np.ndarray) -> np.ndarray:
     p = np.array([m ** 2 for m in m2], dtype=np.float64)
     g2 = np.where(m2 > 0, m4 / p - 3.0, -3.0)
     out = (g2 + 3.0) * per_value(lens, lambda n: (1.0 - 1.0 / n) ** 2 if n else np.nan) - 3.0
-    out[lens == 0] = np.nan
+    out[(lens == 0) | np.isnan(m2)] = np.nan
     return out
 
 
 def trim_mean_many(flat: np.ndarray, off: np.ndarray, proportiontocut: float) -> np.ndarray:
-    """Per-row :func:`trim_mean` (NaN-free rows)."""
+    """scipy.stats.trim_mean of every row (NaN-free rows; reference
+    ft_t_mean, global_stats.py:848): sort, drop floor(p*n) values from
+    each end, mean; NaN where nothing is left."""
     lens = np.diff(off)
     k = (lens * proportiontocut).astype(np.int64)
     m = lens - 2 * k
@@ -509,9 +460,10 @@ def hist_edges_many(lo: np.ndarray, hi: np.ndarray, nbins: int) -> np.ndarray:
 
 
 def hist_counts_many(flat: np.ndarray, off: np.ndarray, nbins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`hist_counts` of NON-EMPTY finite rows: (counts
-    (R, nbins), edges (R, nbins+1)) — the same scaled index and edge
-    corrections, with each row's own edges."""
+    """Row-wise ``np.histogram(row, nbins)`` of NON-EMPTY finite rows:
+    (counts (R, nbins), edges (R, nbins+1)), bitwise — numpy's uniform-bin
+    arithmetic (scaled index, then edge corrections) with each row's own
+    edges."""
     R = off.size - 1
     starts = off[:-1]
     E = hist_edges_many(np.minimum.reduceat(flat, starts),
@@ -531,6 +483,7 @@ def hist_counts_many(flat: np.ndarray, off: np.ndarray, nbins: int) -> tuple[np.
 
 
 def hist_density_many(flat: np.ndarray, off: np.ndarray, nbins: int) -> np.ndarray:
-    """Row-wise :func:`hist_density` of non-empty finite rows: (R, nbins)."""
+    """Row-wise ``np.histogram(row, nbins, density=True)[0]`` of non-empty
+    finite rows: (R, nbins)."""
     counts, E = hist_counts_many(flat, off, nbins)
     return counts / np.diff(E, axis=1) / counts.sum(axis=1, keepdims=True)

@@ -162,19 +162,3 @@ def _run_curation_locked(doc_path: str, out_dir: str, num_buckets: int,
         "num_buckets": num_buckets,
         "fingerprint": mf.manifest_fingerprint(out_dir),
     }
-
-
-def curated_report(out_dir: str) -> pd.DataFrame:
-    """Per-(source, split) counts over the materialized output — the same
-    shape as the SQL-oracled q_curation_pipeline report."""
-    ds = pads.dataset(out_dir, format="parquet", partitioning="hive",
-                      ignore_prefixes=[".", "_", "manifest"])
-    df = ds.to_table(columns=["source", "n_chars", "split"]).to_pandas()
-    # exclude stage-1 rows (they live under _stage1/, already ignored)
-    g = df.groupby(["source", "split"]).agg(
-        n_docs=("n_chars", "size"), sum_chars=("n_chars", "sum")
-    ).reset_index()
-    g["split"] = g["split"].astype(str)
-    g["n_docs"] = g["n_docs"].astype("int64")
-    g["sum_chars"] = g["sum_chars"].astype("int64")
-    return g.sort_values(["source", "split"]).reset_index(drop=True)

@@ -21,9 +21,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ts_pymfe_ray.functions.md5vec import (
-    md5_lower64, md5_lower64_list, word_windows,
-)
+from ts_pymfe_ray.functions.md5vec import md5_lower64, md5_lower64_list
 from ts_pymfe_ray.functions.rounding import round_ha
 from ts_pymfe_ray.pipelines.combine import combine, shuffle_combine, topk
 from ts_pymfe_ray.pipelines.queries import (_BY_COSINE, _cosines, _embeddings, _hash_keys,
@@ -41,21 +39,6 @@ _MERSENNE = (1 << 31) - 1
 def _read_docs(sf_dir: str, columns=None) -> ray.data.Dataset:
     return ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=columns or ["doc_id", "text"]
-    )
-
-
-def _hash64(s: str) -> int:
-    return int.from_bytes(hashlib.blake2b(s.encode(), digest_size=8).digest(), "little")
-
-
-def _shingles(text: str, k: int = 3) -> np.ndarray:
-    """Word k-shingle hashes (deterministic)."""
-    words = text.split(" ")
-    if len(words) < k:
-        return np.array([_hash64(text)], dtype=np.uint64)
-    return np.array(
-        [_hash64(" ".join(words[i : i + k])) for i in range(len(words) - k + 1)],
-        dtype=np.uint64,
     )
 
 
@@ -84,16 +67,6 @@ def _mod_mersenne(v: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     np.subtract(v, m, out=tmp)
     np.minimum(v, tmp, out=v)
     return v
-
-
-def minhash_signature(shingle_hashes: np.ndarray) -> np.ndarray:
-    """(NUM_PERM,) minhash signature — one vectorized (perm x shingle)
-    modmul, exact in uint64 thanks to the 31-bit modulus."""
-    # copy=True: _mod_mersenne reduces IN PLACE — np.asarray would alias a
-    # caller's uint64 array and silently corrupt it for later use
-    x = _mod_mersenne(np.array(shingle_hashes, dtype=np.uint64, copy=True))
-    vals = _mod_mersenne(_A[:, None] * x[None, :] + _B[:, None])
-    return vals.min(axis=1)
 
 
 def minhash_signatures_batch(shingle_lists: list[np.ndarray]) -> np.ndarray:
@@ -138,13 +111,6 @@ def minhash_signatures_batch(shingle_lists: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def band_keys(sig: np.ndarray) -> list[int]:
-    """LSH band bucket keys: md5_64 of the band's decimal-joined values
-    plus the band index — bit-identical to the DuckDB twin's
-    md5_number_lower(array_to_string(band, ',') || '|' || b)."""
-    return band_keys_batch(sig[None, :])[0].tolist()
-
-
 def band_keys_batch(sigs: np.ndarray) -> np.ndarray:
     """(N, BANDS) uint64 band keys for a (N, NUM_PERM) signature matrix —
     band strings built per row, all hashed in one vectorized md5 pass."""
@@ -162,13 +128,13 @@ def _doc_windows(texts: list[str], k: int):
     concatenated UTF-8 buffer + window (offset, length) views + per-doc
     window offsets.  Zero per-window AND zero per-word Python work — word
     boundaries come from one vectorized space scan of the flat buffer
-    (doc boundaries are word boundaries too), byte-identical to the
-    per-doc word_windows() fallback (parity-tested).
+    (doc boundaries are word boundaries too), byte-identical to
+    ``" ".join(words[i:i+k])`` of the doc's single-space split
+    (parity-tested).
 
     Returns (flat_uint8, win_offsets, win_lengths, doc_win_offsets) where
     doc_win_offsets has len(texts)+1 entries (documents with fewer than k
-    words contribute one whole-text window, matching the single-doc
-    fallbacks)."""
+    words contribute one whole-text window)."""
     n = len(texts)
     encs = [t.encode() for t in texts]
     flat = np.frombuffer(b"".join(encs), dtype=np.uint8)
@@ -242,12 +208,6 @@ def rolling_fingerprints_batch(texts: list[str], window: int = 8) -> np.ndarray:
     flat, offs, lens, doc_off = _doc_windows(texts, window)
     h = md5_lower64(flat, offs, lens)
     return np.minimum.reduceat(h, doc_off[:-1])
-
-
-def jaccard(a: np.ndarray, b: np.ndarray) -> float:
-    sa, sb = set(a.tolist()), set(b.tolist())
-    u = len(sa | sb)
-    return len(sa & sb) / u if u else 0.0
 
 
 def _bucket_pair_indices(n: int, bucket_cap: int | None):
@@ -367,10 +327,6 @@ def q_dedup_minhash(sf_dir: str, threshold: float = 0.6,
     return pairs.reset_index(drop=True)
 
 
-def simhash64(text: str) -> np.uint64:
-    return np.uint64(simhash64_batch([text])[0])
-
-
 def q_dedup_simhash(sf_dir: str, max_hamming: int = 3,
                     bucket_cap: int | None = None) -> pd.DataFrame:
     """SimHash near-dup pairs via 4-segment LSH (any pair within hamming
@@ -431,13 +387,6 @@ def q_dedup_simhash(sf_dir: str, max_hamming: int = 3,
     if len(pairs):
         pairs = pairs.drop_duplicates(["doc_a", "doc_b"]).sort_values(["doc_a", "doc_b"])
     return pairs.reset_index(drop=True)
-
-
-def _md5_shingles(text: str, k: int = 3) -> np.ndarray:
-    """Distinct word k-shingle hashes using the low 64 MD5 bits — the same
-    hash DuckDB's md5_number_lower computes, so the exact-Jaccard dedup has
-    a bit-identical SQL oracle twin."""
-    return _md5_shingles_batch([text], k)[0]
 
 
 def q_dedup_ngram_jaccard(sf_dir: str, threshold: float = 0.5,
@@ -1042,19 +991,6 @@ def q_doc_repetition(sf_dir: str, gate: float = 0.2) -> pd.DataFrame:
                                  "n_repetitive": ("rep", "sum")}, repetition).to_pandas()
     g.insert(2, "avg_dup_frac", round_ha(g.pop("frac_sum") / g["n_docs"]))
     return g
-
-
-def _md5_64(s: str) -> int:
-    """Low 64 bits of MD5 (digest bytes 8..16, little-endian) — bit-identical
-    to DuckDB's md5_number_lower(), so fingerprints are SQL-oracle-checkable
-    (doc_fingerprints has an exact DuckDB twin)."""
-    return int.from_bytes(hashlib.md5(s.encode()).digest()[8:16], "little")
-
-
-def rolling_fingerprint(text: str, window: int = 8) -> int:
-    """Rabin-Karp-style rolling-hash document fingerprint: min hash over
-    rolling word windows (winnowing-lite)."""
-    return int(rolling_fingerprints_batch([text], window)[0])
 
 
 def q_doc_fingerprints(sf_dir: str) -> pd.DataFrame:

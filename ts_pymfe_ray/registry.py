@@ -9,18 +9,23 @@ replaces both with static structures chosen at plan time:
   series, period, STL/SuperSmoother components, detrended ACF, ...) is a
   lazily computed, cached property, so each intermediate is computed at
   most once per row no matter how many features need it.
-- :data:`REGISTRY` — ``{feature_name: FeatureKernel}``; a kernel is a pure
-  function ``fn(ctx) -> float | np.ndarray``.  Array-valued kernels are
-  reduced by summary functions into fixed columns ``name.summary`` exactly
-  like the reference (tsmfe.py:525-549); defaults ("mean", "sd").
-- Batch forms: a kernel may also register ``many(batch)`` over a
+- :data:`REGISTRY` — ``{feature_name: FeatureKernel}``; a kernel has ONE
+  body.  A per-row kernel is a pure function ``fn(ctx) -> float |
+  np.ndarray``.  Array-valued kernels are reduced by summary functions
+  into fixed columns ``name.summary`` exactly like the reference
+  (tsmfe.py:525-549); defaults ("mean", "sd").
+- Batch kernels: a kernel registers ``many(batch)`` over a
   :class:`SeriesBatch` (every row of a feature batch in one flat buffer
-  plus row offsets).  It returns an (R,) array for a scalar kernel or
-  ``(flat, offsets)`` for an array kernel, and must equal ``fn`` on every
-  row BITWISE — ``fn`` stays the reference (:func:`evaluate_row`) and the
-  fallback.  :func:`evaluate_batch` runs each kernel once per batch: its
-  ``many`` when it has one, else ``fn`` row by row; a ``many`` that raises
-  falls back to ``fn`` for that batch, so NaN-on-error stays per row.
+  plus row offsets) INSTEAD of ``fn``.  It returns an (R,) array for a
+  scalar kernel or ``(flat, offsets)`` for an array kernel.  Its ``fn`` is
+  derived: ``many`` over the one-row batch of that ctx (cached on the ctx,
+  so the row's batch precomputes are shared across kernels), so a single
+  series is a batch of one row and each kernel has one implementation.
+  :func:`evaluate_batch` runs each kernel once per batch: its ``many``
+  when it has one, else ``fn`` row by row; a ``many`` that raises falls
+  back to ``fn`` (its one-row call) for that batch, so NaN-on-error stays
+  per row.  tests/test_batch_kernels.py checks every ``many`` against an
+  independent per-row reference, bitwise.
 - Summaries: ``mean`` and ``sd`` of an array kernel are ``v.mean()`` and
   ``v.std(ddof=1)`` over its finite values (reference _summary.py:276-447,
   SURVEY.md §2.2), computed by :func:`summarize_many` with fixed-order
@@ -36,6 +41,7 @@ equivalent of adding an ``ft_`` method to a reference class.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing as t
 
 import numpy as np
@@ -222,15 +228,35 @@ class SeriesBatch:
 
 @dataclasses.dataclass(frozen=True)
 class FeatureKernel:
+    """One feature kernel with exactly one body: a per-row ``fn`` or a
+    batch form ``many``; given ``many``, ``fn`` is its one-row call."""
+
     name: str  # reference-compatible feature name (e.g. "trend_strenght")
     group: str  # reference group class (general, global_stats, ...)
-    fn: t.Callable[[SeriesCtx], t.Union[float, np.ndarray]]
+    fn: t.Optional[t.Callable[[SeriesCtx], t.Union[float, np.ndarray]]] = None
     returns_array: bool = False  # arrays get summarized into name.summary cols
     cost: str = "cheap"  # cheap | medium | heavy — drives stage placement
     ref: str = ""  # file:line citation into /root/reference
-    # optional batch form over a SeriesBatch: (R,) values for a scalar
-    # kernel, (flat, offsets) for an array kernel; bitwise == fn per row
+    # batch form over a SeriesBatch: (R,) values for a scalar kernel,
+    # (flat, offsets) for an array kernel
     many: t.Optional[t.Callable[[SeriesBatch], t.Any]] = None
+
+    def __post_init__(self):
+        if (self.fn is None) == (self.many is None):
+            raise ValueError(f"kernel {self.name!r} takes exactly one body: fn or many")
+        if self.many is not None:
+            object.__setattr__(self, "fn", functools.partial(_one_row, self.many, self.returns_array))
+
+
+def _one_row(many: t.Callable[[SeriesBatch], t.Any], returns_array: bool,
+             ctx: SeriesCtx) -> t.Union[float, np.ndarray]:
+    """``many`` over the one-row batch of ``ctx`` (built once per ctx):
+    row 0's value, or its slice of the flat values of an array kernel."""
+    res = many(ctx._get("one_row_batch", lambda: SeriesBatch([ctx])))
+    if returns_array:
+        flat, off = res
+        return flat[off[0]: off[1]]
+    return res[0]
 
 
 REGISTRY: dict[str, FeatureKernel] = {}
@@ -301,10 +327,10 @@ def feature_columns(kernels: list[FeatureKernel]) -> list[str]:
 
 
 def evaluate_row(ts: np.ndarray, doc_id: str, kernels: list[FeatureKernel], cap: int = DEFAULT_ANALYSIS_CAP, ctx: "SeriesCtx | None" = None) -> dict[str, float]:
-    """Run every kernel's per-row ``fn`` on one series; exceptions -> NaN
-    (reference _internal.py:204-213).  The reference path that every batch
-    form is tested against.  ``ctx`` passes a pre-seeded SeriesCtx; ``ts``
-    is ignored when given."""
+    """Run every kernel's ``fn`` on one series (a batch kernel's is its
+    one-row call); exceptions -> NaN (reference _internal.py:204-213).
+    The single-series path that FeatureStage is tested against.  ``ctx``
+    passes a pre-seeded SeriesCtx; ``ts`` is ignored when given."""
     if ctx is None:
         ctx = SeriesCtx(ts, doc_id=doc_id, cap=cap)
     out: dict[str, float] = {}
@@ -350,7 +376,7 @@ def evaluate_batch(ctxs: list[SeriesCtx], kernels: list[FeatureKernel],
 
     Each kernel runs once: its batch form ``many`` when it has one, else
     its per-row ``fn`` over the rows; a ``many`` that raises falls back to
-    ``fn`` for the batch.  Array kernels are summarized by ONE
+    ``fn``, its one-row call, row by row.  Array kernels are summarized by ONE
     :func:`summarize_many` call.  POSTPROCESSORS still see one row's dict
     and ctx at a time; what they write to an existing column is kept."""
     b = batch if batch is not None else SeriesBatch(ctxs)

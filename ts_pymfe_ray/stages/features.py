@@ -3,11 +3,12 @@ pipeline (tsmfe.py:632-980) fused into one map_batches pass.
 
 A batch is evaluated kernel by kernel, not row by row
 (:func:`registry.evaluate_batch`): the rows' capped, gap-filled series
-form one :class:`registry.SeriesBatch`, each kernel with a batch form runs
-ONCE over all rows, and only the kernels without one (``period``, ``acf``,
-``lz_complexity`` and the medium/heavy packs) run per row on SeriesCtx
-caches pre-seeded from the batch.  Outputs are bitwise equal to per-row
-:func:`registry.evaluate_row` (tests/test_batch_kernels.py).
+form one :class:`registry.SeriesBatch`, each batch kernel (its only body
+is ``many``) runs ONCE over all rows, and only the per-row kernels
+(``period``, ``acf``, ``lz_complexity`` and the medium/heavy packs) run
+row by row on SeriesCtx caches pre-seeded from the batch.  Outputs are
+bitwise equal to :func:`registry.evaluate_row`, which runs a batch kernel
+as its one-row call (tests/test_batch_kernels.py).
 
 Stateless variant (cheap/medium kernels: pure numpy, no warm state) runs as
 Ray tasks; the heavy variant (GP fits, embedding NN searches, model fits)

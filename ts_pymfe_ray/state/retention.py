@@ -22,19 +22,6 @@ import time
 from ts_pymfe_ray.state import manifest as mf
 
 
-def list_tiers(out_dir: str) -> dict[str, int]:
-    """{tier: shard-dir count} currently present on disk."""
-    out: dict[str, int] = {}
-    for entry in os.listdir(out_dir):
-        shard = os.path.join(out_dir, entry)
-        if not (entry.startswith("shard=") and os.path.isdir(shard)):
-            continue
-        for sub in os.listdir(shard):
-            if sub.startswith("tier="):
-                out[sub.split("=", 1)[1]] = out.get(sub.split("=", 1)[1], 0) + 1
-    return out
-
-
 def apply_retention(out_dir: str, drop_tiers: tuple[str, ...]) -> dict:
     """Age out whole tiers (e.g. drop raw once 10x is old enough).
 
