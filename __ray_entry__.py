@@ -574,7 +574,7 @@ def _q_seq_tier_diagnostics_nogap(sf_dir: str):
 def _q_seq_bootstrap_ci(sf_dir: str):
     """Rows-only: distributed bootstrap confidence intervals
     (extract_with_confidence re-expressed as flat_map -> features ->
-    groupby quantiles) on a deterministic doc subset."""
+    per-doc quantile kernel) on a deterministic doc subset."""
     from ts_pymfe_ray.pipelines.bootstrap import bootstrap_features
     from ts_pymfe_ray.synth import ensure_sequences_for_dir
 

@@ -345,15 +345,9 @@ def test_shuffle_combine_equals_combine(ray_session):
 
 # Functions that still hold ``.to_pandas()`` and ``.groupby(``, and why.
 _ALLOWED = {
-    # other operators: a shuffle join, a sketch merge, map_groups
+    # other operators: a shuffle join, a sketch merge
     "queries:q_revenue_by_nation": "the union+groupby equi-join (join.py)",
     "queries:q_events_distinct_users_kmv": "KMV sketch merge, not an aggregate",
-    "bootstrap:bootstrap_features": "map_groups quantiles per doc",
-    "textops:q_dedup_minhash": "map_groups candidate pairs per LSH band",
-    "textops:q_dedup_simhash": "map_groups verify per simhash segment",
-    "textops:q_dedup_ngram_jaccard": "map_groups self-merge per shingle bucket",
-    "textops:q_embeddings_neardup": "map_groups candidate pairs per bucket",
-    "textops:q_dedup_clusters_lp": "map_groups hash-to-min rounds",
 }
 
 
@@ -384,6 +378,19 @@ def test_ported_combiners_keep_no_pandas_groupby():
     assert sorted(found - set(_ALLOWED)) == []
     assert sorted(set(_ALLOWED) - found) == []
     assert all(_ALLOWED.values())
+
+
+def test_package_has_no_map_groups():
+    """No line of the package or ``__ray_entry__.py`` calls ``.map_groups(``:
+    every per-group step is a segment kernel on ``queries._map_sorted_groups``
+    (one Python call per sorted block, not one per group)."""
+    root = pathlib.Path(cb.__file__).parents[2]
+    paths = [*sorted((root / "ts_pymfe_ray").rglob("*.py")), root / "__ray_entry__.py"]
+    found = [f"{path.relative_to(root)}:{n.lineno}" for path in paths
+             for n in ast.walk(ast.parse(path.read_text()))
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+             and n.func.attr == "map_groups"]
+    assert found == []
 
 
 # The reads of pipelines/queries.py that bypass ``queries._read``, and why.

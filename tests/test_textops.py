@@ -631,28 +631,317 @@ def test_curation_stage1_loss_recovery(ray_session, tmp_path):
     assert curated_report(out).equals(base)
 
 
-def test_corpus_ops_survive_empty_blocks():
-    """Empty Arrow blocks (filters can produce them) must flow through the
-    new combiners with their typed schemas intact — no (0,)-shaped GEMMs,
-    no null-typed columns that poison the shuffle."""
-    import numpy as np
+def _write_corpus(root, texts, vectors):
+    """documents.parquet and embeddings.parquet of ``texts`` and
+    ``vectors`` (ids from 0) under ``root``."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    n = len(texts)
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(n), pa.int64()),
+        "text": pa.array(texts, pa.string()),
+        "lang": pa.array(["en"] * n, pa.string()),
+        "source": pa.array(["src0"] * n, pa.string()),
+        "n_chars": pa.array([len(x) for x in texts], pa.int64()),
+    }), root / "documents.parquet")
+    pq.write_table(pa.table({
+        "vec_id": pa.array(range(len(vectors)), pa.int64()),
+        "embedding": pa.array(vectors, pa.list_(pa.float32())),
+        "label": pa.array([0] * len(vectors), pa.int32()),
+    }), root / "embeddings.parquet")
+    return str(root)
+
+
+_PAIRS = {"doc_a": "int64", "doc_b": "int64"}
+_CLUSTERS = {"cluster_id": "int64", "n_docs": "int64", "max_doc_id": "int64"}
+_TYPED = {
+    "minhash": (t.q_dedup_minhash, {**_PAIRS, "est_jaccard": "float64"}),
+    "simhash": (t.q_dedup_simhash, {**_PAIRS, "hamming": "int64"}),
+    "ngram": (t.q_dedup_ngram_jaccard, {**_PAIRS, "jaccard": "float64"}),
+    "neardup": (t.q_embeddings_neardup,
+                {"vec_a": "int64", "vec_b": "int64", "cosine": "float64"}),
+    "clusters": (t.q_dedup_clusters, _CLUSTERS),
+    "clusters_lp": (t.q_dedup_clusters_lp, _CLUSTERS),
+}
+
+
+def test_corpus_ops_survive_empty_blocks(ray_session, tmp_path):
+    """The dedup family on a corpus with no documents, one document and
+    three identical documents (and as many identical vectors): each
+    operator returns its typed frame — columns, dtypes and rows — whether
+    or not any pair, block or row group reaches the driver."""
+    text = " ".join(f"w{i}tok" for i in range(30))
+    vec = [float(np.cos(i)) for i in range(16)]
+    for n_docs in (0, 1, 3):
+        (tmp_path / str(n_docs)).mkdir()
+        d = _write_corpus(tmp_path / str(n_docs), [text] * n_docs, [vec] * n_docs)
+        pairs = 3 if n_docs == 3 else 0
+        rows = {"clusters": int(n_docs == 3), "clusters_lp": int(n_docs == 3)}
+        for name, (op, dtypes) in _TYPED.items():
+            got = op(d)
+            assert got.dtypes.astype(str).to_dict() == dtypes, (n_docs, name)
+            assert len(got) == rows.get(name, pairs), (n_docs, name)
+    # d: the three identical documents
+    assert t.q_dedup_minhash(d)[["doc_a", "doc_b"]].values.tolist() == [
+        [0, 1], [0, 2], [1, 2]]
+    assert (t.q_dedup_simhash(d)["hamming"] == 0).all()
+    assert (t.q_dedup_ngram_jaccard(d)["jaccard"] == 1.0).all()
+    assert t.q_dedup_clusters_lp(d).values.tolist() == [[0, 3, 2]]
+
+
+def test_clusters_lp_raises_when_rounds_run_out(ray_session, monkeypatch):
+    """Hash-to-min on a 16-node chain: two rounds cannot converge, and the
+    operator raises instead of returning partial labels; with the default
+    round budget it equals the union-find clusters."""
+    import pandas as pd
+
+    chain = pd.DataFrame({"doc_a": np.arange(15, dtype=np.int64),
+                          "doc_b": np.arange(1, 16, dtype=np.int64),
+                          "est_jaccard": np.ones(15)})
+    monkeypatch.setattr(t, "q_dedup_minhash", lambda *a, **k: chain)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        t.q_dedup_clusters_lp(SF, max_iters=2)
+    got = t.q_dedup_clusters_lp(SF)
+    pd.testing.assert_frame_equal(got, t.q_dedup_clusters(SF), check_exact=True)
+    assert got.values.tolist() == [[0, 16, 15]]
+
+
+# ------------------------------------------ per-group bucket references
+# The per-bucket bodies the sorted-group kernels replaced, kept as
+# independent references: one Python (or pandas) call per group.
+
+
+def _bucket_pair_indices(n: int, bucket_cap):
+    """Candidate-pair indices of one bucket of n sorted distinct ids: all
+    pairs, or the star around the first when n > bucket_cap."""
+    if n < 2:
+        z = np.empty(0, np.int64)
+        return z, z
+    if bucket_cap is not None and n > bucket_cap:
+        return (np.zeros(n - 1, dtype=np.int64),
+                np.arange(1, n, dtype=np.int64))
+    return np.triu_indices(n, k=1)
+
+
+def _simhash_verify(ids, sims, bucket_cap, max_hamming):
+    """One simhash segment bucket's pairs within ``max_hamming`` bits."""
+    out = []
+    uniq = sorted(set(zip(ids, sims)))
+    if bucket_cap is not None and len(uniq) > bucket_cap:
+        hub = [uniq[0]]  # star-pair against the min-id member
+        rest = range(1, len(uniq))
+    else:
+        hub, rest = None, None
+    for i in range(len(uniq) if hub is None else 1):
+        js = range(i + 1, len(uniq)) if hub is None else rest
+        for j in js:
+            if uniq[i][0] == uniq[j][0]:
+                continue
+            ham = bin(uniq[i][1] ^ uniq[j][1]).count("1")
+            if ham <= max_hamming:
+                out.append((uniq[i][0], uniq[j][0], ham))
+    return out
+
+
+def _bucket_pairs(df, df_cap):
+    """One hash bucket's shingle self-merge: a pair row per shared shingle."""
+    import pandas as pd
+
+    if df_cap is not None:
+        df = df[df.groupby("shingle")["doc_id"].transform("size") <= df_cap]
+    m = df.merge(df, on="shingle")
+    m = m[m["doc_id_x"] < m["doc_id_y"]]
+    return pd.DataFrame({"doc_a": m["doc_id_x"].to_numpy(), "doc_b": m["doc_id_y"].to_numpy(),
+                         "size_a": m["size_x"].to_numpy(), "size_b": m["size_y"].to_numpy()})
+
+
+def _hash_to_min(df):
+    """One node's group: each neighbor and the node linked to its min."""
+    import pandas as pd
+
+    u = int(df["u"].iloc[0])
+    vs = df["v"].to_numpy()
+    m = min(u, int(vs.min()))
+    nodes = np.unique(np.concatenate([vs, [u]]))
+    return pd.DataFrame({"u": nodes.astype(np.int64),
+                         "v": np.full(nodes.size, m, dtype=np.int64)})
+
+
+def _bootstrap_agg(df, feat_cols, lo_q):
+    """One doc's bootstrap interval row."""
+    import pandas as pd
+
+    row: dict = {"doc_id": df["doc_id"].iloc[0], "n_reps": np.int64(len(df))}
+    with np.errstate(all="ignore"):
+        for c in feat_cols:
+            v = df[c].to_numpy()
+            v = v[np.isfinite(v)]
+            if v.size:
+                row[f"{c}.lo"] = float(np.quantile(v, lo_q))
+                row[f"{c}.hi"] = float(np.quantile(v, 1 - lo_q))
+            else:
+                row[f"{c}.lo"] = np.nan
+                row[f"{c}.hi"] = np.nan
+    return pd.DataFrame([row])
+
+
+def _ragged(rng, cap, id_range=12):
+    """A random ragged group layout: group sizes drawn from 1, cap,
+    cap + 1 and a few random sizes, ids with repeats, as (keys, ids) in
+    (key, id) order."""
+    sizes = [1, 2, *( [cap, cap + 1] if cap else []),
+             *rng.integers(1, 3 * (cap or 4) + 2, int(rng.integers(0, 6)))]
+    sizes = rng.permutation(np.array(sizes, np.int64))
+    keys = np.repeat(np.sort(rng.choice(1 << 40, sizes.size, replace=False)), sizes)
+    ids = rng.integers(0, max(id_range, 3 * (cap or 4)), keys.size)
+    order = np.lexsort((ids, keys))
+    return keys[order].astype(np.int64), ids[order].astype(np.int64)
+
+
+def _groups(block, key):
+    from ts_pymfe_ray.pipelines import queries as q
+
+    return q._sorted_groups(block, [key], ("doc_id",) if "doc_id" in block.column_names
+                            else ())
+
+
+@pytest.mark.parametrize("cap", [None, 1, 2, 8, 32])
+def test_pair_indices_equal_per_bucket_reference(cap):
+    """The candidate-pair kernel gives, bitwise and in the same order, the
+    row pairs of the per-bucket reference over 300 random ragged layouts
+    (groups of 1, cap and cap + 1 ids, repeated ids dropped)."""
+    import pyarrow as pa
+
+    rng = np.random.default_rng(22 + (cap or 0))
+    for _ in range(300):
+        keys, ids = _ragged(rng, cap)
+        block, starts = _groups(pa.table({"key": keys, "doc_id": ids}), "key")
+        assert block.column("doc_id").to_numpy().tolist() == ids.tolist()
+        ends = np.append(starts[1:], ids.size)
+        ref_i, ref_j = [], []
+        for a, b in zip(starts, ends):
+            u, first = np.unique(ids[a:b], return_index=True)
+            ii, jj = _bucket_pair_indices(u.size, cap)
+            ref_i.append(a + first[ii])
+            ref_j.append(a + first[jj])
+        ii, jj = t._pair_indices(ids, starts, cap)
+        assert ii.dtype == jj.dtype == np.int64
+        assert np.array_equal(ii, np.concatenate([np.empty(0, np.int64), *ref_i]))
+        assert np.array_equal(jj, np.concatenate([np.empty(0, np.int64), *ref_j]))
+    empty = t._pair_indices(np.empty(0, np.int64), np.empty(0, np.int64), cap)
+    assert [x.size for x in empty] == [0, 0]
+
+
+@pytest.mark.parametrize("cap", [None, 1, 2, 8])
+def test_simhash_pairs_equal_verify_loop(cap):
+    """The simhash kernel's pairs and hamming distances equal the per-bucket
+    verify loop's, row for row, on random segment buckets whose docs sit
+    0-6 bits from a few base hashes."""
+    import pyarrow as pa
+
+    rng = np.random.default_rng(5 + (cap or 0))
+    found = 0
+    for _ in range(200):
+        keys, ids = _ragged(rng, cap)
+        base = rng.integers(0, 2**63, 3, dtype=np.uint64) * np.uint64(2)
+        n_ids = int(ids.max()) + 1 if ids.size else 0
+        flips = np.zeros(n_ids, np.uint64)
+        for k in range(n_ids):
+            for bit in rng.choice(64, int(rng.integers(0, 4)), replace=False):
+                flips[k] |= np.uint64(1) << np.uint64(bit)
+        sim_of = base[np.arange(n_ids) % 3] ^ flips
+        block, starts = _groups(pa.table({"key": keys, "doc_id": ids,
+                                          "sim": pa.array(sim_of[ids], pa.uint64())}), "key")
+        ends = np.append(starts[1:], ids.size)
+        ref = []
+        for a, b in zip(starts, ends):
+            ref += _simhash_verify(ids[a:b].tolist(), sim_of[ids[a:b]].tolist(), cap, 3)
+        got = t._simhash_pairs(block, starts, cap, 3)
+        assert got.schema.types == [pa.int64()] * 3
+        assert list(zip(*(got.column(c).to_pylist()
+                          for c in ("doc_a", "doc_b", "hamming")))) == ref
+        found += len(ref)
+    assert found
+
+
+@pytest.mark.parametrize("df_cap", [None, 1, 2, 3])
+def test_shingle_pairs_equal_bucket_self_merge(df_cap):
+    """The shingle kernel's pair rows are the multiset of the per-bucket
+    pandas self-merge over hash buckets of the same shingle rows."""
+    import pandas as pd
+    import pyarrow as pa
+
+    rng = np.random.default_rng(11 + (df_cap or 0))
+    for _ in range(100):
+        docs = [np.unique(rng.integers(0, 40, int(rng.integers(1, 12))))
+                for _ in range(int(rng.integers(0, 9)))]
+        sizes = np.array([s.size for s in docs], np.int64)
+        rows = pd.DataFrame({
+            "shingle": np.concatenate([np.empty(0, np.int64), *docs]).astype(np.int64),
+            "doc_id": np.repeat(np.arange(len(docs), dtype=np.int64), sizes),
+            "size": np.repeat(sizes, sizes),
+        })
+        buckets = rows["shingle"] % 4
+        ref = pd.concat([_bucket_pairs(g, df_cap) for _, g in rows.groupby(buckets)]
+                        + [_bucket_pairs(rows.iloc[:0], df_cap)])
+        block, starts = _groups(pa.Table.from_pandas(rows, preserve_index=False), "shingle")
+        got = t._shingle_pairs(block, starts, df_cap).to_pandas()
+        cols = ["doc_a", "doc_b", "size_a", "size_b"]
+        pd.testing.assert_frame_equal(
+            got.sort_values(cols).reset_index(drop=True),
+            ref.astype("int64").sort_values(cols).reset_index(drop=True), check_exact=True)
+
+
+def test_hash_to_min_equals_per_node_reference():
+    """A hash-to-min round's distinct edges equal the per-node reference's
+    on random edge lists (repeated edges, self loops, single neighbors)."""
+    import pandas as pd
     import pyarrow as pa
 
     from ts_pymfe_ray.pipelines import queries as q
 
-    empty_docs = pa.table({"text": pa.array([], pa.string())})
-    empty_emb = pa.table({
-        "vec_id": pa.array([], pa.int64()),
-        "label": pa.array([], pa.int32()),
-        "embedding": pa.array([], pa.list_(pa.float32())),
-    })
-    # heavy-hitters combiner (closure-free twin of the inner fn)
-    texts = empty_docs.column("text").to_pylist()
-    assert texts == []
-    # kmeans pass partial via the public entry on a 0-row slice is covered
-    # by shapes: simulate the load that used to break
-    mat = np.array(empty_emb.column("embedding").to_pylist(), dtype=np.float64)
-    assert mat.size == 0 and mat.reshape(0, 64).shape == (0, 64)
-    # label-centroid partial path: empty labels short-circuit
-    labels = empty_emb.column("label").to_numpy()
-    assert labels.size == 0
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(0, 40))
+        edges = pa.table({"u": rng.integers(0, 12, n), "v": rng.integers(0, 12, n)})
+        block, starts = q._sorted_groups(edges, ["u"], ("v",))
+        got = t._hash_to_min(block, starts).to_pandas().drop_duplicates()
+        df = edges.to_pandas()
+        ref = pd.concat([_hash_to_min(g) for _, g in df.groupby("u")]
+                        + [pd.DataFrame({"u": [], "v": []}, dtype="int64")])
+        pd.testing.assert_frame_equal(
+            got.sort_values(["u", "v"]).reset_index(drop=True),
+            ref.drop_duplicates().sort_values(["u", "v"]).reset_index(drop=True),
+            check_exact=True)
+
+
+def test_bootstrap_rows_equal_per_doc_agg():
+    """The bootstrap interval kernel's rows equal the per-doc pandas
+    aggregate bit for bit: replicate counts, and quantiles of the finite
+    values only (NaN when a doc has none)."""
+    import pandas as pd
+    import pyarrow as pa
+
+    from ts_pymfe_ray.pipelines import bootstrap as bs
+    from ts_pymfe_ray.pipelines import queries as q
+
+    rng = np.random.default_rng(9)
+    cols = ["f.mean", "g"]
+    for _ in range(100):
+        reps = rng.integers(1, 9, int(rng.integers(0, 7)))
+        n = int(reps.sum())
+        doc = np.repeat([f"d{i}" for i in range(reps.size)], reps).astype(object)
+        vals = {c: rng.normal(size=n) for c in cols}
+        vals["g"][rng.random(n) < 0.4] = rng.choice([np.nan, np.inf, -np.inf])
+        df = pd.DataFrame({"doc_id": doc, **vals}).sample(frac=1.0, random_state=1)
+        block, starts = q._sorted_groups(
+            pa.Table.from_pandas(df, preserve_index=False), ["doc_id"])
+        got = bs._interval_rows(block, starts, cols, 0.025).to_pandas()
+        assert list(got.columns) == ["doc_id", "n_reps", "f.mean.lo", "f.mean.hi",
+                                     "g.lo", "g.hi"]
+        if not n:
+            assert got.empty
+            continue
+        ref = pd.concat([_bootstrap_agg(g, cols, 0.025) for _, g in df.groupby("doc_id")])
+        pd.testing.assert_frame_equal(got, ref.reset_index(drop=True), check_exact=True)

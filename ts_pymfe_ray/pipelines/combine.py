@@ -115,6 +115,16 @@ def fetch_blocks(ds) -> list[pa.Table]:
     return ray.get([ref for b in ds.iter_internal_ref_bundles() for ref in b.block_refs])
 
 
+def fetch_table(ds, schema: pa.Schema) -> pa.Table:
+    """Every row of ``ds`` on the driver (:func:`fetch_blocks`) as one
+    table of ``schema``: a block without columns (Ray's empty block) is
+    skipped, and no rows give the typed zero-row table, as in
+    :func:`merge`."""
+    blocks = [b for b in fetch_blocks(ds) if b.num_columns]
+    t = pa.concat_tables([schema.empty_table(), *blocks], promote_options="permissive")
+    return t.select(schema.names).cast(schema)
+
+
 def shuffle_combine(ds, keys: list[str], aggs: dict[str, tuple[str, str]],
                     prep=None):
     """:func:`combine` for unbounded key domains: :func:`partials` inside

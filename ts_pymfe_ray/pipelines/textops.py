@@ -3,14 +3,17 @@ deduplication (exact / MinHash+LSH / SimHash / n-gram Jaccard /
 embedding-cosine), text analysis (language-ID, quality scoring, token
 counting, fingerprinting) and the multimodal decode stub plumbing.
 
-Scale shape: every operator is (1) a vectorized/per-batch map computing
-compact signatures, (2) a groupby on signature buckets (LSH bands /
-simhash segments) so candidate generation shuffles only small signature
-rows, (3) an in-group verification.  No stage materializes the corpus.
+Scale shape: every dedup operator is (1) a per-batch map computing small
+signature rows, (2) one sort by bucket (LSH band, simhash or hyperplane
+segment, shingle) and the candidate-pair segment kernel
+(:func:`_pair_indices`) per sorted block, (3) one ``shuffle_combine``
+deduping or counting the pairs, then a verify map.  A corpus without a
+pair returns the typed empty frame.  No stage materializes the corpus.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 
@@ -23,9 +26,10 @@ import ray.data
 
 from ts_pymfe_ray.functions.md5vec import md5_lower64, md5_lower64_list
 from ts_pymfe_ray.functions.rounding import round_ha
-from ts_pymfe_ray.pipelines.combine import combine, shuffle_combine, topk
-from ts_pymfe_ray.pipelines.queries import (_BY_COSINE, _cosines, _embeddings, _hash_keys,
-                                            _md5_mod100)
+from ts_pymfe_ray.pipelines.combine import combine, fetch_table, shuffle_combine, topk
+from ts_pymfe_ray.pipelines.queries import (_BY_COSINE, _cols, _cosines, _embeddings,
+                                            _firsts, _hash_keys, _map_sorted_groups,
+                                            _md5_mod100, _seg)
 
 NUM_PERM = 64
 BANDS = 16  # 16 bands x 4 rows
@@ -210,26 +214,82 @@ def rolling_fingerprints_batch(texts: list[str], window: int = 8) -> np.ndarray:
     return np.minimum.reduceat(h, doc_off[:-1])
 
 
-def _bucket_pair_indices(n: int, bucket_cap: int | None):
-    """Candidate-pair index arrays for one LSH bucket of n SORTED member
-    ids.  Uncapped: all O(n^2) pairs (the SQL-oracled exact mode).  Hot
-    buckets (> bucket_cap members) STAR-PAIR instead — every member pairs
-    with the bucket's min id.  The CANDIDATE graph's connected components
-    are unchanged (members stay linked through the hub), so for a
-    degenerate bucket of near-identical docs the verified clusters are
-    identical while 1e6 boilerplate copies emit 1e6 - 1 pair rows instead
-    of ~5e11.  Caveat (standard for this knob, like df_cap): when a hot
-    bucket mixes DISSIMILAR docs, a pair that fails verification against
-    the hub is not retried against other members, so capped mode is an
-    approximation there — None (default) keeps the exact SQL-oracled
-    all-pairs mode."""
-    if n < 2:
-        z = np.empty(0, np.int64)
-        return z, z
-    if bucket_cap is not None and n > bucket_cap:
-        return (np.zeros(n - 1, dtype=np.int64),
-                np.arange(1, n, dtype=np.int64))
-    return np.triu_indices(n, k=1)
+def _pair_indices(ids: np.ndarray, starts: np.ndarray, cap: int | None):
+    """The dedup family's candidate-pair segment kernel: row-index arrays
+    ``(ii, jj)`` of every i<j pair of distinct ``ids`` in each group of a
+    block sorted by (bucket key, id); a row repeating the previous row's
+    id in its group is dropped.  A group of more than ``cap`` ids
+    STAR-PAIRS, its first (min-id) row with each later one: the candidate
+    graph keeps its components at O(m) rows instead of O(m^2) for a
+    degenerate bucket, but a pair failing verification against the hub is
+    not retried, so capped mode is approximate where a hot bucket mixes
+    dissimilar docs (None: exact, the SQL-oracled mode).  No loop over
+    groups: distinct row i of rank r emits pairs (i, i+1) .. (i, i+cnt)."""
+    _, seg = _seg(starts, ids.size)
+    rows = np.flatnonzero(_firsts(seg, ids))  # each group's distinct ids
+    g = seg[rows]
+    sizes = np.bincount(g, minlength=starts.size)
+    m = sizes[g]
+    r = np.arange(rows.size) - (np.cumsum(sizes) - sizes)[g]
+    cnt = m - 1 - r
+    if cap is not None:
+        cnt = np.where(m > cap, np.where(r == 0, m - 1, 0), cnt)
+    ii = np.repeat(np.arange(rows.size), cnt)
+    jj = ii + 1 + (np.arange(ii.size) - np.repeat(np.cumsum(cnt) - cnt, cnt))
+    return rows[ii], rows[jj]
+
+
+def _id_pairs(block: pa.Table, starts: np.ndarray, id_col: str, names: tuple[str, str],
+              cap: int | None) -> pa.Table:
+    """Segment kernel: the candidate ``id_col`` pairs of each bucket."""
+    ids = block.column(id_col).to_numpy()
+    ii, jj = _pair_indices(ids, starts, cap)
+    return pa.table({names[0]: pa.array(ids[ii], pa.int64()),
+                     names[1]: pa.array(ids[jj], pa.int64())})
+
+
+def _simhash_pairs(block: pa.Table, starts: np.ndarray, cap: int | None,
+                   max_hamming: int) -> pa.Table:
+    """Segment kernel: the doc pairs of each simhash segment bucket within
+    ``max_hamming`` bits, with their distance (a popcount of the xor)."""
+    ids, sims = _cols(block, "doc_id", "sim")
+    ii, jj = _pair_indices(ids, starts, cap)
+    x = sims[ii] ^ sims[jj]
+    ham = np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1, dtype=np.int64)
+    near = ham <= max_hamming
+    return pa.table({"doc_a": pa.array(ids[ii][near], pa.int64()),
+                     "doc_b": pa.array(ids[jj][near], pa.int64()),
+                     "hamming": pa.array(ham[near], pa.int64())})
+
+
+def _shingle_pairs(block: pa.Table, starts: np.ndarray, df_cap: int | None) -> pa.Table:
+    """Segment kernel: one row per doc pair sharing a shingle, with both
+    docs' shingle-set sizes; a shingle held by more than ``df_cap`` docs
+    pairs none of them."""
+    if df_cap is not None:
+        ends, seg = _seg(starts, block.num_rows)
+        small = ends - starts <= df_cap
+        block = block.filter(pa.array(small[seg], pa.bool_()))
+        sizes = (ends - starts)[small]
+        starts = np.cumsum(sizes) - sizes
+    ids, size = _cols(block, "doc_id", "size")
+    ii, jj = _pair_indices(ids, starts, None)
+    return pa.table({"doc_a": pa.array(ids[ii], pa.int64()),
+                     "doc_b": pa.array(ids[jj], pa.int64()),
+                     "size_a": pa.array(size[ii], pa.int64()),
+                     "size_b": pa.array(size[jj], pa.int64())})
+
+
+def _frame(ds, schema: pa.Schema, by: list[str]) -> pd.DataFrame:
+    """Every row of ``ds`` on the driver, sorted by ``by``, as a frame of
+    ``schema`` (:func:`fetch_table`: zero rows give the typed empty frame)."""
+    return fetch_table(ds, schema).sort_by([(c, "ascending") for c in by]).to_pandas()
+
+
+def _pair_distinct(pairs, keys: list[str]):
+    """The distinct ``keys`` rows of ``pairs`` (a pair found in several
+    buckets once), merged in one Ray shuffle by :func:`shuffle_combine`."""
+    return shuffle_combine(pairs, keys, {"n": (keys[0], "size")}).drop_columns(["n"])
 
 
 class _MinhashVerify:
@@ -241,6 +301,9 @@ class _MinhashVerify:
     enter the shuffle — round 2 shipped the 512-byte signature into all
     16 band rows per doc."""
 
+    SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                        ("est_jaccard", pa.float64())])
+
     def __init__(self, path: str, threshold: float):
         self.path = path
         self.threshold = threshold
@@ -248,11 +311,8 @@ class _MinhashVerify:
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
 
-        empty = pa.table({"doc_a": pa.array([], pa.int64()),
-                          "doc_b": pa.array([], pa.int64()),
-                          "est_jaccard": pa.array([], pa.float64())})
         if batch.num_rows == 0:
-            return empty
+            return self.SCHEMA.empty_table()
         a = batch.column("doc_a").to_numpy()
         b = batch.column("doc_b").to_numpy()
         need = np.unique(np.concatenate([a, b]))
@@ -278,20 +338,17 @@ class _MinhashVerify:
 def q_dedup_minhash(sf_dir: str, threshold: float = 0.6,
                     bucket_cap: int | None = None) -> pd.DataFrame:
     """MinHash+LSH near-duplicate pairs: shingle -> minhash -> band ->
-    (band_key, doc_id) groupby -> candidate pairs -> distributed pair
-    dedup -> signature-recompute verify with point-read gather.
+    (band_key, doc_id) sorted groups -> candidate pairs -> distributed
+    pair dedup -> signature-recompute verify with point-read gather.
 
-    Scale shape: only (band_key:u64, doc_id:i64) rows cross the
-    all-to-all shuffle; the verify stage recomputes signatures for
-    exactly the doc_ids its candidate batch touches (candidates are a
-    vanishing fraction of the corpus at a sane band/row config).
-    ``bucket_cap`` star-pairs hot band buckets (see _bucket_pair_indices)
-    — the production knob against boilerplate-cluster pair blowup; None =
-    exact all-pairs (the SQL-oracled mode)."""
-    from ray.data.aggregate import Count
-
+    Scale shape: only (band_key, doc_id) rows cross the all-to-all
+    shuffle; the verify stage recomputes signatures for exactly the
+    doc_ids its candidate batch touches (candidates are a vanishing
+    fraction of the corpus at a sane band/row config).  ``bucket_cap``
+    star-pairs hot band buckets (see _pair_indices) — the production knob
+    against boilerplate-cluster pair blowup; None = exact all-pairs (the
+    SQL-oracled mode)."""
     path = os.path.join(sf_dir, "documents.parquet")
-    ds = _read_docs(sf_dir)
 
     def to_bands(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy()
@@ -301,30 +358,24 @@ def q_dedup_minhash(sf_dir: str, threshold: float = 0.6,
         keys = band_keys_batch(sigs)
         return pa.table(
             {
-                "band_key": pa.array(keys.ravel(), pa.uint64()),
+                "band_key": pa.array(keys.ravel().view(np.int64), pa.int64()),
                 "doc_id": pa.array(np.repeat(ids, BANDS), pa.int64()),
             }
         )
 
-    def cand_pairs(group: pa.Table) -> pa.Table:
-        ids = np.unique(group.column("doc_id").to_numpy())  # sorted
-        ii, jj = _bucket_pair_indices(ids.size, bucket_cap)
-        return pa.table({"doc_a": pa.array(ids[ii], pa.int64()),
-                         "doc_b": pa.array(ids[jj], pa.int64())})
+    bands = _read_docs(sf_dir).map_batches(to_bands, batch_format="pyarrow")
+    pairs = _map_sorted_groups(
+        bands, ["band_key"],
+        functools.partial(_id_pairs, id_col="doc_id", names=("doc_a", "doc_b"),
+                          cap=bucket_cap),
+        order=("doc_id",))
+    verified = _pair_distinct(pairs, ["doc_a", "doc_b"]).map_batches(
+        _MinhashVerify(path, threshold), batch_format="pyarrow")
+    return _frame(verified, _MinhashVerify.SCHEMA, ["doc_a", "doc_b"])
 
-    pairs = (
-        ds.map_batches(to_bands, batch_format="pyarrow")
-        .groupby("band_key")
-        .map_groups(cand_pairs, batch_format="pyarrow")
-        .groupby(["doc_a", "doc_b"])
-        .aggregate(Count())  # distributed pair dedup across bands
-        .drop_columns(["count()"])
-        .map_batches(_MinhashVerify(path, threshold), batch_format="pyarrow")
-        .to_pandas()
-    )
-    if len(pairs):
-        pairs = pairs.sort_values(["doc_a", "doc_b"])
-    return pairs.reset_index(drop=True)
+
+_SIMHASH_PAIRS = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                            ("hamming", pa.int64())])
 
 
 def q_dedup_simhash(sf_dir: str, max_hamming: int = 3,
@@ -334,7 +385,6 @@ def q_dedup_simhash(sf_dir: str, max_hamming: int = 3,
     star-pairs hot segment buckets against the min-id member (hamming
     filter still applied) — O(m) rows per degenerate bucket instead of
     O(m^2); None = exact all-pairs (the SQL-oracled mode)."""
-    ds = _read_docs(sf_dir)
 
     def to_segments(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy()
@@ -350,120 +400,63 @@ def q_dedup_simhash(sf_dir: str, max_hamming: int = 3,
             }
         )
 
-    def verify(group: pa.Table) -> pa.Table:
-        ids = group.column("doc_id").to_pylist()
-        sims = group.column("sim").to_pylist()
-        out = {"doc_a": [], "doc_b": [], "hamming": []}
-        uniq = sorted(set(zip(ids, sims)))
-        if bucket_cap is not None and len(uniq) > bucket_cap:
-            hub = [uniq[0]]  # star-pair against the min-id member
-            rest = range(1, len(uniq))
-        else:
-            hub, rest = None, None
-        for i in range(len(uniq) if hub is None else 1):
-            js = range(i + 1, len(uniq)) if hub is None else rest
-            for j in js:
-                if uniq[i][0] == uniq[j][0]:
-                    continue
-                ham = bin(uniq[i][1] ^ uniq[j][1]).count("1")
-                if ham <= max_hamming:
-                    out["doc_a"].append(uniq[i][0])
-                    out["doc_b"].append(uniq[j][0])
-                    out["hamming"].append(ham)
-        return pa.table(
-            {
-                "doc_a": pa.array(out["doc_a"], pa.int64()),
-                "doc_b": pa.array(out["doc_b"], pa.int64()),
-                "hamming": pa.array(out["hamming"], pa.int64()),
-            }
-        )
-
-    pairs = (
-        ds.map_batches(to_segments, batch_format="pyarrow")
-        .groupby("seg_key")
-        .map_groups(verify, batch_format="pyarrow")
-        .to_pandas()
-    )
-    if len(pairs):
-        pairs = pairs.drop_duplicates(["doc_a", "doc_b"]).sort_values(["doc_a", "doc_b"])
-    return pairs.reset_index(drop=True)
+    segs = _read_docs(sf_dir).map_batches(to_segments, batch_format="pyarrow")
+    pairs = _map_sorted_groups(
+        segs, ["seg_key"],
+        functools.partial(_simhash_pairs, cap=bucket_cap, max_hamming=max_hamming),
+        order=("doc_id",))
+    # a pair's hamming follows from its two docs: a key, not a value
+    return _frame(_pair_distinct(pairs, ["doc_a", "doc_b", "hamming"]),
+                  _SIMHASH_PAIRS, ["doc_a", "doc_b"])
 
 
 def q_dedup_ngram_jaccard(sf_dir: str, threshold: float = 0.5,
-                          df_cap: int | None = None,
-                          num_buckets: int = 512) -> pd.DataFrame:
+                          df_cap: int | None = None) -> pd.DataFrame:
     """EXACT n-gram Jaccard near-dup pairs via a distributed shingle
     inverted index — no driver-side corpus materialization and no
     LSH-recall gap:
 
     1. map: per doc -> distinct 3-word-shingle hash rows
-       ``(bucket, shingle, doc_id, size)`` (size = |shingle set|, carried on
-       every row so no sizes table needs broadcasting or joining);
-    2. groupby(bucket): vectorized self-merge on shingle inside each hash
-       bucket -> one candidate-pair row per shared shingle;
-    3. groupby(pair): Count() = |intersection|;  jaccard = i/(sa+sb-i).
+       ``(shingle, doc_id, size)`` (size = |shingle set|, carried on every
+       row so no sizes table needs broadcasting or joining);
+    2. sorted groups by shingle: the candidate-pair kernel emits one pair
+       row per shared shingle;
+    3. shuffle_combine over the pair: row count = |intersection|;
+       jaccard = i/(sa+sb-i).
 
     Shuffle volume is shingle rows + shared-shingle pair rows, never text.
     ``df_cap`` (document frequency cap) drops shingles shared by more than
-    that many docs inside a bucket — the standard web-scale knob against
-    hot-shingle pair blowup (stopword trigrams); None = exact (the
-    SQL-oracled mode)."""
-    from ray.data.aggregate import Count
-
-    ds = _read_docs(sf_dir)
+    that many docs — the standard web-scale knob against hot-shingle pair
+    blowup (stopword trigrams); None = exact (the SQL-oracled mode)."""
 
     def to_shingles(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        texts = batch.column("text").to_pylist()
-        out_b, out_s, out_d, out_n = [], [], [], []
-        for i, hs in enumerate(_md5_shingles_batch(texts)):
-            out_s.append(hs)
-            out_b.append((hs % np.uint64(num_buckets)).astype(np.int64))
-            out_d.append(np.full(hs.size, ids[i], dtype=np.int64))
-            out_n.append(np.full(hs.size, hs.size, dtype=np.int64))
+        hs = _md5_shingles_batch(batch.column("text").to_pylist())
+        n = np.fromiter((h.size for h in hs), np.int64, count=len(hs))
         return pa.table(
             {
-                "bucket": pa.array(np.concatenate(out_b), pa.int64()),
-                "shingle": pa.array(np.concatenate(out_s), pa.uint64()),
-                "doc_id": pa.array(np.concatenate(out_d), pa.int64()),
-                "size": pa.array(np.concatenate(out_n), pa.int64()),
+                # int64 bit patterns: a uint64 key above 2^63 breaks the shuffle
+                "shingle": pa.array(np.concatenate([np.empty(0, np.uint64), *hs])
+                                    .view(np.int64), pa.int64()),
+                "doc_id": pa.array(np.repeat(batch.column("doc_id").to_numpy(), n),
+                                   pa.int64()),
+                "size": pa.array(np.repeat(n, n), pa.int64()),
             }
         )
 
-    def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        if df_cap is not None:
-            df = df[df.groupby("shingle")["doc_id"].transform("size") <= df_cap]
-        m = df.merge(df, on="shingle")
-        m = m[m["doc_id_x"] < m["doc_id_y"]]
-        return pd.DataFrame(
-            {
-                "doc_a": m["doc_id_x"].to_numpy(),
-                "doc_b": m["doc_id_y"].to_numpy(),
-                "size_a": m["size_x"].to_numpy(),
-                "size_b": m["size_y"].to_numpy(),
-            }
-        )
-
-    inter = (
-        ds.map_batches(to_shingles, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_pairs, batch_format="pandas")
-        .groupby(["doc_a", "doc_b", "size_a", "size_b"])
-        .aggregate(Count())
-        .to_pandas()
-    )
-    if inter.empty:
-        return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
-                             "doc_b": pd.Series([], dtype="int64"),
-                             "jaccard": pd.Series([], dtype="float64")})
-    i = inter["count()"].to_numpy(dtype=np.float64)
-    union = inter["size_a"].to_numpy() + inter["size_b"].to_numpy() - i
-    inter["jaccard"] = round_ha(i / union)
-    out = inter.loc[i / union >= threshold, ["doc_a", "doc_b", "jaccard"]]
-    out = out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-    out["doc_a"] = out["doc_a"].astype("int64")
-    out["doc_b"] = out["doc_b"].astype("int64")
-    return out
+    shingles = _read_docs(sf_dir).map_batches(to_shingles, batch_format="pyarrow")
+    pairs = _map_sorted_groups(shingles, ["shingle"],
+                               functools.partial(_shingle_pairs, df_cap=df_cap),
+                               order=("doc_id",))
+    keys = ["doc_a", "doc_b", "size_a", "size_b"]
+    inter = fetch_table(shuffle_combine(pairs, keys, {"n": ("doc_a", "size")}),
+                        pa.schema([(k, pa.int64()) for k in [*keys, "n"]]))
+    a, b, size_a, size_b, n = (inter.column(k).to_numpy() for k in [*keys, "n"])
+    jac = n / (size_a + size_b - n)
+    keep = jac >= threshold
+    out = pa.table({"doc_a": pa.array(a[keep], pa.int64()),
+                    "doc_b": pa.array(b[keep], pa.int64()),
+                    "jaccard": pa.array(round_ha(jac[keep]), pa.float64())})
+    return out.sort_by([("doc_a", "ascending"), ("doc_b", "ascending")]).to_pandas()
 
 
 _PLANT_OFFSET = 1_000_000
@@ -487,6 +480,9 @@ class _GatherVerifyCosine:
     exact cosines.  Planted ids (>= _PLANT_OFFSET) are reconstructed
     deterministically from their base vector."""
 
+    SCHEMA = pa.schema([("vec_a", pa.int64()), ("vec_b", pa.int64()),
+                        ("cosine", pa.float64())])
+
     def __init__(self, path: str, threshold: float):
         self.path = path
         self.threshold = threshold
@@ -494,11 +490,8 @@ class _GatherVerifyCosine:
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
 
-        empty = pa.table({"vec_a": pa.array([], pa.int64()),
-                          "vec_b": pa.array([], pa.int64()),
-                          "cosine": pa.array([], pa.float64())})
         if batch.num_rows == 0:
-            return empty
+            return self.SCHEMA.empty_table()
         a = batch.column("vec_a").to_numpy()
         b = batch.column("vec_b").to_numpy()
         need = np.unique(np.concatenate([a, b]))
@@ -537,7 +530,7 @@ def q_embeddings_neardup(sf_dir: str, threshold: float = 0.95,
                          plant: int = 0,
                          bucket_cap: int | None = None) -> pd.DataFrame:
     """Embedding-cosine near-duplicates via random-hyperplane LSH banding:
-    signature map -> (bucket, vec_id) groupby -> candidate pairs ->
+    signature map -> (bucket, vec_id) sorted groups -> candidate pairs ->
     distributed pair dedup -> exact cosine verify with point-read gather.
 
     Scale shape: the ONLY payload through the all-to-all shuffle is
@@ -552,9 +545,16 @@ def q_embeddings_neardup(sf_dir: str, threshold: float = 0.95,
     input inside the stream — the driver data has no pairs above 0.95
     (max true pair cosine at sf0.01 is 0.51), so without planting the
     operator would run but prove nothing."""
-    from ray.data.aggregate import Count
+    import pyarrow.parquet as pq
 
     path = os.path.join(sf_dir, "embeddings.parquet")
+    # the vector width, read on the driver from the first stored vector
+    first = next((b for b in pq.ParquetFile(path).iter_batches(batch_size=1,
+                                                               columns=["embedding"])
+                  if b.num_rows), None)
+    if first is None:
+        return _GatherVerifyCosine.SCHEMA.empty_table().to_pandas()
+    dim = len(first.column(0)[0])
     ds = ray.data.read_parquet(path, columns=["vec_id", "embedding"])
     if plant:
         def add_planted(batch: pa.Table) -> pa.Table:
@@ -575,8 +575,6 @@ def q_embeddings_neardup(sf_dir: str, threshold: float = 0.95,
             return pa.concat_tables([batch, planted])
 
         ds = ds.map_batches(add_planted, batch_format="pyarrow")
-    probe = next(iter(ds.limit(1).iter_batches(batch_format="pyarrow")))
-    dim = len(probe.column("embedding").to_pylist()[0])
     rng = np.random.Generator(np.random.PCG64(7))
     planes = rng.normal(size=(16, dim))  # 16-bit signatures, 4 segments
 
@@ -595,25 +593,17 @@ def q_embeddings_neardup(sf_dir: str, threshold: float = 0.95,
             }
         )
 
-    def cand_pairs(group: pa.Table) -> pa.Table:
-        ids = np.unique(group.column("vec_id").to_numpy())  # sorted
-        ii, jj = _bucket_pair_indices(ids.size, bucket_cap)
-        return pa.table({"vec_a": pa.array(ids[ii], pa.int64()),
-                         "vec_b": pa.array(ids[jj], pa.int64())})
+    pairs = _map_sorted_groups(
+        ds.map_batches(to_buckets, batch_format="pyarrow"), ["bucket"],
+        functools.partial(_id_pairs, id_col="vec_id", names=("vec_a", "vec_b"),
+                          cap=bucket_cap),
+        order=("vec_id",))
+    verified = _pair_distinct(pairs, ["vec_a", "vec_b"]).map_batches(
+        _GatherVerifyCosine(path, threshold), batch_format="pyarrow")
+    return _frame(verified, _GatherVerifyCosine.SCHEMA, ["vec_a", "vec_b"])
 
-    pairs = (
-        ds.map_batches(to_buckets, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(cand_pairs, batch_format="pyarrow")
-        .groupby(["vec_a", "vec_b"])
-        .aggregate(Count())  # distributed pair dedup across buckets
-        .drop_columns(["count()"])
-        .map_batches(_GatherVerifyCosine(path, threshold), batch_format="pyarrow")
-        .to_pandas()
-    )
-    if len(pairs):
-        pairs = pairs.sort_values(["vec_a", "vec_b"])
-    return pairs.reset_index(drop=True)
+
+_CLUSTER_COLS = ["cluster_id", "n_docs", "max_doc_id"]
 
 
 def q_dedup_clusters(sf_dir: str, threshold: float = 0.6,
@@ -644,16 +634,19 @@ def q_dedup_clusters(sf_dir: str, threshold: float = 0.6,
     comp: dict[int, list[int]] = {}
     for node in parent:
         comp.setdefault(find(node), []).append(node)
-    rows = sorted(
-        (min(members), len(members), max(members)) for members in comp.values()
-    )
-    return pd.DataFrame(
-        {
-            "cluster_id": pd.Series([r[0] for r in rows], dtype="int64"),
-            "n_docs": pd.Series([r[1] for r in rows], dtype="int64"),
-            "max_doc_id": pd.Series([r[2] for r in rows], dtype="int64"),
-        }
-    )
+    rows = sorted((min(m), len(m), max(m)) for m in comp.values())
+    return pd.DataFrame(rows, columns=_CLUSTER_COLS, dtype="int64")
+
+
+def _hash_to_min(block: pa.Table, starts: np.ndarray) -> pa.Table:
+    """Segment kernel of one hash-to-min round over edges sorted by (u,
+    v): each node's group links every neighbor, and the node itself, to
+    the group's minimum id (rows may repeat; the round dedups them)."""
+    u, v = _cols(block, "u", "v")
+    _, seg = _seg(starts, u.size)
+    m = np.minimum(u[starts], v[starts])
+    return pa.table({"u": pa.array(np.concatenate([v, u[starts]]), pa.int64()),
+                     "v": pa.array(np.concatenate([m[seg], m]), pa.int64())})
 
 
 def q_dedup_clusters_lp(sf_dir: str, threshold: float = 0.6,
@@ -664,22 +657,18 @@ def q_dedup_clusters_lp(sf_dir: str, threshold: float = 0.6,
     adversarial pair volumes where even the pair OUTPUT is too large for
     a driver union-find.
 
-    Each round is groupby-only: symmetrize edges, group by node, link
-    every neighbor (and the node itself) to the group's minimum id.
-    Components converge to star graphs around their min id in O(log
-    diameter) rounds; convergence is detected from a cheap (count, sum)
-    edge-multiset checksum.  Output is identical to the union-find
-    version (pytest-enforced) and shares its recursive-CTE SQL twin."""
-    from ray.data.aggregate import Count, Max, Sum
+    Each round symmetrizes the edges, sorts them by node for the
+    :func:`_hash_to_min` segment kernel and dedups them in one shuffle
+    (:func:`_pair_distinct`).  Components converge to star graphs around their min id in
+    O(log diameter) rounds; convergence is detected from a cheap (count,
+    sum) edge-multiset checksum, and ``max_iters`` rounds without it
+    raise.  Output is identical to the union-find version
+    (pytest-enforced) and shares its recursive-CTE SQL twin."""
+    from ray.data.aggregate import Count, Sum
 
     pairs = q_dedup_minhash(sf_dir, threshold, bucket_cap=bucket_cap)
-    empty = pd.DataFrame({
-        "cluster_id": pd.Series([], dtype="int64"),
-        "n_docs": pd.Series([], dtype="int64"),
-        "max_doc_id": pd.Series([], dtype="int64"),
-    })
     if pairs.empty:
-        return empty
+        return pd.DataFrame([], columns=_CLUSTER_COLS, dtype="int64")
     edges = ray.data.from_pandas(pd.DataFrame({
         "u": pairs["doc_a"].astype("int64"),
         "v": pairs["doc_b"].astype("int64"),
@@ -691,23 +680,12 @@ def q_dedup_clusters_lp(sf_dir: str, threshold: float = 0.6,
         return pa.table({"u": np.concatenate([u, v]),
                          "v": np.concatenate([v, u])})
 
-    def hash_to_min(df: pd.DataFrame) -> pd.DataFrame:
-        u = int(df["u"].iloc[0])
-        vs = df["v"].to_numpy()
-        m = min(u, int(vs.min()))
-        nodes = np.unique(np.concatenate([vs, [u]]))
-        return pd.DataFrame({"u": nodes.astype(np.int64),
-                             "v": np.full(nodes.size, m, dtype=np.int64)})
-
     prev_sig = None
     for _ in range(max_iters):
         edges = (
-            edges.map_batches(symmetrize, batch_format="pyarrow")
-            .groupby("u")
-            .map_groups(hash_to_min, batch_format="pandas")
-            .groupby(["u", "v"])
-            .aggregate(Count())
-            .drop_columns(["count()"])
+            _pair_distinct(_map_sorted_groups(
+                edges.map_batches(symmetrize, batch_format="pyarrow"), ["u"],
+                _hash_to_min, order=("v",)), ["u", "v"])
             # materialize the per-round state: Datasets are lazy plans, so
             # without this round i would re-execute every earlier round's
             # shuffles (O(iters^2) work) each time the checksum runs
@@ -718,15 +696,12 @@ def q_dedup_clusters_lp(sf_dir: str, threshold: float = 0.6,
         if sig == prev_sig:
             break
         prev_sig = sig
+    else:
+        raise RuntimeError(f"hash-to-min did not converge in {max_iters} rounds")
     # fixpoint: every node u carries exactly one edge (u, component_min),
-    # including (min, min) itself — the per-cluster rollup is a groupby
-    g = edges.groupby("v").aggregate(Count(), Max("u")).to_pandas()
-    out = pd.DataFrame({
-        "cluster_id": g["v"].astype("int64"),
-        "n_docs": g["count()"].astype("int64"),
-        "max_doc_id": g["max(u)"].astype("int64"),
-    })
-    return out.sort_values("cluster_id").reset_index(drop=True)
+    # including (min, min) itself — the per-cluster rollup is a combine
+    g = combine(edges, ["v"], {"n_docs": ("u", "size"), "max_doc_id": ("u", "max")})
+    return g.rename_columns(_CLUSTER_COLS).to_pandas()
 
 
 # ------------------------------------------------------------- text analysis
